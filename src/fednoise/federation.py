@@ -5,6 +5,11 @@ current global parameters on its own shard, then average the returned
 parameter vectors weighted by shard size. Evaluation runs on the clean test
 set after every aggregation.
 
+Every method trains through one loop, :func:`_local_sgd`; a public
+``local_train_*`` function only builds the method's per-batch objective.
+An objective runs :func:`~fednoise.model.forward_vjp` once per view (clean,
+augmented, or a peer's picks) and pulls its loss adjoints back through it.
+
 Determinism contract: every consumer of randomness derives its own
 RngStream path from the master seed (client selection per round, batch
 shuffling per client/round/epoch, augmentation and mixing draws per batch).
@@ -24,26 +29,26 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .augment import AugmentPolicy, apply_batch
 from .data import ClientShard, LabeledDataset
 from .losses import (
-    LossOutput,
     LsrHyperParams,
     SymCeParams,
     ce_loss,
     ce_per_sample,
     lsr_plus_loss,
     lsr_total_loss,
-    self_distill_loss,
     sharpened_ce_loss,
     sharpened_ce_per_sample,
     small_loss_select,
+    symce_lsr_loss,
     symmetric_ce_loss,
 )
-from .model import Gradients, ModelParams, backward, forward, init_params, sgd_step
+from .model import ModelParams, forward, forward_vjp, init_params, sgd_step
 from .numerics import RngStream, as_stream, sample_mix_weight
 
 __all__ = [
@@ -207,14 +212,14 @@ def _shard_arrays(dataset: LabeledDataset, shard: ClientShard):
 def _iter_batches(n: int, cfg: FedConfig, stream: RngStream):
     """Seeded shuffle per epoch, consecutive batches, final short batch kept.
 
-    Yields (epoch, batch_counter, row_indices). All trainers share this
-    helper so methods differing only in the loss walk identical batches.
+    Yields (epoch, batch_counter, row_indices) to :func:`_local_sgd`, so
+    methods differing only in the loss walk identical batches.
     """
     batch = cfg.batch_size
     if batch > n:
         warnings.warn(
             f"batch size {batch} exceeds shard size {n}; using one full batch",
-            stacklevel=3,
+            stacklevel=4,
         )
         batch = n
     for epoch in range(cfg.local_epochs):
@@ -227,6 +232,29 @@ def _mean(losses: list) -> float:
     return float(np.mean(losses)) if losses else float("nan")
 
 
+def _local_sgd(nets: tuple, feats, labels, cfg: FedConfig, stream: RngStream, objective):
+    """Per batch, ``objective(nets, x, y, epoch, bi)`` gives the batch loss and
+    one Gradients per net at its incoming parameters; each net then takes
+    one SGD step, in tuple order. Returns (nets, mean batch loss)."""
+    losses = []
+    for epoch, bi, rows in _iter_batches(labels.shape[0], cfg, stream):
+        loss, grads = objective(nets, feats[rows], labels[rows], epoch, bi)
+        nets = tuple(sgd_step(net, g, cfg.lr) for net, g in zip(nets, grads))
+        losses.append(loss)
+    return nets, _mean(losses)
+
+
+def _single_view(loss_fn):
+    """Objective scoring one network's logits on the batch as given."""
+
+    def objective(nets, x, y, epoch, bi):
+        logits, vjp = forward_vjp(nets[0], x)
+        out = loss_fn(logits, y)
+        return out.scalar, (vjp(out.adjoint_o1),)
+
+    return objective
+
+
 def local_train_ce(
     global_params: ModelParams,
     dataset: LabeledDataset,
@@ -236,14 +264,9 @@ def local_train_ce(
 ) -> tuple:
     """Plain cross-entropy SGD on the shard's observed labels."""
     feats, labels = _shard_arrays(dataset, shard)
-    params = global_params
-    losses = []
-    for _, _, rows in _iter_batches(shard.n_k, cfg, stream):
-        x = feats[rows]
-        out = ce_loss(forward(params, x), labels[rows])
-        params = sgd_step(params, backward(params, x, out.adjoint_o1), cfg.lr)
-        losses.append(out.scalar)
-    return params, _mean(losses)
+    objective = _single_view(ce_loss)
+    (params,), loss = _local_sgd((global_params,), feats, labels, cfg, stream, objective)
+    return params, loss
 
 
 def local_train_ce_aug(
@@ -265,14 +288,9 @@ def local_train_ce_aug(
     aug = apply_batch(policy, feats, stream.child("augment", "expand"), dataset.image_shape)
     feats = np.concatenate([feats, aug], axis=0)
     labels = np.concatenate([labels, labels])
-    params = global_params
-    losses = []
-    for _, _, rows in _iter_batches(labels.shape[0], cfg, stream):
-        x = feats[rows]
-        out = ce_loss(forward(params, x), labels[rows])
-        params = sgd_step(params, backward(params, x, out.adjoint_o1), cfg.lr)
-        losses.append(out.scalar)
-    return params, _mean(losses)
+    objective = _single_view(ce_loss)
+    (params,), loss = _local_sgd((global_params,), feats, labels, cfg, stream, objective)
+    return params, loss
 
 
 def local_train_symce(
@@ -285,36 +303,36 @@ def local_train_symce(
 ) -> tuple:
     """Symmetric cross-entropy SGD on the shard's observed labels."""
     feats, labels = _shard_arrays(dataset, shard)
-    params = global_params
-    losses = []
-    for _, _, rows in _iter_batches(shard.n_k, cfg, stream):
-        x = feats[rows]
-        out = symmetric_ce_loss(forward(params, x), labels[rows], sp)
-        params = sgd_step(params, backward(params, x, out.adjoint_o1), cfg.lr)
-        losses.append(out.scalar)
-    return params, _mean(losses)
+    objective = _single_view(partial(symmetric_ce_loss, sp=sp))
+    (params,), loss = _local_sgd((global_params,), feats, labels, cfg, stream, objective)
+    return params, loss
 
 
-def _mix_weight(hp: LsrHyperParams, stream: RngStream, epoch: int, bi: int) -> float:
-    if hp.fix_lambda is not None:
-        return float(hp.fix_lambda)
-    return sample_mix_weight(stream.child("mixweight", epoch, bi))
+def _two_view(
+    loss_fn, dataset: LabeledDataset, hp: LsrHyperParams, policy: AugmentPolicy, stream: RngStream
+):
+    """Objective summing both heads' gradients under ``loss_fn(o1, o2, y, lam)``.
 
-
-def _dual_head_step(
-    params: ModelParams, x: np.ndarray, x_aug: np.ndarray, out: LossOutput, lr: float
-) -> ModelParams:
-    """Apply one SGD step from adjoints at both logit heads.
-
-    The augmented head's backward pass is skipped when its adjoint is
-    exactly zero; besides saving a pass, this keeps degenerate
-    configurations (identity augmentation, mixing weight pinned to 1)
-    arithmetic-identical to the single-head trainers.
+    The augmented head's vjp is skipped when its adjoint is exactly zero,
+    which keeps degenerate configurations (identity augmentation, mixing
+    weight pinned to 1) arithmetic-identical to the single-view trainers.
     """
-    grads = backward(params, x, out.adjoint_o1)
-    if np.any(out.adjoint_o2):
-        grads = grads + backward(params, x_aug, out.adjoint_o2)
-    return sgd_step(params, grads, lr)
+
+    def objective(nets, x, y, epoch, bi):
+        x_aug = apply_batch(policy, x, stream.child("augment", epoch, bi), dataset.image_shape)
+        o1, vjp1 = forward_vjp(nets[0], x)
+        o2, vjp2 = forward_vjp(nets[0], x_aug)
+        if hp.fix_lambda is not None:
+            lam = float(hp.fix_lambda)
+        else:
+            lam = sample_mix_weight(stream.child("mixweight", epoch, bi))
+        out = loss_fn(o1, o2, y, lam)
+        grads = vjp1(out.adjoint_o1)
+        if np.any(out.adjoint_o2):
+            grads = grads + vjp2(out.adjoint_o2)
+        return out.scalar, (grads,)
+
+    return objective
 
 
 def local_train_lsr(
@@ -332,19 +350,10 @@ def local_train_lsr(
     plus the warm-up-weighted distillation term (and the entropy penalty
     when ``plus``)."""
     feats, labels = _shard_arrays(dataset, shard)
-    params = global_params
-    losses = []
-    loss_fn = lsr_plus_loss if plus else lsr_total_loss
-    for epoch, bi, rows in _iter_batches(shard.n_k, cfg, stream):
-        x = feats[rows]
-        x_aug = apply_batch(policy, x, stream.child("augment", epoch, bi), dataset.image_shape)
-        o1 = forward(params, x)
-        o2 = forward(params, x_aug)
-        lam = _mix_weight(hp, stream, epoch, bi)
-        out = loss_fn(o1, o2, labels[rows], lam, gamma_t, hp)
-        params = _dual_head_step(params, x, x_aug, out, cfg.lr)
-        losses.append(out.scalar)
-    return params, _mean(losses)
+    loss_fn = partial(lsr_plus_loss if plus else lsr_total_loss, gamma_t=gamma_t, hp=hp)
+    objective = _two_view(loss_fn, dataset, hp, policy, stream)
+    (params,), loss = _local_sgd((global_params,), feats, labels, cfg, stream, objective)
+    return params, loss
 
 
 def local_train_symce_lsr(
@@ -358,36 +367,13 @@ def local_train_symce_lsr(
     stream: RngStream,
     gamma_t: float,
 ) -> tuple:
-    """Symmetric CE on mixed logits plus the self-distillation term.
-
-    The two heads' raw logits are convexly mixed (logit-level, matching the
-    baseline's own loss form) and scored with symmetric CE; the distillation
-    term compares the tempered predictions as usual. Adjoints route through
-    the linear mix, so both heads receive gradient.
-    """
+    """Symmetric CE on mixed logits plus the self-distillation term
+    (:func:`~fednoise.losses.symce_lsr_loss`) over the two views."""
     feats, labels = _shard_arrays(dataset, shard)
-    params = global_params
-    losses = []
-    for epoch, bi, rows in _iter_batches(shard.n_k, cfg, stream):
-        x = feats[rows]
-        x_aug = apply_batch(policy, x, stream.child("augment", epoch, bi), dataset.image_shape)
-        o1 = forward(params, x)
-        o2 = forward(params, x_aug)
-        lam = _mix_weight(hp, stream, epoch, bi)
-        mixed = lam * o1 + (1.0 - lam) * o2
-        sym = symmetric_ce_loss(mixed, labels[rows], sp)
-        scalar = sym.scalar
-        adj1 = lam * sym.adjoint_o1
-        adj2 = (1.0 - lam) * sym.adjoint_o1
-        if gamma_t > 0 and hp.distill_kind != "none":
-            reg = self_distill_loss(o1, o2, hp)
-            scalar += gamma_t * reg.scalar
-            adj1 = adj1 + gamma_t * reg.adjoint_o1
-            adj2 = adj2 + gamma_t * reg.adjoint_o2
-        out = LossOutput(scalar, adj1, adj2)
-        params = _dual_head_step(params, x, x_aug, out, cfg.lr)
-        losses.append(out.scalar)
-    return params, _mean(losses)
+    loss_fn = partial(symce_lsr_loss, gamma_t=gamma_t, sp=sp, hp=hp)
+    objective = _two_view(loss_fn, dataset, hp, policy, stream)
+    (params,), loss = _local_sgd((global_params,), feats, labels, cfg, stream, objective)
+    return params, loss
 
 
 def local_train_coteaching(
@@ -407,53 +393,30 @@ def local_train_coteaching(
     subset becomes B's training rows and vice versa. With ``sharpen_hp``
     set, the per-sample score and the update loss use the sharpened
     prediction instead of the raw one. Returns (params_a, params_b,
-    mean_loss).
+    mean_loss), where each batch's loss is the mean of the two updates'.
     """
-    feats, labels = _shard_arrays(dataset, shard)
-    pa, pb = params_a, params_b
-    losses = []
-    for epoch, _, rows in _iter_batches(shard.n_k, cfg, stream):
-        x = feats[rows]
-        y = labels[rows]
-        oa = forward(pa, x)
-        ob = forward(pb, x)
-        if sharpen_hp is not None:
-            per_a = sharpened_ce_per_sample(oa, y, sharpen_hp)
-            per_b = sharpened_ce_per_sample(ob, y, sharpen_hp)
-        else:
-            per_a = ce_per_sample(oa, y)
-            per_b = ce_per_sample(ob, y)
+    per_sample, loss_fn = ce_per_sample, ce_loss
+    if sharpen_hp is not None:
+        per_sample = partial(sharpened_ce_per_sample, hp=sharpen_hp)
+        loss_fn = partial(sharpened_ce_loss, hp=sharpen_hp)
+
+    def objective(nets, x, y, epoch, bi):
+        per_a, per_b = (per_sample(forward(net, x), y) for net in nets)
         step = round_idx if ct.schedule_unit == "round" else round_idx * cfg.local_epochs + epoch
         keep = coteach_keep_ratio(ct, step)
         picks_a = small_loss_select(per_a, keep)  # A's picks train B
         picks_b = small_loss_select(per_b, keep)
+        scalars, grads = [], []
+        for net, picks in zip(nets, (picks_b, picks_a)):
+            logits, vjp = forward_vjp(net, x[picks])
+            out = loss_fn(logits, y[picks])
+            scalars.append(out.scalar)
+            grads.append(vjp(out.adjoint_o1))
+        return float(np.mean(scalars)), grads
 
-        # Both updates start from this batch's incoming parameters; the
-        # selections above were computed before either step.
-        step_losses = []
-        for params, picks, name in ((pa, picks_b, "a"), (pb, picks_a, "b")):
-            if picks.size == 0:
-                warnings.warn(
-                    f"network {name}: peer kept no samples this batch; skipping step",
-                    stacklevel=2,
-                )
-                continue
-            x_kept = x[picks]
-            y_kept = y[picks]
-            o_kept = forward(params, x_kept)
-            if sharpen_hp is not None:
-                out = sharpened_ce_loss(o_kept, y_kept, sharpen_hp)
-            else:
-                out = ce_loss(o_kept, y_kept)
-            new_params = sgd_step(params, backward(params, x_kept, out.adjoint_o1), cfg.lr)
-            if name == "a":
-                pa = new_params
-            else:
-                pb = new_params
-            step_losses.append(out.scalar)
-        if step_losses:
-            losses.append(float(np.mean(step_losses)))
-    return pa, pb, _mean(losses)
+    feats, labels = _shard_arrays(dataset, shard)
+    (pa, pb), loss = _local_sgd((params_a, params_b), feats, labels, cfg, stream, objective)
+    return pa, pb, loss
 
 
 def aggregate(models: list, sizes: list) -> ModelParams:
@@ -508,34 +471,31 @@ def _train_one_client(
     round_idx: int,
     gamma_t: float,
 ):
-    """Dispatch one client's local training. Returns (params..., mean_loss)."""
-    if method == "fedavg_ce":
-        params, loss = local_train_ce(globals_[0], dataset, shard, cfg, stream)
-        return (params,), loss
-    if method == "ce_aug":
-        params, loss = local_train_ce_aug(globals_[0], dataset, shard, cfg, policy, stream)
-        return (params,), loss
-    if method == "sym_ce":
-        params, loss = local_train_symce(globals_[0], dataset, shard, cfg, sp, stream)
-        return (params,), loss
-    if method in ("lsr", "lsr_plus"):
-        params, loss = local_train_lsr(
-            globals_[0], dataset, shard, cfg, hp, policy, stream, gamma_t,
-            plus=(method == "lsr_plus"),
-        )
-        return (params,), loss
-    if method == "sym_ce_lsr":
-        params, loss = local_train_symce_lsr(
-            globals_[0], dataset, shard, cfg, sp, hp, policy, stream, gamma_t
-        )
-        return (params,), loss
+    """Dispatch one client's local training. Returns ((params...), mean_loss)."""
+    net = globals_[0]
     if method in ("coteaching", "coteaching_lsr"):
-        pa, pb, loss = local_train_coteaching(
-            globals_[0], globals_[1], dataset, shard, cfg, ct, stream, round_idx,
+        *nets, loss = local_train_coteaching(
+            net, globals_[1], dataset, shard, cfg, ct, stream, round_idx,
             sharpen_hp=hp if method == "coteaching_lsr" else None,
         )
-        return (pa, pb), loss
-    raise ValueError(f"unknown method {method!r}")
+        return tuple(nets), loss
+    if method == "fedavg_ce":
+        params, loss = local_train_ce(net, dataset, shard, cfg, stream)
+    elif method == "ce_aug":
+        params, loss = local_train_ce_aug(net, dataset, shard, cfg, policy, stream)
+    elif method == "sym_ce":
+        params, loss = local_train_symce(net, dataset, shard, cfg, sp, stream)
+    elif method in ("lsr", "lsr_plus"):
+        params, loss = local_train_lsr(
+            net, dataset, shard, cfg, hp, policy, stream, gamma_t, plus=(method == "lsr_plus")
+        )
+    elif method == "sym_ce_lsr":
+        params, loss = local_train_symce_lsr(
+            net, dataset, shard, cfg, sp, hp, policy, stream, gamma_t
+        )
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return (params,), loss
 
 
 def run_federation(
@@ -560,6 +520,9 @@ def run_federation(
     """
     if len(shards) != cfg.num_clients:
         raise ValueError(f"{len(shards)} shards for {cfg.num_clients} clients")
+    for shard in shards:
+        if shard.n_k == 0:
+            raise ValueError(f"client {shard.client_id} has an empty shard")
     stream = as_stream(seed)
     hp = hp if hp is not None else LsrHyperParams()
     sp = sp if sp is not None else SymCeParams()

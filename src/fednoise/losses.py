@@ -43,6 +43,7 @@ __all__ = [
     "lsr_total_loss",
     "lsr_plus_loss",
     "symmetric_ce_loss",
+    "symce_lsr_loss",
     "sharpened_ce_loss",
     "sharpened_ce_per_sample",
     "small_loss_select",
@@ -150,6 +151,19 @@ def _check_logits_labels(logits: np.ndarray, labels: np.ndarray):
     return o, y.astype(np.int64)
 
 
+def _check_heads(o1: np.ndarray, o2: np.ndarray):
+    """Both logit heads as float64 (B, M) arrays of one shape; (M,) means B = 1."""
+    o1 = np.asarray(o1, dtype=np.float64)
+    o2 = np.asarray(o2, dtype=np.float64)
+    if o1.ndim == 1:
+        o1 = o1[None, :]
+    if o2.ndim == 1:
+        o2 = o2[None, :]
+    if o1.shape != o2.shape or o1.ndim != 2:
+        raise ValueError(f"logit head shapes differ: {o1.shape} vs {o2.shape}")
+    return o1, o2
+
+
 def _log_softmax(o: np.ndarray) -> np.ndarray:
     shifted = o - o.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -205,12 +219,8 @@ def lsr_cls_loss(
     then loss = -log( p[y]^(1/T) / sum_j p[j]^(1/T) ), floored at clamp_lo
     inside the log. Gradients flow into both heads through the mixture.
     """
+    o1, o2 = _check_heads(o1, o2)
     o1, y = _check_logits_labels(o1, labels)
-    o2 = np.asarray(o2, dtype=np.float64)
-    if o2.ndim == 1:
-        o2 = o2[None, :]
-    if o2.shape != o1.shape:
-        raise ValueError(f"logit head shapes differ: {o1.shape} vs {o2.shape}")
     if not (np.isfinite(lam) and 0.0 <= lam <= 1.0):
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
 
@@ -293,14 +303,7 @@ def self_distill_loss(o1: np.ndarray, o2: np.ndarray, hp: LsrHyperParams) -> Los
     scalar is the batch mean; identical heads give exactly zero for js, l1
     and l2, and zero for cosine as well since the compared vectors align.
     """
-    o1 = np.asarray(o1, dtype=np.float64)
-    o2 = np.asarray(o2, dtype=np.float64)
-    if o1.ndim == 1:
-        o1 = o1[None, :]
-    if o2.ndim == 1:
-        o2 = o2[None, :]
-    if o1.shape != o2.shape or o1.ndim != 2:
-        raise ValueError(f"logit head shapes differ: {o1.shape} vs {o2.shape}")
+    o1, o2 = _check_heads(o1, o2)
     if hp.distill_kind == "none":
         raise ValueError("self_distill_loss called with distill_kind='none'")
     if o1.shape[0] == 0:
@@ -368,12 +371,7 @@ def lsr_plus_loss(
     out = lsr_total_loss(o1, o2, labels, lam, gamma_t, hp)
     if hp.entropy_weight == 0.0:
         return out
-    o1 = np.asarray(o1, dtype=np.float64)
-    o2 = np.asarray(o2, dtype=np.float64)
-    if o1.ndim == 1:
-        o1 = o1[None, :]
-    if o2.ndim == 1:
-        o2 = o2[None, :]
+    o1, o2 = _check_heads(o1, o2)
     batch = o1.shape[0]
     w = hp.entropy_weight
 
@@ -418,6 +416,38 @@ def symmetric_ce_loss(logits: np.ndarray, labels: np.ndarray, sp: SymCeParams) -
     adj += sp.beta * softmax_vjp(p, onehot_grad)
     adj /= batch
     return LossOutput(scalar, adj, np.zeros_like(o))
+
+
+def symce_lsr_loss(
+    o1: np.ndarray,
+    o2: np.ndarray,
+    labels: np.ndarray,
+    lam: float,
+    gamma_t: float,
+    sp: SymCeParams,
+    hp: LsrHyperParams,
+) -> LossOutput:
+    """Symmetric CE on mixed logits plus gamma_t times the distillation term.
+
+    The raw logits are mixed (logit-level, matching symmetric CE's own loss
+    form), so both heads receive gradient through the linear mix; the
+    distillation term is the one :func:`lsr_total_loss` adds.
+    """
+    o1, o2 = _check_heads(o1, o2)
+    if not (np.isfinite(lam) and 0.0 <= lam <= 1.0):
+        raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
+    if not (np.isfinite(gamma_t) and gamma_t >= 0):
+        raise ValueError(f"gamma_t must be non-negative, got {gamma_t}")
+    sym = symmetric_ce_loss(lam * o1 + (1.0 - lam) * o2, labels, sp)
+    scalar = sym.scalar
+    adj1 = lam * sym.adjoint_o1
+    adj2 = (1.0 - lam) * sym.adjoint_o1
+    if gamma_t > 0 and hp.distill_kind != "none":
+        reg = self_distill_loss(o1, o2, hp)
+        scalar += gamma_t * reg.scalar
+        adj1 = adj1 + gamma_t * reg.adjoint_o1
+        adj2 = adj2 + gamma_t * reg.adjoint_o2
+    return LossOutput(scalar, adj1, adj2)
 
 
 def sharpened_ce_loss(logits: np.ndarray, labels: np.ndarray, hp: LsrHyperParams) -> LossOutput:

@@ -7,10 +7,13 @@ numpy and bit-reproducible. Layer structure lives in ``shapes`` as
 followed by ``out_dim`` biases. Hidden activations are ReLU, the final layer
 emits raw logits.
 
-Gradients are exact reverse-mode, written out by hand. :func:`backward`
-accepts an adjoint at the logits, so any loss that can state dL/d(logits)
-composes with it; losses that run the network twice (clean and augmented
-input) call it once per pass and add the results.
+Gradients are exact reverse-mode, written out by hand. :func:`forward_vjp`
+runs one forward pass and returns the logits with a ``vjp`` closure that
+maps an adjoint at the logits to the parameter gradient, reusing that
+pass's activations; any loss that can state dL/d(logits) composes with it.
+Objectives that run the network on two views (clean and augmented input)
+call it once per view and add the two gradients. :func:`forward` and
+:func:`backward` are one-pass conveniences over it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "param_count",
     "init_params",
     "forward",
+    "forward_vjp",
     "backward",
     "sgd_step",
     "save_params",
@@ -142,64 +146,54 @@ def _check_input(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return arr, single
 
 
-def _forward_cached(params: ModelParams, x: np.ndarray):
-    """Forward pass keeping pre-activations for the backward sweep."""
+def forward_vjp(params: ModelParams, x: np.ndarray):
+    """One forward pass: (logits, vjp) for a sample (d,) or a batch (B, d).
+
+    ``vjp(adjoint)`` maps dLoss/dLogits of this pass to the exact parameter
+    gradient, reusing the pass's activations. Zero adjoints yield a zero
+    gradient; the map is linear in the adjoint.
+    """
+    arr, single = _check_input(params, x)
     layers = list(_layer_views(params.flat, params.shapes))
-    acts = [x]
-    pre = []
-    h = x
+    acts = [arr]
     for li, (w, b) in enumerate(layers):
-        z = h @ w + b
-        pre.append(z)
-        h = z if li == len(layers) - 1 else np.maximum(z, 0.0)
-        acts.append(h)
-    return acts, pre
+        z = acts[-1] @ w + b
+        acts.append(z if li == len(layers) - 1 else np.maximum(z, 0.0))
+
+    def vjp(adjoint: np.ndarray) -> Gradients:
+        dz = np.asarray(adjoint, dtype=np.float64)
+        if single:
+            dz = dz[None, :]
+        if dz.shape != (arr.shape[0], params.out_dim):
+            raise ValueError(
+                f"adjoint shape {dz.shape} does not match logits shape "
+                f"({arr.shape[0]}, {params.out_dim})"
+            )
+        # Walk layers in reverse; the pieces come out in reverse flat order.
+        pieces = []
+        for li in range(len(layers) - 1, -1, -1):
+            pieces += [dz.sum(axis=0), (acts[li].T @ dz).ravel()]
+            if li > 0:
+                # acts[li] = relu(z), so acts[li] > 0 exactly where z > 0.
+                dz = (dz @ layers[li][0].T) * (acts[li] > 0.0)
+        return Gradients(np.concatenate(pieces[::-1]))
+
+    out = acts[-1]
+    return (out[0] if single else out), vjp
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Logits for a sample (d,) -> (M,) or a batch (B, d) -> (B, M)."""
-    arr, single = _check_input(params, x)
-    acts, _ = _forward_cached(params, arr)
-    out = acts[-1]
-    return out[0] if single else out
+    return forward_vjp(params, x)[0]
 
 
 def backward(params: ModelParams, x: np.ndarray, adjoint: np.ndarray) -> Gradients:
     """Exact parameter gradient given dLoss/dLogits for this batch.
 
-    The adjoint must match the logits shape for x. Zero adjoints yield a
-    zero gradient; the map is linear in the adjoint.
+    Runs its own forward pass; callers that also need the logits should
+    use :func:`forward_vjp` and pay for one pass.
     """
-    arr, single = _check_input(params, x)
-    adj = np.asarray(adjoint, dtype=np.float64)
-    if single:
-        adj = adj[None, :]
-    if adj.shape != (arr.shape[0], params.out_dim):
-        raise ValueError(
-            f"adjoint shape {adj.shape} does not match logits shape "
-            f"({arr.shape[0]}, {params.out_dim})"
-        )
-    layers = list(_layer_views(params.flat, params.shapes))
-    acts, pre = _forward_cached(params, arr)
-
-    grad = np.zeros(params.flat.size, dtype=np.float64)
-    # Walk layers in reverse, filling grad slices in forward layout order.
-    offsets = []
-    offset = 0
-    for in_dim, out_dim in params.shapes:
-        offsets.append(offset)
-        offset += (in_dim + 1) * out_dim
-
-    dz = adj
-    for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        in_dim, out_dim = params.shapes[li]
-        off = offsets[li]
-        grad[off : off + in_dim * out_dim] = (acts[li].T @ dz).ravel()
-        grad[off + in_dim * out_dim : off + (in_dim + 1) * out_dim] = dz.sum(axis=0)
-        if li > 0:
-            dz = (dz @ w.T) * (pre[li - 1] > 0.0)
-    return Gradients(grad)
+    return forward_vjp(params, x)[1](adjoint)
 
 
 def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> ModelParams:

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from fednoise.data import NoiseSpec, generate_synthetic, inject_symmetric_noise, partition_iid
-from fednoise.augment import AugmentPolicy, FeatureJitter
+from fednoise.data import (
+    ClientShard,
+    NoiseSpec,
+    generate_synthetic,
+    inject_symmetric_noise,
+    partition_iid,
+)
+from fednoise.augment import AugmentPolicy, FeatureJitter, apply_batch
 from fednoise.federation import (
     CoteachingConfig,
     FedConfig,
@@ -16,9 +22,15 @@ from fednoise.federation import (
     run_federation,
     select_clients,
 )
-from fednoise.losses import LsrHyperParams, ce_loss
+from fednoise.losses import (
+    LsrHyperParams,
+    ce_loss,
+    ce_per_sample,
+    lsr_total_loss,
+    small_loss_select,
+)
 from fednoise.model import ModelParams, backward, forward, init_params, sgd_step
-from fednoise.numerics import RngStream
+from fednoise.numerics import RngStream, sample_mix_weight
 
 
 def small_world(n=120, clients=6, seed=0, noise=0.0):
@@ -190,30 +202,63 @@ class TestEvaluate:
 
 
 class TestRunFederationMechanics:
-    def test_one_step_sgd_oracle(self):
-        # single client, one round, one epoch, full batch: the federated
-        # result must equal one hand-computed gradient step
+    @pytest.mark.parametrize("method", ["fedavg_ce", "lsr", "coteaching"])
+    def test_one_step_sgd_oracle(self, method):
+        # single client, one round, full-batch epochs: the federated result
+        # must equal SGD steps hand-computed from the public model and losses
+        twin = method == "coteaching"
         train, _, test = small_world(n=20, clients=1, seed=4)
         shards = partition_iid(train, 1, seed=4)
         cfg = FedConfig(
-            num_clients=1, clients_per_round=1, rounds=1, local_epochs=1,
-            batch_size=20, lr=0.15, method="fedavg_ce", warmup_rounds=0,
-            hidden_layers=(5,),
+            num_clients=1, clients_per_round=1, rounds=1, local_epochs=2 if twin else 1,
+            batch_size=20, lr=0.15, method=method, warmup_rounds=0, hidden_layers=(5,),
         )
-        result = run_federation(cfg, train, shards, test, seed=11)
+        hp = LsrHyperParams()
+        policy = AugmentPolicy((FeatureJitter(0.3),))
+        # per-epoch schedule: keep 1 in epoch 0, then 0.8 (16 of 20 rows)
+        ct = CoteachingConfig(noise_rate=0.4, ramp_rounds=2, schedule_unit="epoch")
+        result = run_federation(cfg, train, shards, test, seed=11, hp=hp, ct=ct, policy=policy)
 
         stream = RngStream(11)
-        p0 = init_params([6, 5, 4], stream.child("init", 0))
+        nets = [init_params([6, 5, 4], stream.child("init", i)) for i in range(1 + twin)]
         client_stream = stream.child("client", 0, 0)
-        order = client_stream.child("shuffle", 0).generator().permutation(20)
-        rows = shards[0].indices[order]
-        x = train.features[rows]
-        y = train.observed_labels[rows]
-        out = ce_loss(forward(p0, x), y)
-        manual = sgd_step(p0, backward(p0, x, out.adjoint_o1), 0.15)
+        losses = []
+        for epoch in range(cfg.local_epochs):
+            order = client_stream.child("shuffle", epoch).generator().permutation(20)
+            rows = shards[0].indices[order]
+            x = train.features[rows]
+            y = train.observed_labels[rows]
+            if method == "fedavg_ce":
+                out = ce_loss(forward(nets[0], x), y)
+                grads = [backward(nets[0], x, out.adjoint_o1)]
+                losses.append(out.scalar)
+            elif method == "lsr":
+                x_aug = apply_batch(
+                    policy, x, client_stream.child("augment", epoch, 0), train.image_shape
+                )
+                lam = sample_mix_weight(client_stream.child("mixweight", epoch, 0))
+                p = nets[0]
+                out = lsr_total_loss(forward(p, x), forward(p, x_aug), y, lam, hp.gamma, hp)
+                assert np.any(out.adjoint_o2)
+                grads = [backward(p, x, out.adjoint_o1) + backward(p, x_aug, out.adjoint_o2)]
+                losses.append(out.scalar)
+            else:
+                keep = coteach_keep_ratio(ct, epoch)
+                picks = [small_loss_select(ce_per_sample(forward(p, x), y), keep) for p in nets]
+                assert picks[0].size == (20 if epoch == 0 else 16)
+                # each net trains on its peer's picks
+                outs = [ce_loss(forward(p, x[q]), y[q]) for p, q in zip(nets, picks[::-1])]
+                grads = [
+                    backward(p, x[q], o.adjoint_o1) for p, q, o in zip(nets, picks[::-1], outs)
+                ]
+                losses.append(float(np.mean([o.scalar for o in outs])))
+            nets = [sgd_step(p, g, 0.15) for p, g in zip(nets, grads)]
 
-        np.testing.assert_array_equal(result.final_params.flat, manual.flat)
-        assert result.metrics[0].mean_train_loss == out.scalar
+        final = result.final_params if twin else (result.final_params,)
+        assert len(final) == len(nets)
+        for got, want in zip(final, nets):
+            np.testing.assert_array_equal(got.flat, want.flat)
+        assert result.metrics[0].mean_train_loss == float(np.mean(losses))
 
     def test_round_metrics_fields(self):
         train, shards, test = small_world()
@@ -283,6 +328,16 @@ class TestRunFederationMechanics:
             num_clients=7, clients_per_round=2, rounds=1, warmup_rounds=0, hidden_layers=(5,)
         )
         with pytest.raises(ValueError):
+            run_federation(cfg, train, shards, test, seed=0)
+
+    def test_empty_shard_rejected_naming_the_client(self):
+        train, shards, test = small_world()
+        shards[3] = ClientShard(3, np.zeros(0, dtype=np.int64))
+        cfg = FedConfig(
+            num_clients=6, clients_per_round=2, rounds=1, local_epochs=1,
+            batch_size=10, method="fedavg_ce", warmup_rounds=0, hidden_layers=(5,),
+        )
+        with pytest.raises(ValueError, match="client 3 has an empty shard"):
             run_federation(cfg, train, shards, test, seed=0)
 
     def test_batch_larger_than_shard_warns_and_trains(self):

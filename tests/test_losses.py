@@ -17,6 +17,7 @@ from fednoise.losses import (
     sharpened_ce_loss,
     sharpened_ce_per_sample,
     small_loss_select,
+    symce_lsr_loss,
     symmetric_ce_loss,
 )
 from fednoise.numerics import softmax, tempered_softmax
@@ -398,6 +399,42 @@ class TestSymmetricCe:
             SymCeParams(beta=-1.0)
         with pytest.raises(ValueError):
             SymCeParams(log_zero=0.0)
+
+
+class TestSymceLsr:
+    @pytest.mark.parametrize("gamma_t", [0.0, 0.6])
+    def test_adjoints_match_fd_both_heads(self, gamma_t):
+        gen = np.random.default_rng(24)
+        sp = SymCeParams()
+        hp = LsrHyperParams(distill_kind="js")
+        for _ in range(6):
+            o1 = gen.normal(size=(3, 4))
+            o2 = gen.normal(size=(3, 4))
+            y = gen.integers(0, 4, size=3)
+            out = symce_lsr_loss(o1, o2, y, 0.3, gamma_t, sp, hp)
+            fd1 = fd_grad(lambda q: symce_lsr_loss(q, o2, y, 0.3, gamma_t, sp, hp).scalar, o1)
+            fd2 = fd_grad(lambda q: symce_lsr_loss(o1, q, y, 0.3, gamma_t, sp, hp).scalar, o2)
+            np.testing.assert_allclose(out.adjoint_o1, fd1, atol=1e-6)
+            np.testing.assert_allclose(out.adjoint_o2, fd2, atol=1e-6)
+
+    def test_gamma_zero_is_symmetric_ce_of_mixed_logits(self):
+        gen = np.random.default_rng(25)
+        sp = SymCeParams()
+        o1 = gen.normal(size=(3, 4))
+        o2 = gen.normal(size=(3, 4))
+        y = gen.integers(0, 4, size=3)
+        out = symce_lsr_loss(o1, o2, y, 0.3, 0.0, sp, LsrHyperParams())
+        assert out.scalar == symmetric_ce_loss(0.3 * o1 + 0.7 * o2, y, sp).scalar
+
+    def test_validation(self):
+        sp, hp = SymCeParams(), LsrHyperParams()
+        o, y = np.zeros((2, 3)), np.array([0, 1])
+        with pytest.raises(ValueError):
+            symce_lsr_loss(o, np.zeros((2, 4)), y, 0.5, 0.1, sp, hp)
+        with pytest.raises(ValueError):
+            symce_lsr_loss(o, o, y, 1.5, 0.1, sp, hp)
+        with pytest.raises(ValueError):
+            symce_lsr_loss(o, o, y, 0.5, -0.1, sp, hp)
 
 
 class TestSharpenedCe:
