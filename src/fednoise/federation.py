@@ -2,20 +2,28 @@
 
 One round: sample a client subset, train each selected client from the
 current global parameters on its own shard, then average the returned
-parameter vectors weighted by shard size. Evaluation runs on the clean test
-set after every aggregation.
+parameter vectors weighted by shard size, in selection order. Evaluation
+runs on the clean test set after every aggregation.
 
-Every method trains through one loop, :func:`_local_sgd`; a public
-``local_train_*`` function only builds the method's per-batch objective.
-An objective runs :func:`~fednoise.model.forward_vjp` once per view (clean,
-augmented, or a peer's picks) and pulls its loss adjoints back through it.
+Every method trains through one loop, :func:`_local_sgd`, which trains a
+cohort of K clients in lockstep. Their parameters are stacked as one
+``(K, P)`` array per network (see :mod:`fednoise.model`), so each batch
+costs one ``forward_vjp`` per view, one call of the method's loss and one
+``sgd_step`` per network for the whole cohort. A method only builds its
+per-batch objective. Clients in a cohort must walk the same batch sizes,
+so ``run_federation`` groups the selected clients by shard size; both
+partitioners make equal shards, which gives one cohort per round. The
+public ``local_train_*`` functions train a cohort of one.
 
 Determinism contract: every consumer of randomness derives its own
 RngStream path from the master seed (client selection per round, batch
-shuffling per client/round/epoch, augmentation and mixing draws per batch).
-Re-running with the same config and seed reproduces every draw, and client
-work is order-independent, so the optional thread pool cannot change the
-results, only the wall clock.
+shuffling per client/round/epoch, augmentation and mixing draws per
+client and batch). Within a cohort these draws stay per client, and each
+client's slice of the stacked arithmetic equals the arithmetic on that
+client alone, so results do not depend on how clients are grouped.
+``workers`` > 1 replaces the cohorts with a thread pool of that size that
+trains one client per job through the ``local_train_*`` functions; it
+changes the wall clock, never the results.
 
 The pair trainer for the mutual-selection baseline keeps two networks: each
 network ranks the batch by its own per-sample loss and hands its
@@ -26,6 +34,7 @@ starts at 1 and ramps down to 1 - assumed_noise_rate.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -48,7 +57,7 @@ from .losses import (
     symce_lsr_loss,
     symmetric_ce_loss,
 )
-from .model import ModelParams, forward, forward_vjp, init_params, sgd_step
+from .model import Gradients, ModelParams, forward, forward_vjp, init_params, sgd_step
 from .numerics import RngStream, as_stream, sample_mix_weight
 
 __all__ = [
@@ -70,6 +79,8 @@ __all__ = [
     "evaluate",
     "run_federation",
 ]
+
+logger = logging.getLogger("fednoise")
 
 METHODS = (
     "fedavg_ce",
@@ -203,10 +214,17 @@ def coteach_keep_ratio(ct: CoteachingConfig, step: int) -> float:
     return 1.0 - min(ct.noise_rate * step / ct.ramp_rounds, ct.noise_rate)
 
 
-def _shard_arrays(dataset: LabeledDataset, shard: ClientShard):
-    feats = dataset.features[shard.indices]
-    labels = dataset.observed_labels[shard.indices]
-    return feats, labels
+def _check_shard(shard: ClientShard) -> None:
+    if shard.n_k == 0:
+        raise ValueError(f"client {shard.client_id} has an empty shard")
+
+
+def _shard_arrays(dataset: LabeledDataset, shards: list):
+    """Features (K, n, d) and observed labels (K, n) of K equal-size shards."""
+    for shard in shards:
+        _check_shard(shard)
+    rows = np.stack([shard.indices for shard in shards])
+    return dataset.features[rows], dataset.observed_labels[rows]
 
 
 def _iter_batches(n: int, cfg: FedConfig, stream: RngStream):
@@ -232,16 +250,32 @@ def _mean(losses: list) -> float:
     return float(np.mean(losses)) if losses else float("nan")
 
 
-def _local_sgd(nets: tuple, feats, labels, cfg: FedConfig, stream: RngStream, objective):
-    """Per batch, ``objective(nets, x, y, epoch, bi)`` gives the batch loss and
-    one Gradients per net at its incoming parameters; each net then takes
-    one SGD step, in tuple order. Returns (nets, mean batch loss)."""
+def _local_sgd(nets: tuple, feats, labels, cfg: FedConfig, streams: list, objective):
+    """Train a cohort of K clients in lockstep.
+
+    ``nets`` holds each network as (K, P) cohort parameters, ``feats``
+    (K, n, d) and ``labels`` (K, n) hold each client's shard, and
+    ``streams`` each client's RngStream, whose own shuffle that client
+    walks. Per batch, ``objective(nets, x, y, epoch, bi)`` gets the
+    stacked (K, B, d) rows and (K, B) labels and gives the (K,) batch
+    losses and one (K, P) Gradients per net at its incoming parameters;
+    each net then takes one SGD step, in tuple order. Returns (nets, each
+    client's mean batch loss).
+    """
+    walks = [_iter_batches(labels.shape[1], cfg, s) for s in streams]
+    clients = np.arange(len(streams))[:, None]
     losses = []
-    for epoch, bi, rows in _iter_batches(labels.shape[0], cfg, stream):
+    for batch in zip(*walks, strict=True):
+        epoch, bi, _ = batch[0]
+        rows = clients, np.stack([b[2] for b in batch])
         loss, grads = objective(nets, feats[rows], labels[rows], epoch, bi)
         nets = tuple(sgd_step(net, g, cfg.lr) for net, g in zip(nets, grads))
         losses.append(loss)
-    return nets, _mean(losses)
+    if not losses:
+        return nets, [float("nan")] * len(streams)
+    # Each client's steps lie contiguous, so its mean sums them as a 1-D
+    # mean over that client's losses would.
+    return nets, [float(m) for m in np.stack(losses, axis=-1).mean(axis=-1)]
 
 
 def _single_view(loss_fn):
@@ -255,6 +289,118 @@ def _single_view(loss_fn):
     return objective
 
 
+def _two_view(
+    loss_fn, dataset: LabeledDataset, hp: LsrHyperParams, policy: AugmentPolicy, streams: list
+):
+    """Objective summing both heads' gradients under ``loss_fn(o1, o2, y, lam)``.
+
+    Each client augments its rows and draws its mixing weight from its own
+    stream. A client's augmented-head vjp is skipped when its adjoint is
+    exactly zero, which keeps degenerate configurations (identity
+    augmentation, mixing weight pinned to 1) arithmetic-identical to the
+    single-view trainers.
+    """
+
+    def objective(nets, x, y, epoch, bi):
+        x_aug = np.stack([
+            apply_batch(policy, rows, s.child("augment", epoch, bi), dataset.image_shape)
+            for rows, s in zip(x, streams)
+        ])
+        o1, vjp1 = forward_vjp(nets[0], x)
+        o2, vjp2 = forward_vjp(nets[0], x_aug)
+        if hp.fix_lambda is not None:
+            lam = float(hp.fix_lambda)
+        else:
+            lam = np.array([sample_mix_weight(s.child("mixweight", epoch, bi)) for s in streams])
+        out = loss_fn(o1, o2, y, lam)
+        grads = vjp1(out.adjoint_o1)
+        live = out.adjoint_o2.any(axis=(-2, -1))
+        if live.any():
+            both = grads + vjp2(out.adjoint_o2)
+            grads = both if live.all() else Gradients(
+                np.where(live[:, None], both.flat, grads.flat))
+        return out.scalar, (grads,)
+
+    return objective
+
+
+def _coteaching(cfg: FedConfig, ct: CoteachingConfig, round_idx: int, sharpen_hp):
+    """Objective training each of two networks on the other's low-loss picks."""
+    per_sample, loss_fn = ce_per_sample, ce_loss
+    if sharpen_hp is not None:
+        per_sample = partial(sharpened_ce_per_sample, hp=sharpen_hp)
+        loss_fn = partial(sharpened_ce_loss, hp=sharpen_hp)
+
+    def objective(nets, x, y, epoch, bi):
+        per_a, per_b = (per_sample(forward(net, x), y) for net in nets)
+        step = round_idx if ct.schedule_unit == "round" else round_idx * cfg.local_epochs + epoch
+        keep = coteach_keep_ratio(ct, step)
+        # Every client keeps ceil(keep * B) rows, so the picks stack.
+        picks_a = np.stack([small_loss_select(row, keep) for row in per_a])  # A's picks train B
+        picks_b = np.stack([small_loss_select(row, keep) for row in per_b])
+        clients = np.arange(len(picks_a))[:, None]
+        scalars, grads = [], []
+        for net, picks in zip(nets, (picks_b, picks_a)):
+            logits, vjp = forward_vjp(net, x[clients, picks])
+            out = loss_fn(logits, y[clients, picks])
+            scalars.append(out.scalar)
+            grads.append(vjp(out.adjoint_o1))
+        return (scalars[0] + scalars[1]) / 2, grads
+
+    return objective
+
+
+def _train_cohort(
+    method: str,
+    globals_: tuple,
+    dataset: LabeledDataset,
+    shards: list,
+    cfg: FedConfig,
+    streams: list,
+    hp: "LsrHyperParams | None" = None,
+    sp: "SymCeParams | None" = None,
+    ct: "CoteachingConfig | None" = None,
+    policy: "AugmentPolicy | None" = None,
+    round_idx: int = 0,
+    gamma_t: float = 0.0,
+):
+    """Train the clients of ``shards`` (all of one size) from the global
+    nets in lockstep. Returns ((K, P) params per net, per-client losses)."""
+    feats, labels = _shard_arrays(dataset, shards)
+    if method == "ce_aug":
+        # The mixing-removal ablation: each client's shard doubles with one
+        # augmented copy per row before batching.
+        aug = np.stack([
+            apply_batch(policy, rows, s.child("augment", "expand"), dataset.image_shape)
+            for rows, s in zip(feats, streams)
+        ])
+        feats = np.concatenate([feats, aug], axis=1)
+        labels = np.concatenate([labels, labels], axis=1)
+    if method in ("fedavg_ce", "ce_aug"):
+        objective = _single_view(ce_loss)
+    elif method == "sym_ce":
+        objective = _single_view(partial(symmetric_ce_loss, sp=sp))
+    elif method in ("lsr", "lsr_plus"):
+        loss = lsr_plus_loss if method == "lsr_plus" else lsr_total_loss
+        objective = _two_view(partial(loss, gamma_t=gamma_t, hp=hp), dataset, hp, policy, streams)
+    elif method == "sym_ce_lsr":
+        loss_fn = partial(symce_lsr_loss, gamma_t=gamma_t, sp=sp, hp=hp)
+        objective = _two_view(loss_fn, dataset, hp, policy, streams)
+    elif method in ("coteaching", "coteaching_lsr"):
+        objective = _coteaching(cfg, ct, round_idx, hp if method == "coteaching_lsr" else None)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    k = len(shards)
+    nets = tuple(ModelParams(np.broadcast_to(g.flat, (k, g.flat.size)), g.shapes) for g in globals_)
+    return _local_sgd(nets, feats, labels, cfg, streams, objective)
+
+
+def _train_solo(method: str, globals_: tuple, dataset, shard, cfg, stream, **kwargs):
+    """One client as a cohort of one: ((params per net), mean loss)."""
+    nets, (loss,) = _train_cohort(method, globals_, dataset, [shard], cfg, [stream], **kwargs)
+    return tuple(ModelParams(net.flat[0], net.shapes) for net in nets), loss
+
+
 def local_train_ce(
     global_params: ModelParams,
     dataset: LabeledDataset,
@@ -263,9 +409,7 @@ def local_train_ce(
     stream: RngStream,
 ) -> tuple:
     """Plain cross-entropy SGD on the shard's observed labels."""
-    feats, labels = _shard_arrays(dataset, shard)
-    objective = _single_view(ce_loss)
-    (params,), loss = _local_sgd((global_params,), feats, labels, cfg, stream, objective)
+    (params,), loss = _train_solo("fedavg_ce", (global_params,), dataset, shard, cfg, stream)
     return params, loss
 
 
@@ -284,12 +428,9 @@ def local_train_ce_aug(
     prediction. The shard doubles before batching, so each epoch walks twice
     as many batches of the configured size.
     """
-    feats, labels = _shard_arrays(dataset, shard)
-    aug = apply_batch(policy, feats, stream.child("augment", "expand"), dataset.image_shape)
-    feats = np.concatenate([feats, aug], axis=0)
-    labels = np.concatenate([labels, labels])
-    objective = _single_view(ce_loss)
-    (params,), loss = _local_sgd((global_params,), feats, labels, cfg, stream, objective)
+    (params,), loss = _train_solo(
+        "ce_aug", (global_params,), dataset, shard, cfg, stream, policy=policy
+    )
     return params, loss
 
 
@@ -302,37 +443,8 @@ def local_train_symce(
     stream: RngStream,
 ) -> tuple:
     """Symmetric cross-entropy SGD on the shard's observed labels."""
-    feats, labels = _shard_arrays(dataset, shard)
-    objective = _single_view(partial(symmetric_ce_loss, sp=sp))
-    (params,), loss = _local_sgd((global_params,), feats, labels, cfg, stream, objective)
+    (params,), loss = _train_solo("sym_ce", (global_params,), dataset, shard, cfg, stream, sp=sp)
     return params, loss
-
-
-def _two_view(
-    loss_fn, dataset: LabeledDataset, hp: LsrHyperParams, policy: AugmentPolicy, stream: RngStream
-):
-    """Objective summing both heads' gradients under ``loss_fn(o1, o2, y, lam)``.
-
-    The augmented head's vjp is skipped when its adjoint is exactly zero,
-    which keeps degenerate configurations (identity augmentation, mixing
-    weight pinned to 1) arithmetic-identical to the single-view trainers.
-    """
-
-    def objective(nets, x, y, epoch, bi):
-        x_aug = apply_batch(policy, x, stream.child("augment", epoch, bi), dataset.image_shape)
-        o1, vjp1 = forward_vjp(nets[0], x)
-        o2, vjp2 = forward_vjp(nets[0], x_aug)
-        if hp.fix_lambda is not None:
-            lam = float(hp.fix_lambda)
-        else:
-            lam = sample_mix_weight(stream.child("mixweight", epoch, bi))
-        out = loss_fn(o1, o2, y, lam)
-        grads = vjp1(out.adjoint_o1)
-        if np.any(out.adjoint_o2):
-            grads = grads + vjp2(out.adjoint_o2)
-        return out.scalar, (grads,)
-
-    return objective
 
 
 def local_train_lsr(
@@ -349,10 +461,10 @@ def local_train_lsr(
     """Self-regularized local training: dual forward, mixed sharpened CE,
     plus the warm-up-weighted distillation term (and the entropy penalty
     when ``plus``)."""
-    feats, labels = _shard_arrays(dataset, shard)
-    loss_fn = partial(lsr_plus_loss if plus else lsr_total_loss, gamma_t=gamma_t, hp=hp)
-    objective = _two_view(loss_fn, dataset, hp, policy, stream)
-    (params,), loss = _local_sgd((global_params,), feats, labels, cfg, stream, objective)
+    (params,), loss = _train_solo(
+        "lsr_plus" if plus else "lsr", (global_params,), dataset, shard, cfg, stream,
+        hp=hp, policy=policy, gamma_t=gamma_t,
+    )
     return params, loss
 
 
@@ -369,10 +481,10 @@ def local_train_symce_lsr(
 ) -> tuple:
     """Symmetric CE on mixed logits plus the self-distillation term
     (:func:`~fednoise.losses.symce_lsr_loss`) over the two views."""
-    feats, labels = _shard_arrays(dataset, shard)
-    loss_fn = partial(symce_lsr_loss, gamma_t=gamma_t, sp=sp, hp=hp)
-    objective = _two_view(loss_fn, dataset, hp, policy, stream)
-    (params,), loss = _local_sgd((global_params,), feats, labels, cfg, stream, objective)
+    (params,), loss = _train_solo(
+        "sym_ce_lsr", (global_params,), dataset, shard, cfg, stream,
+        sp=sp, hp=hp, policy=policy, gamma_t=gamma_t,
+    )
     return params, loss
 
 
@@ -395,27 +507,10 @@ def local_train_coteaching(
     prediction instead of the raw one. Returns (params_a, params_b,
     mean_loss), where each batch's loss is the mean of the two updates'.
     """
-    per_sample, loss_fn = ce_per_sample, ce_loss
-    if sharpen_hp is not None:
-        per_sample = partial(sharpened_ce_per_sample, hp=sharpen_hp)
-        loss_fn = partial(sharpened_ce_loss, hp=sharpen_hp)
-
-    def objective(nets, x, y, epoch, bi):
-        per_a, per_b = (per_sample(forward(net, x), y) for net in nets)
-        step = round_idx if ct.schedule_unit == "round" else round_idx * cfg.local_epochs + epoch
-        keep = coteach_keep_ratio(ct, step)
-        picks_a = small_loss_select(per_a, keep)  # A's picks train B
-        picks_b = small_loss_select(per_b, keep)
-        scalars, grads = [], []
-        for net, picks in zip(nets, (picks_b, picks_a)):
-            logits, vjp = forward_vjp(net, x[picks])
-            out = loss_fn(logits, y[picks])
-            scalars.append(out.scalar)
-            grads.append(vjp(out.adjoint_o1))
-        return float(np.mean(scalars)), grads
-
-    feats, labels = _shard_arrays(dataset, shard)
-    (pa, pb), loss = _local_sgd((params_a, params_b), feats, labels, cfg, stream, objective)
+    (pa, pb), loss = _train_solo(
+        "coteaching" if sharpen_hp is None else "coteaching_lsr", (params_a, params_b),
+        dataset, shard, cfg, stream, hp=sharpen_hp, ct=ct, round_idx=round_idx,
+    )
     return pa, pb, loss
 
 
@@ -521,8 +616,7 @@ def run_federation(
     if len(shards) != cfg.num_clients:
         raise ValueError(f"{len(shards)} shards for {cfg.num_clients} clients")
     for shard in shards:
-        if shard.n_k == 0:
-            raise ValueError(f"client {shard.client_id} has an empty shard")
+        _check_shard(shard)
     stream = as_stream(seed)
     hp = hp if hp is not None else LsrHyperParams()
     sp = sp if sp is not None else SymCeParams()
@@ -545,17 +639,33 @@ def run_federation(
         selected = select_clients(cfg.num_clients, cfg.clients_per_round, stream.child("select", t))
         gamma_t = gamma_schedule(t, cfg.warmup_rounds, hp.gamma)
 
-        def job(cid: int):
-            return _train_one_client(
-                cfg.method, globals_, train_set, shards[cid], cfg, hp, sp, ct,
-                policy, stream.child("client", int(cid), t), t, gamma_t,
-            )
-
         if cfg.workers > 1:
+            def job(cid: int):
+                return _train_one_client(
+                    cfg.method, globals_, train_set, shards[cid], cfg, hp, sp, ct,
+                    policy, stream.child("client", int(cid), t), t, gamma_t,
+                )
+
             with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
                 results = list(pool.map(job, selected))
         else:
-            results = [job(cid) for cid in selected]
+            # One lockstep cohort per shard size; aggregation below still
+            # runs over the clients in selection order.
+            cohorts: dict = {}
+            for cid in selected:
+                cohorts.setdefault(shards[cid].n_k, []).append(int(cid))
+            trained = {}
+            for ids in cohorts.values():
+                nets, losses = _train_cohort(
+                    cfg.method, globals_, train_set, [shards[c] for c in ids], cfg,
+                    [stream.child("client", c, t) for c in ids], hp=hp, sp=sp, ct=ct,
+                    policy=policy, round_idx=t, gamma_t=gamma_t,
+                )
+                for k, cid in enumerate(ids):
+                    trained[cid] = (
+                        tuple(ModelParams(net.flat[k], net.shapes) for net in nets), losses[k]
+                    )
+            results = [trained[int(cid)] for cid in selected]
 
         sizes = [shards[cid].n_k for cid in selected]
         globals_ = tuple(
@@ -575,6 +685,10 @@ def run_federation(
                 gamma_t=gamma_t,
                 selected_clients=tuple(int(c) for c in selected),
             )
+        )
+        logger.info(
+            "round %d: accuracy %.4f, mean train loss %.4f",
+            t, metrics[-1].test_accuracy, metrics[-1].mean_train_loss,
         )
         if history is not None:
             history.append(globals_ if twin else globals_[0])

@@ -490,8 +490,6 @@ def run_from_config(echo: dict) -> tuple:
         cfg.method, cfg.num_clients, cfg.rounds, spec.kind, spec.ratio,
     )
     result = run_federation(cfg, train, shards, test, echo["seed"], hp=hp, sp=sp, ct=ct, policy=policy)
-    for m in result.metrics[-3:]:
-        logger.info("round %d: accuracy %.4f", m.round, m.test_accuracy)
     return result, echo
 
 

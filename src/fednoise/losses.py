@@ -7,6 +7,13 @@ module turns these adjoints into parameter gradients; keeping the chain rule
 explicit here is what makes the finite-difference oracles in the test suite
 possible.
 
+Logits may carry leading axes, ``(..., B, M)`` with labels ``(..., B)``: a
+cohort of K clients passes ``(K, B, M)``, and a mixing weight may then be
+one value per client, shape ``(K,)``. Every reduction runs along the last
+axes, so each client's slice is computed exactly as the 2-D call on that
+slice would be. The scalar has shape ``(...)``, and is a Python float for a
+single batch.
+
 The regularized classification loss works on probabilities rather than
 logits: the two softmax outputs are convexly mixed, the mixture is sharpened
 by an exponent 1/T, and the sharpened mixture is scored with cross-entropy
@@ -133,49 +140,72 @@ def _check_logits_labels(logits: np.ndarray, labels: np.ndarray):
     o = np.asarray(logits, dtype=np.float64)
     if o.ndim == 1:
         o = o[None, :]
-    if o.ndim != 2:
-        raise ValueError(f"logits must be (B, M), got shape {o.shape}")
+    if o.ndim < 2:
+        raise ValueError(f"logits must be (..., B, M), got shape {o.shape}")
     y = np.asarray(labels)
     if y.ndim == 0:
         y = y[None]
-    if y.shape != (o.shape[0],):
-        raise ValueError(f"labels shape {y.shape} does not match batch {o.shape[0]}")
+    if y.shape != o.shape[:-1]:
+        raise ValueError(f"labels shape {y.shape} does not match logits {o.shape[:-1]}")
     if not np.issubdtype(y.dtype, np.integer):
         raise ValueError("labels must be integers")
-    if o.shape[0] == 0:
+    if o.shape[-2] == 0:
         raise ValueError("empty batch")
-    if y.min() < 0 or y.max() >= o.shape[1]:
+    if y.min() < 0 or y.max() >= o.shape[-1]:
         raise ValueError(
-            f"labels must lie in [0, {o.shape[1]}), got range [{y.min()}, {y.max()}]"
+            f"labels must lie in [0, {o.shape[-1]}), got range [{y.min()}, {y.max()}]"
         )
     return o, y.astype(np.int64)
 
 
 def _check_heads(o1: np.ndarray, o2: np.ndarray):
-    """Both logit heads as float64 (B, M) arrays of one shape; (M,) means B = 1."""
+    """Both logit heads as float64 (..., B, M) arrays of one shape; (M,) means B = 1."""
     o1 = np.asarray(o1, dtype=np.float64)
     o2 = np.asarray(o2, dtype=np.float64)
     if o1.ndim == 1:
         o1 = o1[None, :]
     if o2.ndim == 1:
         o2 = o2[None, :]
-    if o1.shape != o2.shape or o1.ndim != 2:
+    if o1.shape != o2.shape or o1.ndim < 2:
         raise ValueError(f"logit head shapes differ: {o1.shape} vs {o2.shape}")
     return o1, o2
 
 
+def _mix_weight(lam, lead: tuple):
+    """A checked mixing weight: a float, or per-client weights of shape
+    ``lead`` returned as ``lead + (1, 1)`` to broadcast over (B, M)."""
+    arr = np.asarray(lam, dtype=np.float64)
+    if not np.all(np.isfinite(arr) & (arr >= 0.0) & (arr <= 1.0)):
+        raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
+    if arr.ndim == 0:
+        return float(arr)
+    if arr.shape != lead:
+        raise ValueError(f"mixing weights of shape {arr.shape} for leading axes {lead}")
+    return arr[..., None, None]
+
+
+def _scalar(values: np.ndarray) -> "float | np.ndarray":
+    """A per-batch reduction: a Python float for one batch, else the array."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _label_index(y: np.ndarray) -> tuple:
+    """Index that picks a[..., b, y[..., b]] out of a (..., B, M) array a,
+    giving shape (..., B); for one batch it is (arange(B), y)."""
+    return (*np.indices(y.shape, sparse=True), y)
+
+
 def _log_softmax(o: np.ndarray) -> np.ndarray:
-    shifted = o - o.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = o - o.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def ce_per_sample(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-sample cross-entropy, -log softmax(o)[y], shape (B,)."""
+    """Per-sample cross-entropy, -log softmax(o)[y], shape (..., B)."""
     o, y = _check_logits_labels(logits, labels)
     if not np.all(np.isfinite(o)):
         raise ValueError("logits must be finite")
-    logp = _log_softmax(o)
-    return -logp[np.arange(o.shape[0]), y]
+    return -_log_softmax(o)[_label_index(y)]
 
 
 def ce_loss(logits: np.ndarray, labels: np.ndarray) -> LossOutput:
@@ -186,23 +216,26 @@ def ce_loss(logits: np.ndarray, labels: np.ndarray) -> LossOutput:
     o, y = _check_logits_labels(logits, labels)
     if not np.all(np.isfinite(o)):
         raise ValueError("logits must be finite")
-    batch = o.shape[0]
+    batch = o.shape[-2]
+    at_y = _label_index(y)
     logp = _log_softmax(o)
-    scalar = float(-logp[np.arange(batch), y].mean())
+    scalar = _scalar(-logp[at_y].mean(axis=-1))
     adj = np.exp(logp)
-    adj[np.arange(batch), y] -= 1.0
+    adj[at_y] -= 1.0
     adj /= batch
     return LossOutput(scalar, adj, np.zeros_like(o))
 
 
-def mixup_prediction(p1: np.ndarray, p2: np.ndarray, lam: float) -> np.ndarray:
-    """Convex combination lam * p1 + (1 - lam) * p2 of two prediction arrays."""
-    if not (np.isfinite(lam) and 0.0 <= lam <= 1.0):
-        raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
+def mixup_prediction(p1: np.ndarray, p2: np.ndarray, lam: "float | np.ndarray") -> np.ndarray:
+    """Convex combination lam * p1 + (1 - lam) * p2 of two prediction arrays.
+
+    ``lam`` is one weight, or one per leading index of (..., B, M) arrays.
+    """
     a = np.asarray(p1, dtype=np.float64)
     b = np.asarray(p2, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"prediction shapes differ: {a.shape} vs {b.shape}")
+    lam = _mix_weight(lam, a.shape[:-2])
     return lam * a + (1.0 - lam) * b
 
 
@@ -210,7 +243,7 @@ def lsr_cls_loss(
     o1: np.ndarray,
     o2: np.ndarray,
     labels: np.ndarray,
-    lam: float,
+    lam: "float | np.ndarray",
     hp: LsrHyperParams,
 ) -> LossOutput:
     """Cross-entropy of the sharpened mixed prediction against the labels.
@@ -221,47 +254,54 @@ def lsr_cls_loss(
     """
     o1, o2 = _check_heads(o1, o2)
     o1, y = _check_logits_labels(o1, labels)
-    if not (np.isfinite(lam) and 0.0 <= lam <= 1.0):
-        raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
+    weight = _mix_weight(lam, o1.shape[:-2])
 
     # T = 1 with lam = 1 is plain cross-entropy on o1. Take the direct code
-    # path so the degenerate configuration is arithmetic-for-arithmetic
-    # identical to ce_loss, not merely close.
-    if hp.sharpen_temp == 1.0 and lam == 1.0:
+    # path, per client of a cohort, so the degenerate configuration is
+    # arithmetic-for-arithmetic identical to ce_loss, not merely close.
+    plain = hp.sharpen_temp == 1.0 and np.any(weight == 1.0)
+    if plain:
         base = ce_loss(o1, y)
-        return LossOutput(base.scalar, base.adjoint_o1, np.zeros_like(o2))
+        if np.all(weight == 1.0):
+            return LossOutput(base.scalar, base.adjoint_o1, np.zeros_like(o2))
 
-    batch, _ = o1.shape
-    rows = np.arange(batch)
+    batch = o1.shape[-2]
+    at_y = _label_index(y)
     u = 1.0 / hp.sharpen_temp
     p1 = softmax(o1)
     p2 = softmax(o2)
     p = mixup_prediction(p1, p2, lam)
 
     powered = p**u
-    norm = powered.sum(axis=1)
-    sharp_y = powered[rows, y] / norm
+    norm = powered.sum(axis=-1)
+    sharp_y = powered[at_y] / norm
     loss_rows = -np.log(np.maximum(sharp_y, hp.clamp_lo))
-    scalar = float(loss_rows.mean())
+    scalar = _scalar(loss_rows.mean(axis=-1))
 
     # d(-log sharp_y)/dp_i = u * (p_i^(u-1) / norm - [i == y] / p_y),
     # treating p as free variables; softmax_vjp absorbs the simplex
     # constraint. Rows where the clamp is active contribute zero gradient.
-    grad_p = u * p ** (u - 1.0) / norm[:, None]
-    grad_p[rows, y] -= u / p[rows, y]
+    grad_p = u * p ** (u - 1.0) / norm[..., None]
+    grad_p[at_y] -= u / p[at_y]
     grad_p[sharp_y <= hp.clamp_lo] = 0.0
     grad_p /= batch
 
-    adj1 = softmax_vjp(p1, lam * grad_p)
-    adj2 = softmax_vjp(p2, (1.0 - lam) * grad_p)
+    adj1 = softmax_vjp(p1, weight * grad_p)
+    adj2 = softmax_vjp(p2, (1.0 - weight) * grad_p)
+    if plain:
+        # A cohort whose clients disagree: take plain CE where lam = 1.
+        pick = weight == 1.0
+        scalar = np.where(pick[..., 0, 0], base.scalar, scalar)
+        adj1 = np.where(pick, base.adjoint_o1, adj1)
+        adj2 = np.where(pick, 0.0, adj2)
     return LossOutput(scalar, adj1, adj2)
 
 
 def _distill_grads_js(c1, c2, batch):
     mid = 0.5 * (c1 + c2)
-    kl1 = (c1 * np.log(c1 / mid)).sum(axis=1)
-    kl2 = (c2 * np.log(c2 / mid)).sum(axis=1)
-    scalar = float((0.5 * (kl1 + kl2)).mean())
+    kl1 = (c1 * np.log(c1 / mid)).sum(axis=-1)
+    kl2 = (c2 * np.log(c2 / mid)).sum(axis=-1)
+    scalar = _scalar((0.5 * (kl1 + kl2)).mean(axis=-1))
     # With mid = (c1 + c2) / 2 held exact, dJS/dc1 collapses to log(c1/mid)/2.
     g1 = 0.5 * np.log(c1 / mid) / batch
     g2 = 0.5 * np.log(c2 / mid) / batch
@@ -270,24 +310,24 @@ def _distill_grads_js(c1, c2, batch):
 
 def _distill_grads_l1(c1, c2, batch):
     diff = c1 - c2
-    scalar = float(np.abs(diff).sum(axis=1).mean())
+    scalar = _scalar(np.abs(diff).sum(axis=-1).mean(axis=-1))
     g1 = np.sign(diff) / batch
     return scalar, g1, -g1
 
 
 def _distill_grads_l2(c1, c2, batch):
     diff = c1 - c2
-    scalar = float((diff**2).sum(axis=1).mean())
+    scalar = _scalar((diff**2).sum(axis=-1).mean(axis=-1))
     g1 = 2.0 * diff / batch
     return scalar, g1, -g1
 
 
 def _distill_grads_cosine(c1, c2, batch):
-    n1 = np.linalg.norm(c1, axis=1, keepdims=True)
-    n2 = np.linalg.norm(c2, axis=1, keepdims=True)
-    dot = (c1 * c2).sum(axis=1, keepdims=True)
+    n1 = np.linalg.norm(c1, axis=-1, keepdims=True)
+    n2 = np.linalg.norm(c2, axis=-1, keepdims=True)
+    dot = (c1 * c2).sum(axis=-1, keepdims=True)
     cos = dot / (n1 * n2)
-    scalar = float((1.0 - cos).mean())
+    scalar = _scalar((1.0 - cos)[..., 0].mean(axis=-1))
     # Each half treats the other side as a stopped (detached) target, and
     # the two halves are averaged, hence the 0.5 factor.
     g1 = 0.5 * (cos * c1 / n1**2 - c2 / (n1 * n2)) / batch
@@ -306,10 +346,10 @@ def self_distill_loss(o1: np.ndarray, o2: np.ndarray, hp: LsrHyperParams) -> Los
     o1, o2 = _check_heads(o1, o2)
     if hp.distill_kind == "none":
         raise ValueError("self_distill_loss called with distill_kind='none'")
-    if o1.shape[0] == 0:
+    if o1.shape[-2] == 0:
         raise ValueError("empty batch")
 
-    batch = o1.shape[0]
+    batch = o1.shape[-2]
     q1 = tempered_softmax(o1, hp.distill_temp)
     q2 = tempered_softmax(o2, hp.distill_temp)
     c1 = np.maximum(q1, hp.clamp_lo)
@@ -335,7 +375,7 @@ def lsr_total_loss(
     o1: np.ndarray,
     o2: np.ndarray,
     labels: np.ndarray,
-    lam: float,
+    lam: "float | np.ndarray",
     gamma_t: float,
     hp: LsrHyperParams,
 ) -> LossOutput:
@@ -357,7 +397,7 @@ def lsr_plus_loss(
     o1: np.ndarray,
     o2: np.ndarray,
     labels: np.ndarray,
-    lam: float,
+    lam: "float | np.ndarray",
     gamma_t: float,
     hp: LsrHyperParams,
 ) -> LossOutput:
@@ -372,7 +412,7 @@ def lsr_plus_loss(
     if hp.entropy_weight == 0.0:
         return out
     o1, o2 = _check_heads(o1, o2)
-    batch = o1.shape[0]
+    batch = o1.shape[-2]
     w = hp.entropy_weight
 
     scalar = out.scalar
@@ -380,7 +420,7 @@ def lsr_plus_loss(
     for o, base_adj in ((o1, out.adjoint_o1), (o2, out.adjoint_o2)):
         p = softmax(o)
         logp = np.log(np.maximum(p, 1e-300))
-        scalar += w * 0.5 * float(-(p * logp).sum(axis=1).mean())
+        scalar = scalar + w * 0.5 * _scalar(-(p * logp).sum(axis=-1).mean(axis=-1))
         # dH/dp_i = -(log p_i + 1); entries with p_i = 0 are zeroed by the
         # p factor inside softmax_vjp.
         grad_p = w * 0.5 * (-(logp + 1.0)) / batch
@@ -397,22 +437,22 @@ def symmetric_ce_loss(logits: np.ndarray, labels: np.ndarray, sp: SymCeParams) -
     o, y = _check_logits_labels(logits, labels)
     if not np.all(np.isfinite(o)):
         raise ValueError("logits must be finite")
-    batch = o.shape[0]
-    rows = np.arange(batch)
+    batch = o.shape[-2]
+    at_y = _label_index(y)
     logp = _log_softmax(o)
     p = np.exp(logp)
-    p_y = p[rows, y]
+    p_y = p[at_y]
 
-    ce_rows = -logp[rows, y]
+    ce_rows = -logp[at_y]
     rce_rows = -sp.log_zero * (1.0 - p_y)
-    scalar = float((sp.alpha * ce_rows + sp.beta * rce_rows).mean())
+    scalar = _scalar((sp.alpha * ce_rows + sp.beta * rce_rows).mean(axis=-1))
 
     adj = p.copy()
-    adj[rows, y] -= 1.0
+    adj[at_y] -= 1.0
     adj *= sp.alpha
     # Reverse term: dRCE/dp_i = log_zero * [i == y]; pull through softmax.
     onehot_grad = np.zeros_like(p)
-    onehot_grad[rows, y] = sp.log_zero
+    onehot_grad[at_y] = sp.log_zero
     adj += sp.beta * softmax_vjp(p, onehot_grad)
     adj /= batch
     return LossOutput(scalar, adj, np.zeros_like(o))
@@ -422,7 +462,7 @@ def symce_lsr_loss(
     o1: np.ndarray,
     o2: np.ndarray,
     labels: np.ndarray,
-    lam: float,
+    lam: "float | np.ndarray",
     gamma_t: float,
     sp: SymCeParams,
     hp: LsrHyperParams,
@@ -434,8 +474,7 @@ def symce_lsr_loss(
     distillation term is the one :func:`lsr_total_loss` adds.
     """
     o1, o2 = _check_heads(o1, o2)
-    if not (np.isfinite(lam) and 0.0 <= lam <= 1.0):
-        raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
+    lam = _mix_weight(lam, o1.shape[:-2])
     if not (np.isfinite(gamma_t) and gamma_t >= 0):
         raise ValueError(f"gamma_t must be non-negative, got {gamma_t}")
     sym = symmetric_ce_loss(lam * o1 + (1.0 - lam) * o2, labels, sp)
@@ -463,12 +502,12 @@ def sharpened_ce_per_sample(
     o, y = _check_logits_labels(logits, labels)
     if not np.all(np.isfinite(o)):
         raise ValueError("logits must be finite")
-    rows = np.arange(o.shape[0])
+    at_y = _label_index(y)
     p = softmax(o)
     if hp.sharpen_temp == 1.0:
-        return -np.log(np.maximum(p[rows, y], hp.clamp_lo))
+        return -np.log(np.maximum(p[at_y], hp.clamp_lo))
     powered = p ** (1.0 / hp.sharpen_temp)
-    sharp_y = powered[rows, y] / powered.sum(axis=1)
+    sharp_y = powered[at_y] / powered.sum(axis=-1)
     return -np.log(np.maximum(sharp_y, hp.clamp_lo))
 
 

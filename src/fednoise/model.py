@@ -7,6 +7,13 @@ numpy and bit-reproducible. Layer structure lives in ``shapes`` as
 followed by ``out_dim`` biases. Hidden activations are ReLU, the final layer
 emits raw logits.
 
+A cohort of K networks with one architecture is stored as a ``(K, P)``
+array, one flat vector per row. Each layer's weights are then a ``(K, in,
+out)`` view into it, so a cohort runs on ``(K, B, d)`` inputs through one
+stacked ``np.matmul`` per layer, which computes every slice exactly as the
+same product on one network would. ``sgd_step`` is elementwise and so works
+on either layout.
+
 Gradients are exact reverse-mode, written out by hand. :func:`forward_vjp`
 runs one forward pass and returns the logits with a ``vjp`` closure that
 maps an adjoint at the logits to the parameter gradient, reusing that
@@ -53,26 +60,51 @@ def param_count(layer_sizes: "list[int] | tuple[int, ...]") -> int:
     return sum((i + 1) * o for i, o in zip(sizes[:-1], sizes[1:]))
 
 
+def _immutable(values) -> np.ndarray:
+    """``values`` as a read-only float64 array that nothing else can write.
+
+    An array that owns its data and is already read-only is adopted as is;
+    anything else is copied. Results computed in this module are frozen
+    with :func:`_frozen` before they are wrapped, so a step does not copy
+    the whole parameter vector once more.
+    """
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.float64
+        and values.base is None
+        and not values.flags.writeable
+    ):
+        return values
+    arr = np.array(values, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Immutable flat parameter vector plus per-layer (in_dim, out_dim) pairs."""
+    """Immutable flat parameters, (P,) or a (K, P) cohort, plus per-layer
+    (in_dim, out_dim) pairs."""
 
     flat: np.ndarray
     shapes: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        flat = np.array(self.flat, dtype=np.float64)
-        if flat.ndim != 1:
-            raise ValueError(f"flat parameters must be 1-D, got shape {flat.shape}")
+        flat = _immutable(self.flat)
+        if flat.ndim not in (1, 2):
+            raise ValueError(f"flat parameters must be (P,) or (K, P), got shape {flat.shape}")
         shapes = tuple((int(i), int(o)) for i, o in self.shapes)
         expected = sum((i + 1) * o for i, o in shapes)
-        if flat.size != expected:
+        if flat.shape[-1] != expected:
             raise ValueError(
-                f"flat vector has {flat.size} entries, shapes demand {expected}"
+                f"flat vector has {flat.shape[-1]} entries, shapes demand {expected}"
             )
         if not np.all(np.isfinite(flat)):
             raise ValueError("parameters must be finite")
-        flat.setflags(write=False)
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "shapes", shapes)
 
@@ -87,32 +119,33 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Gradients:
-    """Flat gradient vector aligned with ModelParams.flat."""
+    """Flat gradient, (P,) or (K, P), aligned with ModelParams.flat."""
 
     flat: np.ndarray
 
     def __post_init__(self) -> None:
-        flat = np.array(self.flat, dtype=np.float64)
-        if flat.ndim != 1:
-            raise ValueError(f"flat gradient must be 1-D, got shape {flat.shape}")
-        flat.setflags(write=False)
+        flat = _immutable(self.flat)
+        if flat.ndim not in (1, 2):
+            raise ValueError(f"flat gradient must be (P,) or (K, P), got shape {flat.shape}")
         object.__setattr__(self, "flat", flat)
 
     def __add__(self, other: "Gradients") -> "Gradients":
         if not isinstance(other, Gradients):
             return NotImplemented
-        if self.flat.size != other.flat.size:
-            raise ValueError("gradient sizes differ")
-        return Gradients(self.flat + other.flat)
+        if self.flat.shape != other.flat.shape:
+            raise ValueError("gradient shapes differ")
+        return Gradients(_frozen(self.flat + other.flat))
 
 
 def _layer_views(flat: np.ndarray, shapes: tuple[tuple[int, int], ...]):
-    """Yield (W, b) views into the flat vector, in layer order."""
+    """Yield (W, b) views into (P,) or (K, P) parameters, in layer order:
+    W is (..., in_dim, out_dim) and b is (..., 1, out_dim)."""
+    lead = flat.shape[:-1]
     offset = 0
     for in_dim, out_dim in shapes:
-        w = flat[offset : offset + in_dim * out_dim].reshape(in_dim, out_dim)
+        w = flat[..., offset : offset + in_dim * out_dim].reshape(*lead, in_dim, out_dim)
         offset += in_dim * out_dim
-        b = flat[offset : offset + out_dim]
+        b = flat[..., offset : offset + out_dim].reshape(*lead, 1, out_dim)
         offset += out_dim
         yield w, b
 
@@ -135,55 +168,62 @@ def init_params(layer_sizes: "list[int] | tuple[int, ...]", seed: "int | RngStre
 
 def _check_input(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
+    lead = params.flat.shape[:-1]
+    single = arr.ndim == 1 and not lead
     if single:
         arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != params.in_dim:
+    if arr.ndim != len(lead) + 2 or arr.shape[: len(lead)] != lead:
+        want = f"(K, B, d) with K = {lead[0]}" if lead else "(d,) or (B, d)"
+        raise ValueError(f"input has shape {arr.shape}, a model of this layout expects {want}")
+    if arr.shape[-1] != params.in_dim:
         raise ValueError(
-            f"input has feature dim {arr.shape[-1] if arr.ndim else '?'}, "
-            f"model expects {params.in_dim}"
+            f"input has feature dim {arr.shape[-1]}, model expects {params.in_dim}"
         )
     return arr, single
 
 
 def forward_vjp(params: ModelParams, x: np.ndarray):
-    """One forward pass: (logits, vjp) for a sample (d,) or a batch (B, d).
+    """One forward pass: (logits, vjp) for a sample (d,) or a batch (B, d),
+    or for a (K, P) cohort on (K, B, d) inputs, giving (K, B, M) logits.
 
     ``vjp(adjoint)`` maps dLoss/dLogits of this pass to the exact parameter
-    gradient, reusing the pass's activations. Zero adjoints yield a zero
-    gradient; the map is linear in the adjoint.
+    gradient, (P,) or (K, P), reusing the pass's activations. Zero adjoints
+    yield a zero gradient; the map is linear in the adjoint.
     """
     arr, single = _check_input(params, x)
     layers = list(_layer_views(params.flat, params.shapes))
     acts = [arr]
     for li, (w, b) in enumerate(layers):
-        z = acts[-1] @ w + b
-        acts.append(z if li == len(layers) - 1 else np.maximum(z, 0.0))
+        z = acts[-1] @ w
+        z += b
+        acts.append(z if li == len(layers) - 1 else np.maximum(z, 0.0, out=z))
+    out = acts[-1]
 
     def vjp(adjoint: np.ndarray) -> Gradients:
         dz = np.asarray(adjoint, dtype=np.float64)
         if single:
             dz = dz[None, :]
-        if dz.shape != (arr.shape[0], params.out_dim):
+        if dz.shape != out.shape:
             raise ValueError(
-                f"adjoint shape {dz.shape} does not match logits shape "
-                f"({arr.shape[0]}, {params.out_dim})"
+                f"adjoint shape {dz.shape} does not match logits shape {out.shape}"
             )
         # Walk layers in reverse; the pieces come out in reverse flat order.
         pieces = []
         for li in range(len(layers) - 1, -1, -1):
-            pieces += [dz.sum(axis=0), (acts[li].T @ dz).ravel()]
+            a_t = np.swapaxes(acts[li], -1, -2)
+            pieces += [dz.sum(axis=-2), (a_t @ dz).reshape(*out.shape[:-2], -1)]
             if li > 0:
                 # acts[li] = relu(z), so acts[li] > 0 exactly where z > 0.
-                dz = (dz @ layers[li][0].T) * (acts[li] > 0.0)
-        return Gradients(np.concatenate(pieces[::-1]))
+                dz = dz @ np.swapaxes(layers[li][0], -1, -2)
+                dz *= acts[li] > 0.0
+        return Gradients(_frozen(np.concatenate(pieces[::-1], axis=-1)))
 
-    out = acts[-1]
     return (out[0] if single else out), vjp
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Logits for a sample (d,) -> (M,) or a batch (B, d) -> (B, M)."""
+    """Logits for a sample (d,) -> (M,), a batch (B, d) -> (B, M), or a
+    (K, P) cohort's (K, B, d) -> (K, B, M)."""
     return forward_vjp(params, x)[0]
 
 
@@ -197,12 +237,14 @@ def backward(params: ModelParams, x: np.ndarray, adjoint: np.ndarray) -> Gradien
 
 
 def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> ModelParams:
-    """One plain gradient step; returns new params, inputs untouched."""
+    """One plain gradient step, elementwise on (P,) or (K, P); returns new
+    params, inputs untouched."""
     if not np.isfinite(lr) or lr < 0:
         raise ValueError(f"learning rate must be finite and non-negative, got {lr}")
-    if grads.flat.size != params.flat.size:
-        raise ValueError("gradient does not match parameter count")
-    return ModelParams(params.flat - lr * grads.flat, params.shapes)
+    if grads.flat.shape != params.flat.shape:
+        raise ValueError("gradient does not match parameter shape")
+    step = lr * grads.flat
+    return ModelParams(_frozen(np.subtract(params.flat, step, out=step)), params.shapes)
 
 
 def save_params(params: ModelParams, path: "str | os.PathLike") -> None:
@@ -210,6 +252,8 @@ def save_params(params: ModelParams, path: "str | os.PathLike") -> None:
 
     Header fields: format, version, layers (list of [in, out]), count.
     """
+    if params.flat.ndim != 1:
+        raise ValueError("a checkpoint holds one network; save a cohort row by row")
     header = {
         "format": _CHECKPOINT_FORMAT,
         "version": _CHECKPOINT_VERSION,

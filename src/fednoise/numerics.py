@@ -1,10 +1,12 @@
 """Probability transforms and splittable random streams.
 
 Conventions used across the package: logit and probability vectors are plain
-numpy float64 arrays, either a single row ``(M,)`` or a batch of rows
-``(B, M)``. A probability array has entries in [0, 1] that sum to 1 per row,
-except directly after :func:`clamp_probs`, which floors entries without
-renormalizing (callers that need a distribution again must not assume one).
+numpy float64 arrays, either a single row ``(M,)``, a batch of rows
+``(B, M)``, or a cohort of batches ``(K, B, M)``; every transform here works
+along the last axis. A probability array has entries in [0, 1] that sum to 1
+per row, except directly after :func:`clamp_probs`, which floors entries
+without renormalizing (callers that need a distribution again must not
+assume one).
 
 All logarithms are natural logarithms.
 """
@@ -91,14 +93,15 @@ def _as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for overflow safety.
+    """Row-wise softmax along the last axis, with max-subtraction for
+    overflow safety.
 
     Raises ValueError on non-finite input. Output rows are strictly positive
     up to float underflow and sum to 1 within float tolerance.
     """
     o = np.asarray(logits, dtype=np.float64)
-    if o.ndim not in (1, 2) or o.shape[-1] < 1:
-        raise ValueError(f"softmax expects a (M,) or (B, M) array, got shape {o.shape}")
+    if o.ndim < 1 or o.shape[-1] < 1:
+        raise ValueError(f"softmax expects a (..., M) array, got shape {o.shape}")
     if not np.all(np.isfinite(o)):
         raise ValueError("softmax input must be finite")
     shifted = o - o.max(axis=-1, keepdims=True)

@@ -12,6 +12,7 @@ from fednoise.data import (
 )
 from fednoise.augment import AugmentPolicy, FeatureJitter, apply_batch
 from fednoise.federation import (
+    METHODS,
     CoteachingConfig,
     FedConfig,
     RoundMetrics,
@@ -19,6 +20,7 @@ from fednoise.federation import (
     coteach_keep_ratio,
     evaluate,
     gamma_schedule,
+    local_train_ce,
     run_federation,
     select_clients,
 )
@@ -299,18 +301,35 @@ class TestRunFederationMechanics:
         np.testing.assert_array_equal(result.final_params.flat, expect.flat)
         assert np.isnan(result.metrics[0].mean_train_loss)
 
-    def test_worker_count_does_not_change_results(self):
-        train, shards, test = small_world(noise=0.3)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_worker_count_does_not_change_results(self, method):
+        # workers=1 trains each round's clients as cohorts of equal shard
+        # size (here one of 15-row and one of 25-row shards); workers=4
+        # trains one client per pool job. Both must agree bit for bit.
+        train, _, test = small_world(noise=0.3)
+        order = np.random.default_rng(8).permutation(train.n)
+        bounds = np.cumsum([0, 15, 25, 15, 25, 15, 25])
+        shards = [ClientShard(c, order[bounds[c] : bounds[c + 1]]) for c in range(6)]
         base = dict(
-            num_clients=6, clients_per_round=3, rounds=3, local_epochs=2,
-            batch_size=10, method="lsr", warmup_rounds=1, hidden_layers=(6,),
+            num_clients=6, clients_per_round=6, rounds=3, local_epochs=2,
+            batch_size=5, method=method, warmup_rounds=1, hidden_layers=(6,),
         )
-        pol = AugmentPolicy((FeatureJitter(0.4),))
-        a = run_federation(FedConfig(**base, workers=1), train, shards, test, seed=5, policy=pol)
-        b = run_federation(FedConfig(**base, workers=4), train, shards, test, seed=5, policy=pol)
-        np.testing.assert_array_equal(a.final_params.flat, b.final_params.flat)
-        assert [m.test_accuracy for m in a.metrics] == [m.test_accuracy for m in b.metrics]
-        assert [m.selected_clients for m in a.metrics] == [m.selected_clients for m in b.metrics]
+        kw = dict(
+            seed=5, hp=LsrHyperParams(entropy_weight=0.1),
+            policy=AugmentPolicy((FeatureJitter(0.4),)),
+        )
+        a = run_federation(FedConfig(**base, workers=1), train, shards, test, **kw)
+        b = run_federation(FedConfig(**base, workers=4), train, shards, test, **kw)
+        nets_a, nets_b = (
+            r.final_params if isinstance(r.final_params, tuple) else (r.final_params,)
+            for r in (a, b)
+        )
+        for got, want in zip(nets_a, nets_b, strict=True):
+            np.testing.assert_array_equal(got.flat, want.flat)
+        for field in ("test_accuracy", "mean_train_loss", "selected_clients"):
+            np.testing.assert_array_equal(
+                [getattr(m, field) for m in a.metrics], [getattr(m, field) for m in b.metrics]
+            )
 
     def test_record_history_lengths(self):
         train, shards, test = small_world()
@@ -339,6 +358,16 @@ class TestRunFederationMechanics:
         )
         with pytest.raises(ValueError, match="client 3 has an empty shard"):
             run_federation(cfg, train, shards, test, seed=0)
+
+    def test_local_trainer_rejects_empty_shard_naming_the_client(self):
+        train, _, _ = small_world()
+        cfg = FedConfig(
+            num_clients=6, clients_per_round=2, rounds=1, local_epochs=1,
+            batch_size=10, method="fedavg_ce", warmup_rounds=0, hidden_layers=(5,),
+        )
+        params = init_params([6, 5, 4], 0)
+        with pytest.raises(ValueError, match="client 0 has an empty shard"):
+            local_train_ce(params, train, ClientShard(0, []), cfg, RngStream(0))
 
     def test_batch_larger_than_shard_warns_and_trains(self):
         train, shards, test = small_world()

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -242,6 +243,17 @@ class TestRunExperiment:
         cfg_b["federation"]["workers"] = 3
         run_experiment(config=cfg_b)
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+
+    def test_logs_each_round_as_it_completes(self, tmp_path, caplog):
+        out = tmp_path / "logged"
+        with caplog.at_level(logging.INFO, logger="fednoise"):
+            run_experiment(config=tiny_config(out=str(out)))
+        rounds = [r.getMessage() for r in caplog.records if r.getMessage().startswith("round ")]
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert len(rounds) == len(rows) == 3
+        for message, row in zip(rounds, rows):
+            t, acc = row.split(",")[:2]
+            assert message.startswith(f"round {t}: accuracy {float(acc):.4f}, mean train loss ")
 
     def test_echo_replays_byte_identically(self, tmp_path):
         first = tmp_path / "orig"

@@ -565,3 +565,68 @@ class TestLossOutputType:
         assert isinstance(out.scalar, float)
         assert out.adjoint_o1.shape == (2, 3)
         assert out.adjoint_o2.shape == (2, 3)
+
+
+def _stacked_cases():
+    """name -> loss(o1, o2, y, lam) over one batch or a (K, B, M) cohort."""
+    sp = SymCeParams(alpha=0.3, beta=0.8)
+    cases = {
+        "ce_loss": lambda o1, o2, y, lam: ce_loss(o1, y),
+        "ce_per_sample": lambda o1, o2, y, lam: ce_per_sample(o1, y),
+        "lsr_plus_loss": lambda o1, o2, y, lam: lsr_plus_loss(
+            o1, o2, y, lam, 0.3, LsrHyperParams(entropy_weight=0.4)),
+        "symmetric_ce_loss": lambda o1, o2, y, lam: symmetric_ce_loss(o1, y, sp),
+        "symce_lsr_loss": lambda o1, o2, y, lam: symce_lsr_loss(
+            o1, o2, y, lam, 0.3, sp, LsrHyperParams()),
+        "sharpened_ce_loss": lambda o1, o2, y, lam: sharpened_ce_loss(o1, y, LsrHyperParams()),
+        "sharpened_ce_per_sample": lambda o1, o2, y, lam: sharpened_ce_per_sample(
+            o1, y, LsrHyperParams()),
+        # T = 1 takes plain CE exactly for the clients whose lam is 1.
+        "lsr_total_loss[T=1]": lambda o1, o2, y, lam: lsr_total_loss(
+            o1, o2, y, lam, 0.0, LsrHyperParams(sharpen_temp=1.0)),
+    }
+    for kind in ("js", "l1", "l2", "cosine", "none"):
+        cases[f"lsr_total_loss[{kind}]"] = (
+            lambda o1, o2, y, lam, hp=LsrHyperParams(distill_kind=kind):
+            lsr_total_loss(o1, o2, y, lam, 0.3, hp))
+    return cases
+
+
+STACKED = _stacked_cases()
+
+
+class TestStackedCohort:
+    @pytest.mark.parametrize("name", sorted(STACKED))
+    @pytest.mark.parametrize("batch", [1, 7, 40])
+    def test_each_slice_equals_the_2d_call(self, name, batch):
+        # At this seed plain CE and the general path at lam = 1 give
+        # different scalars, so the per-client CE branch is visible.
+        gen = np.random.default_rng(28)
+        k, m = 3, 5
+        o1 = gen.normal(scale=3.0, size=(k, batch, m))
+        o2 = gen.normal(scale=3.0, size=(k, batch, m))
+        y = gen.integers(0, m, size=(k, batch))
+        lam = np.array([1.0, *gen.uniform(0.1, 0.9, size=k - 1)])
+        fn = STACKED[name]
+        stacked = fn(o1, o2, y, lam)
+        for i in range(k):
+            alone = fn(o1[i], o2[i], y[i], float(lam[i]))
+            if isinstance(alone, LossOutput):
+                assert isinstance(alone.scalar, float)
+                assert stacked.scalar.shape == (k,)
+                assert stacked.scalar[i] == alone.scalar
+                np.testing.assert_array_equal(stacked.adjoint_o1[i], alone.adjoint_o1)
+                np.testing.assert_array_equal(stacked.adjoint_o2[i], alone.adjoint_o2)
+            else:
+                np.testing.assert_array_equal(stacked[i], alone)
+
+    def test_per_client_weights_are_checked(self):
+        o = np.zeros((2, 3, 4))
+        y = np.zeros((2, 3), dtype=int)
+        hp = LsrHyperParams()
+        with pytest.raises(ValueError):
+            lsr_total_loss(o, o, y, np.array([0.5, 1.5]), 0.1, hp)
+        with pytest.raises(ValueError):
+            lsr_total_loss(o, o, y, np.array([0.5, 0.5, 0.5]), 0.1, hp)
+        with pytest.raises(ValueError):
+            ce_loss(o, np.zeros((3, 2), dtype=int))

@@ -8,6 +8,7 @@ from fednoise.model import (
     ModelParams,
     backward,
     forward,
+    forward_vjp,
     init_params,
     load_params,
     param_count,
@@ -200,6 +201,47 @@ class TestSgdStep:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             sgd_step(tiny_net(), Gradients(np.zeros(3)), 0.1)
+
+
+class TestCohort:
+    @pytest.mark.parametrize("batch", [1, 6])
+    def test_stacked_pass_and_step_equal_each_slice(self, batch):
+        gen = np.random.default_rng(3)
+        nets = [tiny_net(seed) for seed in range(4)]
+        cohort = ModelParams(np.stack([net.flat for net in nets]), nets[0].shapes)
+        x = gen.normal(size=(4, batch, 5))
+        adjoint = gen.normal(size=(4, batch, 3))
+        logits, vjp = forward_vjp(cohort, x)
+        grads = vjp(adjoint)
+        stepped = sgd_step(cohort, grads, 0.1)
+        assert logits.shape == (4, batch, 3)
+        assert grads.flat.shape == stepped.flat.shape == cohort.flat.shape
+        for k, net in enumerate(nets):
+            alone, alone_vjp = forward_vjp(net, x[k])
+            np.testing.assert_array_equal(logits[k], alone)
+            g = alone_vjp(adjoint[k])
+            np.testing.assert_array_equal(grads.flat[k], g.flat)
+            np.testing.assert_array_equal(stepped.flat[k], sgd_step(net, g, 0.1).flat)
+
+    def test_cohort_shapes_checked(self):
+        cohort = ModelParams(np.stack([tiny_net(0).flat, tiny_net(1).flat]), tiny_net().shapes)
+        with pytest.raises(ValueError):
+            forward(cohort, np.ones((3, 5)))  # no client axis
+        with pytest.raises(ValueError):
+            forward(cohort, np.ones((3, 2, 5)))  # three clients for two nets
+        _, vjp = forward_vjp(cohort, np.ones((2, 3, 5)))
+        with pytest.raises(ValueError):
+            vjp(np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            sgd_step(cohort, Gradients(np.zeros(cohort.flat.shape[1])), 0.1)
+        with pytest.raises(ValueError):
+            save_params(cohort, "unused.ckpt")
+
+    def test_nonfinite_cohort_rejected(self):
+        flat = np.stack([tiny_net(0).flat, tiny_net(1).flat])
+        flat[1, 4] = np.inf
+        with pytest.raises(ValueError):
+            ModelParams(flat, tiny_net().shapes)
 
 
 class TestCheckpoint:
