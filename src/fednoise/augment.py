@@ -1,7 +1,7 @@
 """Mild stochastic input transformations for the dual-forward objective.
 
 Policies are ordered lists of ops. Each op draws from its own sub-stream of
-the rng handed to :func:`apply`, so inserting or removing one op never
+the rng handed to :func:`apply_batch`, so inserting or removing one op never
 shifts the randomness of the others. Image ops (rotation, flip) need the
 dataset's ``image_shape`` metadata; purely tabular data can only be
 jittered.
@@ -29,7 +29,6 @@ __all__ = [
     "random_rotation",
     "horizontal_flip",
     "feature_jitter",
-    "apply",
     "apply_batch",
 ]
 
@@ -42,7 +41,7 @@ class UnsupportedAugmentationError(ValueError):
 class Rotation:
     """Rotate the image by an angle drawn uniformly from [-max_degrees, +max_degrees]."""
 
-    max_degrees: float
+    max_degrees: float = 30.0
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.max_degrees) and self.max_degrees >= 0):
@@ -64,7 +63,7 @@ class HorizontalFlip:
 class FeatureJitter:
     """Add independent Gaussian noise with the given standard deviation."""
 
-    sigma: float
+    sigma: float = 0.05
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
@@ -142,48 +141,6 @@ def _to_image(x_flat: np.ndarray, image_shape: tuple) -> np.ndarray:
     h, w, c = image_shape
     img = x_flat.reshape(h, w, c)
     return img[:, :, 0] if c == 1 else img
-
-
-def _apply_ops_single(
-    ops: tuple, x_flat: np.ndarray, image_shape, gens: list
-) -> np.ndarray:
-    cur = x_flat
-    as_image = image_shape is not None and any(isinstance(op, _IMAGE_OPS) for op in ops)
-    if as_image:
-        cur = _to_image(cur, image_shape)
-    for op, gen in zip(ops, gens):
-        if isinstance(op, Rotation):
-            cur = random_rotation(cur, op.max_degrees, gen)
-        elif isinstance(op, HorizontalFlip):
-            cur = horizontal_flip(cur, op.prob, gen)
-        else:
-            cur = feature_jitter(cur, op.sigma, gen)
-    return cur.reshape(-1) if as_image else cur
-
-
-def apply(
-    policy: AugmentPolicy,
-    x: np.ndarray,
-    rng: RngStream,
-    image_shape: "tuple[int, int, int] | None" = None,
-) -> np.ndarray:
-    """Run the policy on one flat feature vector.
-
-    Each op draws from ``rng.child(op_index)``. Identical (policy, x, rng
-    path) always give the identical output. Raises
-    UnsupportedAugmentationError when an image op meets tabular data.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"apply expects a flat (d,) vector, got shape {arr.shape}")
-    if policy.needs_image() and image_shape is None:
-        raise UnsupportedAugmentationError(
-            "policy contains image ops but the data has no image shape"
-        )
-    if not policy.ops:
-        return arr.copy()
-    gens = [rng.child(i).generator() for i in range(len(policy.ops))]
-    return _apply_ops_single(policy.ops, arr, image_shape, gens)
 
 
 def apply_batch(

@@ -146,16 +146,19 @@ class ClientShard:
         return self.indices.size
 
 
+NOISE_KINDS = ("symmetric", "pairwise", "none")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Label-noise recipe: kind ('symmetric' | 'pairwise' | 'none'), ratio, seed."""
 
-    kind: str
-    ratio: float
+    kind: str = "symmetric"
+    ratio: float = 0.4
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("symmetric", "pairwise", "none"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"noise kind must be symmetric|pairwise|none, got {self.kind!r}")
         if not (np.isfinite(self.ratio) and 0.0 <= self.ratio < 1.0):
             raise ValueError(f"noise ratio must lie in [0, 1), got {self.ratio}")

@@ -27,6 +27,14 @@ Config layout (all sections optional, shown with defaults):
       "augment": "default"
     }
 
+The other dataset kinds take file paths: "idx" needs train_images,
+train_labels, test_images and test_labels, and "csv" needs train_path and
+test_path; both accept num_classes (null: read from the training labels).
+"augment" may also be "none" or a list of ops, each {"kind": "rotation"},
+{"kind": "horizontal_flip"} or {"kind": "feature_jitter"} with an optional
+max_degrees, prob or sigma (defaults: the fields of the op classes in
+fednoise.augment). A key accepts null only where its default is null.
+
 Nulls resolve to derived values: noise.seed and dataset.seed fall back to
 the master seed, warmup_rounds to 20% of the rounds, gamma to a tuned
 per-noise-level table, distill_kind to "js" under IID partitioning and
@@ -40,16 +48,19 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import logging
 import os
 import sys
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 
 from .augment import AugmentPolicy, FeatureJitter, HorizontalFlip, Rotation
 from .data import (
+    NOISE_KINDS,
     LabeledDataset,
     NoiseSpec,
     generate_synthetic,
@@ -97,68 +108,172 @@ GAMMA_TABLE = {
 }
 _GAMMA_FALLBACK = 0.2  # used when noise.kind is "none"
 
-_TOP_KEYS = (
-    "seed",
-    "out",
-    "dataset",
-    "noise",
-    "partition",
-    "federation",
-    "lsr",
-    "sym_ce",
-    "coteaching",
-    "augment",
-)
+_REQUIRED = object()  # the default of a key that has none
 
-_DATASET_KEYS = {
-    "synthetic": ("kind", "n_train", "n_test", "num_classes", "dim", "seed"),
-    "idx": ("kind", "train_images", "train_labels", "test_images", "test_labels", "num_classes"),
-    "csv": ("kind", "train_path", "test_path", "num_classes"),
-}
-
-_AUGMENT_OPS = {
-    "rotation": (Rotation, {"max_degrees": 30.0}),
-    "horizontal_flip": (HorizontalFlip, {"prob": 0.5}),
-    "feature_jitter": (FeatureJitter, {"sigma": 0.05}),
+# Value types: (description, test). A "num" is echoed as given and a
+# "float" as a float, so a config that writes 1 for a "num" key echoes 1.
+_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, int)),
+    "num": ("a number", lambda v: isinstance(v, (int, float))),
+    "float": ("a number", lambda v: isinstance(v, (int, float))),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "path": ("a non-empty path", lambda v: isinstance(v, str) and v != ""),
+    "widths": (
+        "a list of integer widths",
+        lambda v: isinstance(v, (list, tuple))
+        and all(isinstance(h, int) and not isinstance(h, bool) for h in v),
+    ),
+    "augment": (
+        "'default', 'none' or an op list",
+        lambda v: isinstance(v, list) or v in ("default", "none"),
+    ),
 }
 
 
-def _check_keys(section: dict, allowed, where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {where}.{key!r}" if where else f"unknown config key {key!r}")
+class _Key(NamedTuple):
+    """One config key. null is accepted exactly where the default is null."""
+
+    type: str
+    default: object = _REQUIRED
+    lo: object = None
+    choices: tuple = ()
 
 
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name, {})
+class _Section(NamedTuple):
+    """An object of keys; cls, when set, is built from it and checks the bounds."""
+
+    entries: dict
+    cls: object = None
+
+
+class _ByKind(NamedTuple):
+    """An object whose keys, besides "kind", depend on its "kind"."""
+
+    kinds: dict
+    default: object = _REQUIRED
+
+
+def _fields(cls, **types) -> _Section:
+    """A dataclass-backed section: types here, defaults from the fields.
+
+    A type may be a full _Key instead, for a default that is derived (null)
+    or a bound the dataclass does not check.
+    """
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    return _Section(
+        {k: t if isinstance(t, _Key) else _Key(t, defaults[k]) for k, t in types.items()}, cls
+    )
+
+
+_AUGMENT_OPS = _ByKind({
+    "rotation": _fields(Rotation, max_degrees="num"),
+    "horizontal_flip": _fields(HorizontalFlip, prob="num"),
+    "feature_jitter": _fields(FeatureJitter, sigma="num"),
+})
+
+# The config schema. Bounds of dataclass-backed sections live in the
+# dataclasses' __post_init__; a null default marks a value _derive resolves.
+_SCHEMA = _Section({
+    "seed": _Key("int", 0, lo=0),
+    "out": _Key("path", "fednoise-out"),
+    "dataset": _ByKind({
+        "synthetic": _Section({
+            "n_train": _Key("int", 10000, lo=1),
+            "n_test": _Key("int", 2000, lo=1),
+            "num_classes": _Key("int", 10, lo=2),
+            "dim": _Key("int", 32, lo=1),
+            "seed": _Key("int", None, lo=0),
+        }),
+        "idx": _Section({
+            "train_images": _Key("path"),
+            "train_labels": _Key("path"),
+            "test_images": _Key("path"),
+            "test_labels": _Key("path"),
+            "num_classes": _Key("int", None, lo=2),
+        }),
+        "csv": _Section({
+            "train_path": _Key("path"),
+            "test_path": _Key("path"),
+            "num_classes": _Key("int", None, lo=2),
+        }),
+    }, default="synthetic"),
+    "noise": _fields(NoiseSpec, kind="str", ratio="float", seed=_Key("int", None, lo=0)),
+    "partition": _Section({
+        "kind": _Key("str", "iid", choices=("iid", "noniid")),
+        "classes_per_client": _Key("int", 2, lo=1),
+    }),
+    "federation": _fields(
+        FedConfig, num_clients="int", clients_per_round="int", rounds="int",
+        local_epochs="int", batch_size="int", lr="num", method="str",
+        warmup_rounds=_Key("int", None), hidden_layers="widths", workers="int",
+    ),
+    "lsr": _fields(
+        LsrHyperParams, sharpen_temp="num", distill_temp="num",
+        gamma=_Key("float", None), entropy_weight=_Key("float", None),
+        distill_kind=_Key("str", None), clamp_lo="num", fix_lambda="float",
+    ),
+    "sym_ce": _fields(SymCeParams, alpha="num", beta="num", log_zero="num"),
+    "coteaching": _fields(
+        CoteachingConfig, noise_rate=_Key("float", None), ramp_rounds="int",
+        schedule_unit="str",
+    ),
+    "augment": _Key("augment", "default"),
+})
+
+
+def _walk(value, spec, where: str):
+    """Check a config value against its schema entry; fill missing defaults.
+
+    Unknown keys, wrong types and values outside the table's bounds raise
+    ConfigError naming the key. Returns a new value.
+    """
+    if isinstance(spec, _Key):
+        if value is _REQUIRED:
+            raise ConfigError(f"{where} is required")
+        if value is None and spec.default is None:
+            return None
+        name, ok = _TYPES[spec.type]
+        if isinstance(value, bool) or not ok(value):
+            raise ConfigError(f"{where} must be {name}, got {value!r}")
+        if spec.lo is not None and value < spec.lo:
+            raise ConfigError(f"{where} must be >= {spec.lo}, got {value!r}")
+        if spec.choices and value not in spec.choices:
+            raise ConfigError(f"{where} must be one of {list(spec.choices)}, got {value!r}")
+        if spec.type == "float":
+            return float(value)
+        return list(value) if spec.type == "widths" else value
     if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    return dict(value)
-
-
-def _fill(section: dict, defaults: dict, where: str) -> dict:
-    _check_keys(section, defaults.keys(), where)
-    out = dict(defaults)
-    out.update(section)
+        raise ConfigError(f"config section {where!r} must be an object")
+    if isinstance(spec, _ByKind):
+        kind_key = _Key("str", spec.default, choices=tuple(spec.kinds))
+        kind = _walk(value.get("kind", spec.default), kind_key, f"{where}.kind")
+        rest = {k: v for k, v in value.items() if k != "kind"}
+        return {"kind": kind, **_walk(rest, spec.kinds[kind], where)}
+    for key in value:
+        if key not in spec.entries:
+            name = f"{where}.{key!r}" if where else repr(key)
+            raise ConfigError(f"unknown config key {name}")
+    out = {}
+    for key, sub in spec.entries.items():
+        default = sub.default if isinstance(sub, _Key) else {}
+        out[key] = _walk(value.get(key, default), sub, f"{where}.{key}" if where else key)
     return out
 
 
-def _require_number(value, where: str, lo=None, hi=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"{where} must be >= {lo}, got {value!r}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{where} must be <= {hi}, got {value!r}")
-    return value
+def _build(values: dict, section: _Section, where: str):
+    try:
+        return section.cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _require_int(value, where: str, lo=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"{where} must be >= {lo}, got {value!r}")
-    return value
+def _params(echo: dict) -> dict:
+    """Build every dataclass-backed section of a materialized config."""
+    return {
+        name: _build(echo[name], spec, name)
+        for name, spec in _SCHEMA.entries.items()
+        if isinstance(spec, _Section) and spec.cls is not None
+    }
 
 
 def _nearest_gamma(kind: str, ratio: float) -> float:
@@ -167,6 +282,25 @@ def _nearest_gamma(kind: str, ratio: float) -> float:
         return _GAMMA_FALLBACK
     best = min(table, key=lambda r: (abs(r - ratio), r))
     return table[best]
+
+
+def _derive(echo: dict) -> None:
+    """Resolve the nulls whose values follow from other keys, in place."""
+    noise, fed, lsr, ct = echo["noise"], echo["federation"], echo["lsr"], echo["coteaching"]
+    if echo["dataset"]["kind"] == "synthetic" and echo["dataset"]["seed"] is None:
+        echo["dataset"]["seed"] = echo["seed"]
+    if noise["seed"] is None:
+        noise["seed"] = echo["seed"]
+    if fed["warmup_rounds"] is None:
+        fed["warmup_rounds"] = int(round(0.2 * fed["rounds"]))
+    if lsr["gamma"] is None:
+        lsr["gamma"] = _nearest_gamma(noise["kind"], noise["ratio"])
+    if lsr["entropy_weight"] is None:
+        lsr["entropy_weight"] = 0.6 if fed["method"] == "lsr_plus" else 0.0
+    if lsr["distill_kind"] is None:
+        lsr["distill_kind"] = "js" if echo["partition"]["kind"] == "iid" else "l1"
+    if ct["noise_rate"] is None:
+        ct["noise_rate"] = noise["ratio"] if noise["kind"] != "none" else 0.0
 
 
 def _apply_overrides(raw: dict, overrides: dict) -> None:
@@ -187,182 +321,22 @@ def _apply_overrides(raw: dict, overrides: dict) -> None:
 def materialize_config(raw: dict, overrides: "dict | None" = None) -> dict:
     """Validate a raw config and fill every default and derived value.
 
-    Returns a new fully-resolved dict (the echo). Unknown keys raise
-    ConfigError naming the offending key. Augmentation stays symbolic when
-    it is "default"/"none" because its resolution needs the dataset; values
-    that survive into the echo after a run are always concrete.
+    Returns a new fully-resolved dict (the echo). Unknown keys, wrong types
+    and out-of-range values raise ConfigError naming the offending key or
+    section. Augmentation stays symbolic when it is "default"/"none"
+    because its resolution needs the dataset; values that survive into the
+    echo after a run are always concrete.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     raw = copy.deepcopy(raw)
     if overrides:
         _apply_overrides(raw, overrides)
-    _check_keys(raw, _TOP_KEYS, "")
-
-    echo: dict = {}
-    echo["seed"] = _require_int(raw.get("seed", 0), "seed", lo=0)
-    out = raw.get("out", "fednoise-out")
-    if not isinstance(out, str) or not out:
-        raise ConfigError(f"out must be a non-empty path, got {out!r}")
-    echo["out"] = out
-
-    dataset = _section(raw, "dataset")
-    kind = dataset.get("kind", "synthetic")
-    if kind not in _DATASET_KEYS:
-        raise ConfigError(f"dataset.kind must be one of {sorted(_DATASET_KEYS)}, got {kind!r}")
-    _check_keys(dataset, _DATASET_KEYS[kind], "dataset")
-    if kind == "synthetic":
-        ds = {
-            "kind": "synthetic",
-            "n_train": _require_int(dataset.get("n_train", 10000), "dataset.n_train", lo=1),
-            "n_test": _require_int(dataset.get("n_test", 2000), "dataset.n_test", lo=1),
-            "num_classes": _require_int(dataset.get("num_classes", 10), "dataset.num_classes", lo=2),
-            "dim": _require_int(dataset.get("dim", 32), "dataset.dim", lo=1),
-            "seed": dataset.get("seed"),
-        }
-        if ds["seed"] is None:
-            ds["seed"] = echo["seed"]
-        else:
-            ds["seed"] = _require_int(ds["seed"], "dataset.seed", lo=0)
-    elif kind == "idx":
-        ds = {"kind": "idx"}
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
-            value = dataset.get(key)
-            if not isinstance(value, str) or not value:
-                raise ConfigError(f"dataset.{key} must be a path, got {value!r}")
-            ds[key] = value
-        ds["num_classes"] = dataset.get("num_classes")
-        if ds["num_classes"] is not None:
-            _require_int(ds["num_classes"], "dataset.num_classes", lo=2)
-    else:
-        ds = {"kind": "csv"}
-        for key in ("train_path", "test_path"):
-            value = dataset.get(key)
-            if not isinstance(value, str) or not value:
-                raise ConfigError(f"dataset.{key} must be a path, got {value!r}")
-            ds[key] = value
-        ds["num_classes"] = dataset.get("num_classes")
-        if ds["num_classes"] is not None:
-            _require_int(ds["num_classes"], "dataset.num_classes", lo=2)
-    echo["dataset"] = ds
-
-    noise = _fill(_section(raw, "noise"), {"kind": "symmetric", "ratio": 0.4, "seed": None}, "noise")
-    if noise["kind"] not in ("symmetric", "pairwise", "none"):
-        raise ConfigError(
-            f"noise.kind must be 'symmetric', 'pairwise' or 'none', got {noise['kind']!r}"
-        )
-    _require_number(noise["ratio"], "noise.ratio", lo=0.0)
-    if noise["ratio"] >= 1.0:
-        raise ConfigError(f"noise.ratio must be below 1, got {noise['ratio']!r}")
-    noise["ratio"] = float(noise["ratio"])
-    if noise["seed"] is None:
-        noise["seed"] = echo["seed"]
-    else:
-        _require_int(noise["seed"], "noise.seed", lo=0)
-    echo["noise"] = noise
-
-    partition = _fill(
-        _section(raw, "partition"), {"kind": "iid", "classes_per_client": 2}, "partition"
-    )
-    if partition["kind"] not in ("iid", "noniid"):
-        raise ConfigError(f"partition.kind must be 'iid' or 'noniid', got {partition['kind']!r}")
-    _require_int(partition["classes_per_client"], "partition.classes_per_client", lo=1)
-    echo["partition"] = partition
-
-    fed = _fill(
-        _section(raw, "federation"),
-        {
-            "num_clients": 100,
-            "clients_per_round": 5,
-            "rounds": 100,
-            "local_epochs": 5,
-            "batch_size": 60,
-            "lr": 0.15,
-            "method": "lsr",
-            "warmup_rounds": None,
-            "hidden_layers": [128, 64],
-            "workers": 1,
-        },
-        "federation",
-    )
-    if fed["method"] not in METHODS:
-        raise ConfigError(f"federation.method must be one of {METHODS}, got {fed['method']!r}")
-    _require_int(fed["rounds"], "federation.rounds", lo=0)
-    if fed["warmup_rounds"] is None:
-        fed["warmup_rounds"] = int(round(0.2 * fed["rounds"]))
-    else:
-        _require_int(fed["warmup_rounds"], "federation.warmup_rounds", lo=0)
-    if not isinstance(fed["hidden_layers"], (list, tuple)) or not fed["hidden_layers"]:
-        raise ConfigError("federation.hidden_layers must be a non-empty list of widths")
-    fed["hidden_layers"] = [
-        _require_int(h, "federation.hidden_layers", lo=1) for h in fed["hidden_layers"]
-    ]
-    echo["federation"] = fed
-
-    lsr = _fill(
-        _section(raw, "lsr"),
-        {
-            "sharpen_temp": 0.5,
-            "distill_temp": 1.0 / 3.0,
-            "gamma": None,
-            "entropy_weight": None,
-            "distill_kind": None,
-            "clamp_lo": 1e-6,
-            "fix_lambda": None,
-        },
-        "lsr",
-    )
-    if lsr["gamma"] is None:
-        lsr["gamma"] = _nearest_gamma(noise["kind"], noise["ratio"])
-    else:
-        _require_number(lsr["gamma"], "lsr.gamma", lo=0.0)
-        lsr["gamma"] = float(lsr["gamma"])
-    if lsr["entropy_weight"] is None:
-        lsr["entropy_weight"] = 0.6 if fed["method"] == "lsr_plus" else 0.0
-    else:
-        _require_number(lsr["entropy_weight"], "lsr.entropy_weight", lo=0.0)
-        lsr["entropy_weight"] = float(lsr["entropy_weight"])
-    if lsr["distill_kind"] is None:
-        lsr["distill_kind"] = "js" if partition["kind"] == "iid" else "l1"
-    if lsr["fix_lambda"] is not None:
-        _require_number(lsr["fix_lambda"], "lsr.fix_lambda", lo=0.0, hi=1.0)
-        lsr["fix_lambda"] = float(lsr["fix_lambda"])
-    echo["lsr"] = lsr
-
-    echo["sym_ce"] = _fill(
-        _section(raw, "sym_ce"), {"alpha": 0.1, "beta": 1.0, "log_zero": -4.0}, "sym_ce"
-    )
-
-    ct = _fill(
-        _section(raw, "coteaching"),
-        {"noise_rate": None, "ramp_rounds": 10, "schedule_unit": "round"},
-        "coteaching",
-    )
-    if ct["noise_rate"] is None:
-        ct["noise_rate"] = noise["ratio"] if noise["kind"] != "none" else 0.0
-    else:
-        _require_number(ct["noise_rate"], "coteaching.noise_rate", lo=0.0)
-        ct["noise_rate"] = float(ct["noise_rate"])
-    echo["coteaching"] = ct
-
-    augment = raw.get("augment", "default")
-    if isinstance(augment, str):
-        if augment not in ("default", "none"):
-            raise ConfigError(f"augment must be 'default', 'none' or an op list, got {augment!r}")
-    elif isinstance(augment, list):
-        for i, op in enumerate(augment):
-            if not isinstance(op, dict) or "kind" not in op:
-                raise ConfigError(f"augment[{i}] must be an object with a 'kind'")
-            if op["kind"] not in _AUGMENT_OPS:
-                raise ConfigError(
-                    f"augment[{i}].kind must be one of {sorted(_AUGMENT_OPS)}, got {op['kind']!r}"
-                )
-            allowed = ("kind", *_AUGMENT_OPS[op["kind"]][1].keys())
-            _check_keys(op, allowed, f"augment[{i}]")
-    else:
-        raise ConfigError(f"augment must be 'default', 'none' or an op list, got {augment!r}")
-    echo["augment"] = augment
-
+    echo = _walk(raw, _SCHEMA, "")
+    _derive(echo)
+    _params(echo)  # built here only to check the dataclasses' bounds
+    if echo["augment"] != "default":
+        _build_policy(echo["augment"])
     return echo
 
 
@@ -371,22 +345,26 @@ def _default_augment(train: LabeledDataset) -> list:
     # from Gaussian jitter alone. Sigma 0.6 is calibrated against the
     # synthetic generator (within-class spread 0.25): large enough that the
     # two views disagree where labels are wrong, small enough that clean
-    # structure survives. Images keep conventional geometric augmentations.
+    # structure survives. Images keep the ops' default geometric settings.
     if train.image_shape is None:
         return [{"kind": "feature_jitter", "sigma": 0.6}]
     if train.image_shape[2] == 1:
-        return [{"kind": "rotation", "max_degrees": 30.0}]
-    return [{"kind": "horizontal_flip", "prob": 0.5}, {"kind": "feature_jitter", "sigma": 0.05}]
+        return [{"kind": "rotation", **dataclasses.asdict(Rotation())}]
+    return [
+        {"kind": "horizontal_flip", **dataclasses.asdict(HorizontalFlip())},
+        {"kind": "feature_jitter", **dataclasses.asdict(FeatureJitter())},
+    ]
 
 
 def _build_policy(spec) -> AugmentPolicy:
-    if spec == "none" or spec == []:
+    # An op list stays in the echo as given, so its defaults are filled here.
+    if spec == "none":
         return AugmentPolicy()
     ops = []
-    for op in spec:
-        cls, defaults = _AUGMENT_OPS[op["kind"]]
-        kwargs = {k: op.get(k, v) for k, v in defaults.items()}
-        ops.append(cls(**kwargs))
+    for i, op in enumerate(spec):
+        values = _walk(op, _AUGMENT_OPS, f"augment[{i}]")
+        kind = values.pop("kind")
+        ops.append(_build(values, _AUGMENT_OPS.kinds[kind], f"augment[{i}]"))
     return AugmentPolicy(tuple(ops))
 
 
@@ -415,6 +393,8 @@ def run_from_config(echo: dict) -> tuple:
     (num_classes, symbolic augmentation) replaced by their resolved values.
     Raises ConfigError when the pieces do not fit together.
     """
+    p = _params(echo)
+    cfg, spec = p["federation"], p["noise"]
     try:
         train, test = _load_datasets(echo)
     except (OSError, ValueError) as exc:
@@ -426,9 +406,7 @@ def run_from_config(echo: dict) -> tuple:
         )
     echo["dataset"]["num_classes"] = train.num_classes
 
-    noise = echo["noise"]
     try:
-        spec = NoiseSpec(kind=noise["kind"], ratio=noise["ratio"], seed=noise["seed"])
         if spec.kind == "symmetric":
             train = inject_symmetric_noise(train, spec)
         elif spec.kind == "pairwise":
@@ -436,46 +414,11 @@ def run_from_config(echo: dict) -> tuple:
 
         part = echo["partition"]
         if part["kind"] == "iid":
-            shards = partition_iid(train, echo["federation"]["num_clients"], echo["seed"])
+            shards = partition_iid(train, cfg.num_clients, echo["seed"])
         else:
             shards = partition_noniid(
-                train,
-                echo["federation"]["num_clients"],
-                part["classes_per_client"],
-                echo["seed"],
+                train, cfg.num_clients, part["classes_per_client"], echo["seed"]
             )
-
-        fed = echo["federation"]
-        cfg = FedConfig(
-            num_clients=fed["num_clients"],
-            clients_per_round=fed["clients_per_round"],
-            rounds=fed["rounds"],
-            local_epochs=fed["local_epochs"],
-            batch_size=fed["batch_size"],
-            lr=fed["lr"],
-            method=fed["method"],
-            warmup_rounds=fed["warmup_rounds"],
-            hidden_layers=tuple(fed["hidden_layers"]),
-            workers=fed["workers"],
-        )
-        lsr = echo["lsr"]
-        hp = LsrHyperParams(
-            sharpen_temp=lsr["sharpen_temp"],
-            distill_temp=lsr["distill_temp"],
-            gamma=lsr["gamma"],
-            entropy_weight=lsr["entropy_weight"],
-            distill_kind=lsr["distill_kind"],
-            clamp_lo=lsr["clamp_lo"],
-            fix_lambda=lsr["fix_lambda"],
-        )
-        sym = echo["sym_ce"]
-        sp = SymCeParams(alpha=sym["alpha"], beta=sym["beta"], log_zero=sym["log_zero"])
-        ctc = echo["coteaching"]
-        ct = CoteachingConfig(
-            noise_rate=ctc["noise_rate"],
-            ramp_rounds=ctc["ramp_rounds"],
-            schedule_unit=ctc["schedule_unit"],
-        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -489,7 +432,10 @@ def run_from_config(echo: dict) -> tuple:
         "running %s: %d clients, %d rounds, noise %s/%.2f",
         cfg.method, cfg.num_clients, cfg.rounds, spec.kind, spec.ratio,
     )
-    result = run_federation(cfg, train, shards, test, echo["seed"], hp=hp, sp=sp, ct=ct, policy=policy)
+    result = run_federation(
+        cfg, train, shards, test, echo["seed"],
+        hp=p["lsr"], sp=p["sym_ce"], ct=p["coteaching"], policy=policy,
+    )
     return result, echo
 
 
@@ -527,6 +473,16 @@ def _summarize(result: RunResult) -> dict:
     }
 
 
+def _read_config(path: str):
+    try:
+        with open(path, "r") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+
+
 def run_experiment(config_path: "str | None" = None, overrides: "dict | None" = None,
                    config: "dict | None" = None) -> dict:
     """Load, run, and write metrics.csv plus summary.json under the out dir.
@@ -536,16 +492,7 @@ def run_experiment(config_path: "str | None" = None, overrides: "dict | None" = 
     """
     if (config_path is None) == (config is None):
         raise ConfigError("pass exactly one of config_path or config")
-    if config_path is not None:
-        try:
-            with open(config_path, "r") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    else:
-        raw = config
+    raw = _read_config(config_path) if config_path is not None else config
     echo = materialize_config(raw, overrides)
     result, echo = run_from_config(echo)
 
@@ -574,16 +521,7 @@ def compare_methods(config, methods: list, seeds: list, out_dir: str) -> dict:
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"federation.method must be one of {METHODS}, got {m!r}")
-    if isinstance(config, str):
-        try:
-            with open(config, "r") as fh:
-                base = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    else:
-        base = config
+    base = _read_config(config) if isinstance(config, str) else config
     rows = []
     for method in methods:
         finals, bests = [], []
@@ -624,6 +562,18 @@ def compare_methods(config, methods: list, seeds: list, out_dir: str) -> dict:
     return report
 
 
+# `fednoise run` flag (argparse dest) -> the config key it overrides.
+_RUN_OVERRIDES = {
+    "seed": "seed",
+    "method": "federation.method",
+    "noise_kind": "noise.kind",
+    "noise_ratio": "noise.ratio",
+    "rounds": "federation.rounds",
+    "workers": "federation.workers",
+    "out": "out",
+}
+
+
 def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="fednoise",
@@ -637,7 +587,7 @@ def _parse_args(argv):
     run_p.add_argument("--seed", type=int, help="override the master seed")
     run_p.add_argument("--method", choices=METHODS, help="override federation.method")
     run_p.add_argument("--noise-kind", "--noise-type", dest="noise_kind",
-                       choices=("symmetric", "pairwise", "none"), help="override noise.kind")
+                       choices=NOISE_KINDS, help="override noise.kind")
     run_p.add_argument("--noise-ratio", type=float, help="override noise.ratio")
     run_p.add_argument("--rounds", type=int, help="override federation.rounds")
     run_p.add_argument("--workers", type=int, help="override federation.workers")
@@ -660,21 +610,11 @@ def main(argv=None) -> int:
     )
     try:
         if args.cmd == "run":
-            overrides = {}
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if args.method is not None:
-                overrides["federation.method"] = args.method
-            if args.noise_kind is not None:
-                overrides["noise.kind"] = args.noise_kind
-            if args.noise_ratio is not None:
-                overrides["noise.ratio"] = args.noise_ratio
-            if args.rounds is not None:
-                overrides["federation.rounds"] = args.rounds
-            if args.workers is not None:
-                overrides["federation.workers"] = args.workers
-            if args.out is not None:
-                overrides["out"] = args.out
+            overrides = {
+                path: getattr(args, dest)
+                for dest, path in _RUN_OVERRIDES.items()
+                if getattr(args, dest) is not None
+            }
             summary = run_experiment(config_path=args.config, overrides=overrides)
             final = summary["final_acc_last10_mean"]
             print(f"final accuracy (last-10 mean): {final}")
@@ -684,18 +624,17 @@ def main(argv=None) -> int:
                 seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
             except ValueError as exc:
                 raise ConfigError(f"seeds must be integers: {exc}") from None
-            with open(args.config, "r") as fh:
-                base = json.load(fh)
+            base = _read_config(args.config)
             out_dir = args.out
             if out_dir is None:
-                out_dir = str(base.get("out", "fednoise-out")) + "-compare"
+                out_dir = materialize_config(base)["out"] + "-compare"
             report = compare_methods(base, methods, seeds, out_dir)
             for row in report["methods"]:
                 print(f"{row['method']}: final {row['final_mean']} +/- {row['final_std']}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

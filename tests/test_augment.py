@@ -9,7 +9,6 @@ from fednoise.augment import (
     HorizontalFlip,
     Rotation,
     UnsupportedAugmentationError,
-    apply,
     apply_batch,
     feature_jitter,
     horizontal_flip,
@@ -153,7 +152,7 @@ class TestFeatureJitter:
 class TestPolicy:
     def test_empty_policy_is_identity(self):
         x = np.arange(6.0)
-        out = apply(AugmentPolicy(), x, RngStream(0))
+        out = apply_batch(AugmentPolicy(), x[None], RngStream(0))[0]
         np.testing.assert_array_equal(out, x)
         assert out is not x
 
@@ -161,13 +160,13 @@ class TestPolicy:
         gen = np.random.default_rng(7)
         img = gen.random((5, 4))
         policy = AugmentPolicy((HorizontalFlip(1.0), Rotation(0.0)))
-        out = apply(policy, img.reshape(-1), RngStream(0), image_shape=(5, 4, 1))
+        out = apply_batch(policy, img.reshape(1, -1), RngStream(0), image_shape=(5, 4, 1))[0]
         np.testing.assert_array_equal(out.reshape(5, 4), img[:, ::-1])
 
     def test_image_op_on_tabular_data_rejected(self):
         policy = AugmentPolicy((Rotation(30.0),))
         with pytest.raises(UnsupportedAugmentationError):
-            apply(policy, np.zeros(10), RngStream(0))
+            apply_batch(policy, np.zeros((1, 10)), RngStream(0))
         with pytest.raises(UnsupportedAugmentationError):
             apply_batch(policy, np.zeros((2, 10)), RngStream(0))
 
@@ -183,9 +182,9 @@ class TestPolicy:
     def test_deterministic_per_path(self):
         policy = AugmentPolicy((FeatureJitter(0.5),))
         x = np.ones(8)
-        a = apply(policy, x, RngStream(1).child("augment", 0, 0))
-        b = apply(policy, x, RngStream(1).child("augment", 0, 0))
-        c = apply(policy, x, RngStream(1).child("augment", 0, 1))
+        a = apply_batch(policy, x[None], RngStream(1).child("augment", 0, 0))[0]
+        b = apply_batch(policy, x[None], RngStream(1).child("augment", 0, 0))[0]
+        c = apply_batch(policy, x[None], RngStream(1).child("augment", 0, 1))[0]
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -193,8 +192,8 @@ class TestPolicy:
         # removing the first op must not change what the second op draws
         x = np.zeros(6)
         both = AugmentPolicy((FeatureJitter(1.0), FeatureJitter(1.0)))
-        jitter_only = apply(AugmentPolicy((FeatureJitter(1.0),)), x, RngStream(5))
-        combined = apply(both, x, RngStream(5))
+        jitter_only = apply_batch(AugmentPolicy((FeatureJitter(1.0),)), x[None], RngStream(5))[0]
+        combined = apply_batch(both, x[None], RngStream(5))[0]
         # first op's contribution equals the single-op run
         assert not np.array_equal(combined, jitter_only)
 
@@ -238,4 +237,4 @@ class TestApplyBatch:
         with pytest.raises(ValueError):
             apply_batch(AugmentPolicy(), np.zeros(4), RngStream(0))
         with pytest.raises(ValueError):
-            apply(AugmentPolicy(), np.zeros((2, 2)), RngStream(0))
+            apply_batch(AugmentPolicy(), np.zeros((2, 2, 2)), RngStream(0))

@@ -3,10 +3,13 @@
 import copy
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
 
+from fednoise import harness
+from fednoise.augment import AugmentPolicy, FeatureJitter, HorizontalFlip, Rotation
 from fednoise.federation import RoundMetrics
 from fednoise.harness import (
     GAMMA_TABLE,
@@ -187,6 +190,48 @@ class TestMaterializeValidation:
         assert echo["noise"]["ratio"] == 0.5
         with pytest.raises(ConfigError):
             materialize_config({}, {"a.b.c": 1})
+
+
+WRONG_TYPED = [
+    ("federation.lr", {"federation": {"lr": "fast"}}),
+    ("federation.workers", {"federation": {"workers": "2"}}),
+    ("federation.batch_size", {"federation": {"batch_size": 2.5}}),
+    ("federation.local_epochs", {"federation": {"local_epochs": 1.5}}),
+    ("sym_ce.alpha", {"sym_ce": {"alpha": "x"}}),
+    ("lsr.sharpen_temp", {"lsr": {"sharpen_temp": "x"}}),
+    ("lsr.clamp_lo", {"lsr": {"clamp_lo": None}}),
+    ("coteaching.ramp_rounds", {"coteaching": {"ramp_rounds": "x"}}),
+    ("augment[0].sigma", {"augment": [{"kind": "feature_jitter", "sigma": "x"}]}),
+]
+
+
+@pytest.mark.parametrize("key,raw", WRONG_TYPED, ids=[k for k, _ in WRONG_TYPED])
+def test_wrong_typed_value_names_key(key, raw):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        materialize_config(raw)
+
+
+def test_dataclass_bounds_checked_before_the_run():
+    with pytest.raises(ConfigError, match=r"augment\[0\]: jitter sigma"):
+        materialize_config({"augment": [{"kind": "feature_jitter", "sigma": -1.0}]})
+    with pytest.raises(ConfigError, match="federation: lr"):
+        materialize_config({"federation": {"lr": -0.1}})
+    with pytest.raises(ConfigError, match="coteaching: noise_rate"):
+        materialize_config({"coteaching": {"noise_rate": 1.0}})
+
+
+def test_augment_op_defaults():
+    spec = [{"kind": "rotation"}, {"kind": "horizontal_flip"}, {"kind": "feature_jitter"}]
+    policy = harness._build_policy(spec)
+    assert policy == AugmentPolicy((Rotation(30.0), HorizontalFlip(0.5), FeatureJitter(0.05)))
+    assert materialize_config({"augment": spec})["augment"] == spec
+
+
+def test_docstring_config_block_matches_schema():
+    doc = harness.__doc__
+    start = doc.index("\n    {\n")
+    block = doc[start:doc.index("\n    }\n", start) + len("\n    }")]
+    assert json.loads(block) == harness._walk({}, harness._SCHEMA, "")
 
 
 class TestRunFromConfig:
@@ -387,6 +432,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.index("fedavg_ce:") < out.index("sym_ce:")
         assert (tmp_path / "cmp" / "compare.csv").exists()
+
+    def test_wrong_typed_value_exits_2_naming_key(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(tiny_config(federation={"lr": "fast"})))
+        code = main(["run", "--config", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "federation.lr" in err
+
+    def test_compare_missing_config_exits_2(self, tmp_path, capsys):
+        code = main([
+            "compare", "--config", str(tmp_path / "missing.json"),
+            "--methods", "fedavg_ce", "--seeds", "0",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read")
+
+    def test_compare_invalid_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("{broken")
+        code = main([
+            "compare", "--config", str(path), "--methods", "fedavg_ce", "--seeds", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "JSON" in err
 
     def test_compare_rejects_non_integer_seeds(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
