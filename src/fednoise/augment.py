@@ -170,7 +170,7 @@ def apply_batch(
     for i, op in enumerate(policy.ops):
         gen = rng.child(i).generator()
         if isinstance(op, FeatureJitter):
-            out = out + gen.normal(0.0, op.sigma, size=out.shape)
+            out = feature_jitter(out, op.sigma, gen)
         elif isinstance(op, Rotation):
             for b in range(out.shape[0]):
                 img = _to_image(out[b], image_shape)

@@ -7,14 +7,16 @@ observed labels; features and true labels are never modified, so the clean
 ground truth stays available for measurement.
 
 Partitioners return :class:`ClientShard` index sets into the training
-dataset. Shard indices are disjoint; when the arithmetic does not divide
-evenly the surplus samples are dropped with a warning rather than producing
-unequal shards.
+dataset. Shard indices are disjoint and all shards have one size: the iid
+partitioner raises :class:`PartitionError` when the samples do not divide
+evenly across the clients, and the non-iid one drops the surplus with a
+warning.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -170,6 +172,29 @@ class NoiseSpec:
             )
 
 
+def _read_idx(path: str, magic: int, dims: int, kind: str, unit: str):
+    """One checked IDX file: (header sizes, uint8 payload).
+
+    The header is ``magic`` and then ``dims`` sizes, all big-endian uint32;
+    the payload after it must hold exactly the product of the sizes.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    head = 4 * (dims + 1)
+    if len(blob) < head:
+        raise FormatError(f"{path}: truncated IDX {kind} header")
+    found, *sizes = struct.unpack(f">{dims + 1}I", blob[:head])
+    if found != magic:
+        raise FormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+    payload = np.frombuffer(blob, dtype=np.uint8, offset=head)
+    promised = math.prod(sizes)
+    if payload.size != promised:
+        raise FormatError(
+            f"{path}: payload holds {payload.size} {unit}, header promises {promised}"
+        )
+    return sizes, payload
+
+
 def load_idx(
     images_path: str,
     labels_path: str,
@@ -181,37 +206,8 @@ def load_idx(
     then raw unsigned bytes; pixel values are scaled to [0, 1]. Labels:
     magic 0x00000801, then count, then one unsigned byte per sample.
     """
-    with open(images_path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16:
-        raise FormatError(f"{images_path}: truncated IDX image header")
-    magic, n, rows, cols = struct.unpack(">IIII", blob[:16])
-    if magic != _IDX_IMAGES_MAGIC:
-        raise FormatError(
-            f"{images_path}: bad magic 0x{magic:08x}, expected 0x{_IDX_IMAGES_MAGIC:08x}"
-        )
-    pixels = np.frombuffer(blob, dtype=np.uint8, offset=16)
-    if pixels.size != n * rows * cols:
-        raise FormatError(
-            f"{images_path}: payload holds {pixels.size} bytes, "
-            f"header promises {n * rows * cols}"
-        )
-
-    with open(labels_path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8:
-        raise FormatError(f"{labels_path}: truncated IDX label header")
-    magic, n_labels = struct.unpack(">II", blob[:8])
-    if magic != _IDX_LABELS_MAGIC:
-        raise FormatError(
-            f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{_IDX_LABELS_MAGIC:08x}"
-        )
-    raw_labels = np.frombuffer(blob, dtype=np.uint8, offset=8)
-    if raw_labels.size != n_labels:
-        raise FormatError(
-            f"{labels_path}: payload holds {raw_labels.size} labels, "
-            f"header promises {n_labels}"
-        )
+    (n, rows, cols), pixels = _read_idx(images_path, _IDX_IMAGES_MAGIC, 3, "image", "bytes")
+    (n_labels,), raw_labels = _read_idx(labels_path, _IDX_LABELS_MAGIC, 1, "label", "labels")
     if n_labels != n:
         raise FormatError(
             f"image/label count mismatch: {n} images vs {n_labels} labels"
@@ -261,8 +257,8 @@ def load_csv(path: str, num_classes: "int | None" = None) -> LabeledDataset:
             features[i] = [float(c) for c in row[1:]]
         except ValueError as exc:
             raise FormatError(f"{path}: row {i + 1} holds a non-numeric cell") from exc
-        if label_val != int(label_val):
-            raise DataError(f"{path}: row {i + 1} label {row[0]} is not an integer")
+        if not (label_val.is_integer() and -(2**63) <= label_val < 2**63):
+            raise DataError(f"{path}: row {i + 1} label {row[0]} is not an int64 integer")
         labels[i] = int(label_val)
 
     if labels.min() < 0:
@@ -344,13 +340,37 @@ def subset(ds: LabeledDataset, indices: np.ndarray) -> LabeledDataset:
     )
 
 
-def _flip_counts(k: int, buckets: int, gen: np.random.Generator) -> np.ndarray:
-    """Split k flips across buckets as evenly as possible, remainder seeded."""
+def _even_split(k: int, buckets: int, gen: np.random.Generator) -> np.ndarray:
+    """Split k items across buckets as evenly as possible, remainder seeded."""
     base, rem = divmod(k, buckets)
     counts = np.full(buckets, base, dtype=np.int64)
     if rem:
         counts[gen.choice(buckets, size=rem, replace=False)] += 1
     return counts
+
+
+def _flip_per_class(ds: LabeledDataset, spec: NoiseSpec, kind: str, relabel) -> LabeledDataset:
+    """Flip round(ratio * class_count) observed labels in each true class.
+
+    Class by class, a seeded shuffle picks the flipped members, and then
+    ``relabel(cls, k, gen)`` gives their k new labels from the same generator.
+    """
+    if spec.kind != kind:
+        raise ValueError(f"expected a {kind} NoiseSpec, got kind={spec.kind!r}")
+    if ds.num_classes < 2:
+        raise DataError(f"{kind} noise needs at least 2 classes")
+    if spec.ratio == 0.0:
+        return ds
+    observed = ds.observed_labels.copy()
+    gen = RngStream(spec.seed).child(f"noise-{kind}").generator()
+    for cls in range(ds.num_classes):
+        members = np.flatnonzero(ds.true_labels == cls)
+        k = int(round(spec.ratio * members.size))
+        if k == 0:
+            continue
+        chosen = gen.permutation(members)[:k]
+        observed[chosen] = relabel(cls, k, gen)
+    return replace(ds, observed_labels=observed)
 
 
 def inject_symmetric_noise(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDataset:
@@ -360,46 +380,18 @@ def inject_symmetric_noise(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDatase
     shuffle, and their new labels are drawn uniformly from the other
     num_classes - 1 classes, split as evenly as the flip count allows.
     """
-    if spec.kind != "symmetric":
-        raise ValueError(f"expected a symmetric NoiseSpec, got kind={spec.kind!r}")
-    if ds.num_classes < 2:
-        raise DataError("symmetric noise needs at least 2 classes")
-    if spec.ratio == 0.0:
-        return ds
     m = ds.num_classes
-    observed = ds.observed_labels.copy()
-    gen = RngStream(spec.seed).child("noise-symmetric").generator()
-    for cls in range(m):
-        members = np.flatnonzero(ds.true_labels == cls)
-        k = int(round(spec.ratio * members.size))
-        if k == 0:
-            continue
-        chosen = gen.permutation(members)[:k]
-        wrong = np.array([c for c in range(m) if c != cls], dtype=np.int64)
-        counts = _flip_counts(k, m - 1, gen)
-        observed[chosen] = np.repeat(wrong, counts)
-    return replace(ds, observed_labels=observed)
+
+    def relabel(cls, k, gen):
+        return np.repeat(np.delete(np.arange(m), cls), _even_split(k, m - 1, gen))
+
+    return _flip_per_class(ds, spec, "symmetric", relabel)
 
 
 def inject_pairwise_noise(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDataset:
     """Flip round(ratio * class_count) labels per class c to class (c+1) mod M."""
-    if spec.kind != "pairwise":
-        raise ValueError(f"expected a pairwise NoiseSpec, got kind={spec.kind!r}")
-    if ds.num_classes < 2:
-        raise DataError("pairwise noise needs at least 2 classes")
-    if spec.ratio == 0.0:
-        return ds
     m = ds.num_classes
-    observed = ds.observed_labels.copy()
-    gen = RngStream(spec.seed).child("noise-pairwise").generator()
-    for cls in range(m):
-        members = np.flatnonzero(ds.true_labels == cls)
-        k = int(round(spec.ratio * members.size))
-        if k == 0:
-            continue
-        chosen = gen.permutation(members)[:k]
-        observed[chosen] = (cls + 1) % m
-    return replace(ds, observed_labels=observed)
+    return _flip_per_class(ds, spec, "pairwise", lambda cls, k, gen: (cls + 1) % m)
 
 
 def transition_counts(ds: LabeledDataset) -> np.ndarray:
@@ -465,11 +457,7 @@ def partition_noniid(
     # Deal class slots to clients, always drawing from the classes with the
     # most slots left (seeded tie-break); this keeps the deal feasible and
     # the per-class client counts within one of each other.
-    total_slots = num_clients * classes_per_client
-    base, rem = divmod(total_slots, m)
-    slots_left = np.full(m, base, dtype=np.int64)
-    if rem:
-        slots_left[gen.choice(m, size=rem, replace=False)] += 1
+    slots_left = _even_split(num_clients * classes_per_client, m, gen)
     client_classes: list[np.ndarray] = []
     for cid in range(num_clients):
         open_classes = np.flatnonzero(slots_left > 0)
@@ -487,11 +475,8 @@ def partition_noniid(
     # Per-class take per client: equal split of the shard, remainder spread
     # over a seeded choice of that client's classes.
     takes = np.zeros((num_clients, m), dtype=np.int64)
-    q, r = divmod(shard_size, classes_per_client)
     for cid, classes in enumerate(client_classes):
-        takes[cid, classes] = q
-        if r:
-            takes[cid, classes[gen.choice(classes_per_client, size=r, replace=False)]] += 1
+        takes[cid, classes] = _even_split(shard_size, classes_per_client, gen)
 
     demand = takes.sum(axis=0)
     supply = np.bincount(ds.true_labels, minlength=m)
@@ -507,17 +492,10 @@ def partition_noniid(
         for cls in range(m)
     }
     shards = []
-    placed = 0
     for cid in range(num_clients):
         picked_rows = []
         for cls in client_classes[cid]:
             pool = pools[cls]
             picked_rows.extend(next(pool) for _ in range(takes[cid, cls]))
-        placed += len(picked_rows)
         shards.append(ClientShard(cid, np.array(picked_rows, dtype=np.int64)))
-    if placed < ds.n and ds.n % num_clients == 0:
-        warnings.warn(
-            f"{ds.n - placed} samples left unassigned by the class quotas",
-            stacklevel=2,
-        )
     return shards

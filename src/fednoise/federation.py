@@ -625,13 +625,9 @@ def run_federation(
 
     layer_sizes = [train_set.feature_dim, *cfg.hidden_layers, train_set.num_classes]
     twin = cfg.method in ("coteaching", "coteaching_lsr")
-    if twin:
-        globals_ = (
-            init_params(layer_sizes, stream.child("init", 0)),
-            init_params(layer_sizes, stream.child("init", 1)),
-        )
-    else:
-        globals_ = (init_params(layer_sizes, stream.child("init", 0)),)
+    globals_ = tuple(
+        init_params(layer_sizes, stream.child("init", i)) for i in range(2 if twin else 1)
+    )
 
     metrics: list = []
     history: "list | None" = [] if record_history else None

@@ -77,7 +77,6 @@ from .federation import (
     CoteachingConfig,
     FedConfig,
     RunResult,
-    evaluate,
     run_federation,
 )
 from .losses import LsrHyperParams, SymCeParams
@@ -89,7 +88,6 @@ __all__ = [
     "run_from_config",
     "run_experiment",
     "compare_methods",
-    "evaluate",
     "main",
 ]
 

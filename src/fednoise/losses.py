@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import softmax, softmax_vjp, tempered_softmax
+from .numerics import sharpen, softmax, softmax_vjp, tempered_softmax
 
 __all__ = [
     "LsrHyperParams",
@@ -55,9 +55,6 @@ __all__ = [
     "sharpened_ce_per_sample",
     "small_loss_select",
 ]
-
-_DISTILL_KINDS = ("js", "l1", "l2", "cosine", "none")
-
 
 @dataclass(frozen=True)
 class LsrHyperParams:
@@ -96,9 +93,10 @@ class LsrHyperParams:
             raise ValueError(
                 f"entropy_weight must be non-negative, got {self.entropy_weight}"
             )
-        if self.distill_kind not in _DISTILL_KINDS:
+        kinds = (*_DISTILL_GRADS, "none")
+        if self.distill_kind not in kinds:
             raise ValueError(
-                f"distill_kind must be one of {_DISTILL_KINDS}, got {self.distill_kind!r}"
+                f"distill_kind must be one of {kinds}, got {self.distill_kind!r}"
             )
         if not (0.0 < self.clamp_lo < 1.0):
             raise ValueError(f"clamp_lo must lie in (0, 1), got {self.clamp_lo}")
@@ -155,6 +153,8 @@ def _check_logits_labels(logits: np.ndarray, labels: np.ndarray):
         raise ValueError(
             f"labels must lie in [0, {o.shape[-1]}), got range [{y.min()}, {y.max()}]"
         )
+    if not np.all(np.isfinite(o)):
+        raise ValueError("logits must be finite")
     return o, y.astype(np.int64)
 
 
@@ -203,8 +203,6 @@ def _log_softmax(o: np.ndarray) -> np.ndarray:
 def ce_per_sample(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-sample cross-entropy, -log softmax(o)[y], shape (..., B)."""
     o, y = _check_logits_labels(logits, labels)
-    if not np.all(np.isfinite(o)):
-        raise ValueError("logits must be finite")
     return -_log_softmax(o)[_label_index(y)]
 
 
@@ -214,8 +212,6 @@ def ce_loss(logits: np.ndarray, labels: np.ndarray) -> LossOutput:
     adjoint_o1 = (softmax(o) - onehot(y)) / B, the classic closed form.
     """
     o, y = _check_logits_labels(logits, labels)
-    if not np.all(np.isfinite(o)):
-        raise ValueError("logits must be finite")
     batch = o.shape[-2]
     at_y = _label_index(y)
     logp = _log_softmax(o)
@@ -335,6 +331,15 @@ def _distill_grads_cosine(c1, c2, batch):
     return scalar, g1, g2
 
 
+# Divergence name -> (scalar, dL/dc1, dL/dc2) on the floored tempered outputs.
+_DISTILL_GRADS = {
+    "js": _distill_grads_js,
+    "l1": _distill_grads_l1,
+    "l2": _distill_grads_l2,
+    "cosine": _distill_grads_cosine,
+}
+
+
 def self_distill_loss(o1: np.ndarray, o2: np.ndarray, hp: LsrHyperParams) -> LossOutput:
     """Divergence between the two tempered softmax outputs.
 
@@ -354,21 +359,26 @@ def self_distill_loss(o1: np.ndarray, o2: np.ndarray, hp: LsrHyperParams) -> Los
     q2 = tempered_softmax(o2, hp.distill_temp)
     c1 = np.maximum(q1, hp.clamp_lo)
     c2 = np.maximum(q2, hp.clamp_lo)
-
-    if hp.distill_kind == "js":
-        scalar, g1, g2 = _distill_grads_js(c1, c2, batch)
-    elif hp.distill_kind == "l1":
-        scalar, g1, g2 = _distill_grads_l1(c1, c2, batch)
-    elif hp.distill_kind == "l2":
-        scalar, g1, g2 = _distill_grads_l2(c1, c2, batch)
-    else:
-        scalar, g1, g2 = _distill_grads_cosine(c1, c2, batch)
-
+    scalar, g1, g2 = _DISTILL_GRADS[hp.distill_kind](c1, c2, batch)
     g1 = g1 * (q1 > hp.clamp_lo)
     g2 = g2 * (q2 > hp.clamp_lo)
     adj1 = softmax_vjp(q1, g1, hp.distill_temp)
     adj2 = softmax_vjp(q2, g2, hp.distill_temp)
     return LossOutput(scalar, adj1, adj2)
+
+
+def _add_distill(out: LossOutput, o1, o2, gamma_t: float, hp: LsrHyperParams) -> LossOutput:
+    """``out`` plus gamma_t times the distillation term between the two heads."""
+    if not (np.isfinite(gamma_t) and gamma_t >= 0):
+        raise ValueError(f"gamma_t must be non-negative, got {gamma_t}")
+    if gamma_t == 0.0 or hp.distill_kind == "none":
+        return out
+    reg = self_distill_loss(o1, o2, hp)
+    return LossOutput(
+        out.scalar + gamma_t * reg.scalar,
+        out.adjoint_o1 + gamma_t * reg.adjoint_o1,
+        out.adjoint_o2 + gamma_t * reg.adjoint_o2,
+    )
 
 
 def lsr_total_loss(
@@ -380,17 +390,7 @@ def lsr_total_loss(
     hp: LsrHyperParams,
 ) -> LossOutput:
     """Classification term plus gamma_t times the distillation term."""
-    if not (np.isfinite(gamma_t) and gamma_t >= 0):
-        raise ValueError(f"gamma_t must be non-negative, got {gamma_t}")
-    cls = lsr_cls_loss(o1, o2, labels, lam, hp)
-    if gamma_t == 0.0 or hp.distill_kind == "none":
-        return cls
-    reg = self_distill_loss(o1, o2, hp)
-    return LossOutput(
-        cls.scalar + gamma_t * reg.scalar,
-        cls.adjoint_o1 + gamma_t * reg.adjoint_o1,
-        cls.adjoint_o2 + gamma_t * reg.adjoint_o2,
-    )
+    return _add_distill(lsr_cls_loss(o1, o2, labels, lam, hp), o1, o2, gamma_t, hp)
 
 
 def lsr_plus_loss(
@@ -435,8 +435,6 @@ def symmetric_ce_loss(logits: np.ndarray, labels: np.ndarray, sp: SymCeParams) -
     log(0) := log_zero it reduces per sample to -log_zero * (1 - p[y]).
     """
     o, y = _check_logits_labels(logits, labels)
-    if not np.all(np.isfinite(o)):
-        raise ValueError("logits must be finite")
     batch = o.shape[-2]
     at_y = _label_index(y)
     logp = _log_softmax(o)
@@ -475,18 +473,9 @@ def symce_lsr_loss(
     """
     o1, o2 = _check_heads(o1, o2)
     lam = _mix_weight(lam, o1.shape[:-2])
-    if not (np.isfinite(gamma_t) and gamma_t >= 0):
-        raise ValueError(f"gamma_t must be non-negative, got {gamma_t}")
     sym = symmetric_ce_loss(lam * o1 + (1.0 - lam) * o2, labels, sp)
-    scalar = sym.scalar
-    adj1 = lam * sym.adjoint_o1
-    adj2 = (1.0 - lam) * sym.adjoint_o1
-    if gamma_t > 0 and hp.distill_kind != "none":
-        reg = self_distill_loss(o1, o2, hp)
-        scalar += gamma_t * reg.scalar
-        adj1 = adj1 + gamma_t * reg.adjoint_o1
-        adj2 = adj2 + gamma_t * reg.adjoint_o2
-    return LossOutput(scalar, adj1, adj2)
+    out = LossOutput(sym.scalar, lam * sym.adjoint_o1, (1.0 - lam) * sym.adjoint_o1)
+    return _add_distill(out, o1, o2, gamma_t, hp)
 
 
 def sharpened_ce_loss(logits: np.ndarray, labels: np.ndarray, hp: LsrHyperParams) -> LossOutput:
@@ -500,15 +489,8 @@ def sharpened_ce_per_sample(
 ) -> np.ndarray:
     """Per-sample -log sharpen(softmax(o), T)[y], floored at clamp_lo."""
     o, y = _check_logits_labels(logits, labels)
-    if not np.all(np.isfinite(o)):
-        raise ValueError("logits must be finite")
-    at_y = _label_index(y)
-    p = softmax(o)
-    if hp.sharpen_temp == 1.0:
-        return -np.log(np.maximum(p[at_y], hp.clamp_lo))
-    powered = p ** (1.0 / hp.sharpen_temp)
-    sharp_y = powered[at_y] / powered.sum(axis=-1)
-    return -np.log(np.maximum(sharp_y, hp.clamp_lo))
+    sharp = sharpen(softmax(o), hp.sharpen_temp)
+    return -np.log(np.maximum(sharp[_label_index(y)], hp.clamp_lo))
 
 
 def small_loss_select(losses: np.ndarray, keep_ratio: float) -> np.ndarray:

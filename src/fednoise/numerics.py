@@ -4,9 +4,7 @@ Conventions used across the package: logit and probability vectors are plain
 numpy float64 arrays, either a single row ``(M,)``, a batch of rows
 ``(B, M)``, or a cohort of batches ``(K, B, M)``; every transform here works
 along the last axis. A probability array has entries in [0, 1] that sum to 1
-per row, except directly after :func:`clamp_probs`, which floors entries
-without renormalizing (callers that need a distribution again must not
-assume one).
+per row.
 
 All logarithms are natural logarithms.
 """
@@ -25,8 +23,6 @@ __all__ = [
     "tempered_softmax",
     "sharpen",
     "sample_mix_weight",
-    "clamp_probs",
-    "entropy",
     "softmax_vjp",
 ]
 
@@ -141,28 +137,6 @@ def sample_mix_weight(rng: "RngStream | np.random.Generator") -> float:
     """Draw the convex mixing weight for prediction averaging, Beta(1, 1)."""
     gen = _as_generator(rng)
     return float(gen.beta(1.0, 1.0))
-
-
-def clamp_probs(probs: np.ndarray, lo: float) -> np.ndarray:
-    """Floor entries at lo and cap at 1, WITHOUT renormalizing.
-
-    Keeps downstream log/divide operations finite. The result may sum to
-    slightly more than 1 per row; that is intentional.
-    """
-    p = np.asarray(probs, dtype=np.float64)
-    ncls = p.shape[-1]
-    if not (0.0 < lo < 1.0 / ncls):
-        raise ValueError(f"clamp floor must lie in (0, 1/{ncls}), got {lo}")
-    return np.minimum(np.maximum(p, lo), 1.0)
-
-
-def entropy(probs: np.ndarray) -> "float | np.ndarray":
-    """Shannon entropy in nats, row-wise for batches. 0 * log 0 counts as 0."""
-    p = np.asarray(probs, dtype=np.float64)
-    # The tiny floor only guards log(0); it is multiplied by p = 0 there.
-    logs = np.log(np.maximum(p, 1e-300))
-    h = -(p * logs).sum(axis=-1)
-    return float(h) if h.ndim == 0 else h
 
 
 def softmax_vjp(probs: np.ndarray, grad_out: np.ndarray, temp: float = 1.0) -> np.ndarray:

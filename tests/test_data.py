@@ -1,5 +1,6 @@
 """Dataset loaders, synthetic generator, noise injection, partitions."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -296,6 +297,42 @@ class TestPartitionNoniid:
             partition_noniid(ds, 100, 11, seed=0)
 
 
+def draws_digest(arrays) -> str:
+    """First 16 hex digits of a SHA-256 over int64 arrays and their lengths."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype="<i8")
+        h.update(len(a).to_bytes(8, "little"))
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestPinnedDraws:
+    """Exact seeded draws of the noise injectors and partitioners.
+
+    The digests pin the order of the draws: drawing the same numbers in
+    another order changes them even when every count stays the same.
+    """
+
+    DS = generate_synthetic(200, 5, 4, seed=3)
+
+    def test_symmetric_noise(self):
+        noisy = inject_symmetric_noise(self.DS, NoiseSpec("symmetric", 0.35, seed=5))
+        assert draws_digest([noisy.observed_labels]) == "016a48152d0b06f1"
+
+    def test_pairwise_noise(self):
+        noisy = inject_pairwise_noise(self.DS, NoiseSpec("pairwise", 0.35, seed=5))
+        assert draws_digest([noisy.observed_labels]) == "2e4528c3c1e2d3e1"
+
+    def test_iid_partition(self):
+        shards = partition_iid(self.DS, 10, seed=6)
+        assert draws_digest([s.indices for s in shards]) == "4642a78674bcdd6f"
+
+    def test_noniid_partition(self):
+        shards = partition_noniid(self.DS, 10, 2, seed=7)
+        assert draws_digest([s.indices for s in shards]) == "b7747e7925e4a54c"
+
+
 class TestClientShard:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(PartitionError):
@@ -331,15 +368,39 @@ class TestLoadIdx:
         blob = bytearray(open(img, "rb").read())
         blob[3] = 0x99
         open(img, "wb").write(bytes(blob))
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError, match="magic") as err:
             load_idx(img, lab)
+        assert str(err.value).startswith(img)
 
     def test_truncated_payload(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), np.zeros(2, np.uint8))
         blob = open(img, "rb").read()
         open(img, "wb").write(blob[:-3])
-        with pytest.raises(FormatError, match="payload"):
+        with pytest.raises(FormatError, match="payload") as err:
             load_idx(img, lab)
+        assert str(err.value).startswith(img)
+
+    # The image-side magic and payload cases are the two tests above.
+    @pytest.mark.parametrize("which, damage, match", [
+        ("labels", "magic", "bad magic 0x00000899"),
+        ("images", "header", "truncated IDX image header"),
+        ("labels", "header", "truncated IDX label header"),
+        ("labels", "payload", "payload holds 1 labels, header promises 2"),
+    ])
+    def test_corrupt_file_is_named(self, tmp_path, which, damage, match):
+        paths = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), np.zeros(2, np.uint8))
+        path = paths[0] if which == "images" else paths[1]
+        blob = bytearray(open(path, "rb").read())
+        if damage == "magic":
+            blob[3] = 0x99
+        elif damage == "header":
+            blob = blob[:7]
+        else:
+            blob = blob[:-1]
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(FormatError, match=match) as err:
+            load_idx(*paths)
+        assert str(err.value).startswith(path)
 
     def test_count_mismatch(self, tmp_path):
         img, _ = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), np.zeros(2, np.uint8))
@@ -385,9 +446,12 @@ class TestLoadCsv:
 
     def test_fractional_label_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("0.5,1.0\n")
-        with pytest.raises(DataError, match="integer"):
-            load_csv(str(path))
+        # Non-finite labels and ones past int64 are rejected like fractions.
+        for label in ("0.5", "nan", "inf", "-inf", "1e30", "9.3e18"):
+            path.write_text(f"0,2.0\n{label},1.0\n")
+            with pytest.raises(DataError, match="integer") as err:
+                load_csv(str(path))
+            assert str(err.value).startswith(f"{path}: row 2 label {label} ")
 
     def test_negative_label_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

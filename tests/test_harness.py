@@ -441,6 +441,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error") and "federation.lr" in err
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "1e30"])
+    def test_unusable_csv_label_exits_2_naming_row(self, tmp_path, capsys, label):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text(f"0,1.0\n{label},2.0\n")
+        test.write_text("0,1.0\n1,2.0\n")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(tiny_config(
+            dataset={"kind": "csv", "train_path": str(train), "test_path": str(test)},
+        )))
+        code = main(["run", "--config", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: dataset: {train}: row 2 label {label} ")
+
     def test_compare_missing_config_exits_2(self, tmp_path, capsys):
         code = main([
             "compare", "--config", str(tmp_path / "missing.json"),

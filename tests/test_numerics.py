@@ -6,8 +6,6 @@ import pytest
 from fednoise.numerics import (
     RngStream,
     as_stream,
-    clamp_probs,
-    entropy,
     sample_mix_weight,
     sharpen,
     softmax,
@@ -182,43 +180,6 @@ class TestMixWeight:
         # Beta(1, 1) is Uniform(0, 1): mean 1/2, var 1/12
         assert abs(draws.mean() - 0.5) < 0.02
         assert abs(draws.var() - 1.0 / 12.0) < 0.01
-
-
-class TestClampProbs:
-    def test_floors_without_renormalizing(self):
-        p = np.array([0.0, 0.3, 0.7])
-        out = clamp_probs(p, 1e-6)
-        np.testing.assert_allclose(out, [1e-6, 0.3, 0.7], atol=1e-15)
-        assert out.sum() > 1.0
-
-    def test_caps_at_one(self):
-        out = clamp_probs(np.array([1.5, 0.2]), 1e-3)
-        assert out[0] == 1.0
-
-    def test_floor_range_validated(self):
-        with pytest.raises(ValueError):
-            clamp_probs(np.full(4, 0.25), 0.0)
-        with pytest.raises(ValueError):
-            clamp_probs(np.full(4, 0.25), 0.5)
-
-
-class TestEntropy:
-    def test_uniform_is_log_m(self):
-        for m in (2, 5, 10):
-            np.testing.assert_allclose(entropy(np.full(m, 1.0 / m)), np.log(m), atol=1e-12)
-
-    def test_one_hot_is_zero(self):
-        e = np.zeros(7)
-        e[3] = 1.0
-        assert entropy(e) == 0.0
-
-    def test_batch_rows(self):
-        p = np.stack([np.full(4, 0.25), np.array([1.0, 0.0, 0.0, 0.0])])
-        h = entropy(p)
-        np.testing.assert_allclose(h, [np.log(4), 0.0], atol=1e-12)
-
-    def test_scalar_return_for_single_row(self):
-        assert isinstance(entropy(np.full(3, 1 / 3)), float)
 
 
 class TestSoftmaxVjp:
