@@ -9,27 +9,25 @@ Every method trains through one loop, :func:`_local_sgd`, which trains a
 cohort of K clients in lockstep. Their parameters are stacked as one
 ``(K, P)`` array per network (see :mod:`fednoise.model`), so each batch
 costs one ``forward_vjp`` per view, one call of the method's loss and one
-``sgd_step`` per network for the whole cohort. A method only builds its
-per-batch objective. Clients in a cohort must walk the same batch sizes,
-so ``run_federation`` groups the selected clients by shard size; both
-partitioners make equal shards, which gives one cohort per round. The
-public ``local_train_*`` functions train a cohort of one.
+``sgd_step`` per network for the whole cohort. Each public
+``local_train_*`` function trains one cohort with its method: it takes
+the global parameters, a list of equal-size shards and one RngStream per
+shard, builds the method's per-batch objective, and returns ((K, P)
+parameters per network, each client's mean batch loss).
+
+Clients in a cohort must walk the same batch sizes, so ``run_federation``
+groups the selected clients by shard size; both partitioners make equal
+shards, which gives one cohort per round. ``workers`` cuts each cohort
+into up to that many contiguous chunks, which run on a thread pool of
+that size made once per run; with one worker they run inline.
 
 Determinism contract: every consumer of randomness derives its own
 RngStream path from the master seed (client selection per round, batch
 shuffling per client/round/epoch, augmentation and mixing draws per
 client and batch). Within a cohort these draws stay per client, and each
 client's slice of the stacked arithmetic equals the arithmetic on that
-client alone, so results do not depend on how clients are grouped.
-``workers`` > 1 replaces the cohorts with a thread pool of that size that
-trains one client per job through the ``local_train_*`` functions; it
-changes the wall clock, never the results.
-
-The pair trainer for the mutual-selection baseline keeps two networks: each
-network ranks the batch by its own per-sample loss and hands its
-lowest-loss subset to the other network for the update, on the premise that
-low-loss samples are more likely to carry correct labels. The keep ratio
-starts at 1 and ramps down to 1 - assumed_noise_rate.
+client alone, so results depend neither on how clients are grouped nor
+on ``workers``, which changes only the wall clock.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ from __future__ import annotations
 import logging
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -107,7 +106,7 @@ class FedConfig:
     method: str = "lsr"
     warmup_rounds: int = 20
     hidden_layers: tuple = (128, 64)
-    workers: int = 1
+    workers: int = 1  # threads that split each cohort; never changes results
 
     def __post_init__(self) -> None:
         if self.num_clients < 1:
@@ -228,42 +227,29 @@ def _shard_arrays(dataset: LabeledDataset, shards: list):
 
 
 def _iter_batches(n: int, cfg: FedConfig, stream: RngStream):
-    """Seeded shuffle per epoch, consecutive batches, final short batch kept.
-
-    Yields (epoch, batch_counter, row_indices) to :func:`_local_sgd`, so
-    methods differing only in the loss walk identical batches.
-    """
-    batch = cfg.batch_size
-    if batch > n:
-        warnings.warn(
-            f"batch size {batch} exceeds shard size {n}; using one full batch",
-            stacklevel=4,
-        )
-        batch = n
+    """(epoch, batch_counter, row_indices) over a seeded shuffle per epoch:
+    consecutive batches of at most n rows, the final short batch kept."""
+    batch = min(cfg.batch_size, n)
     for epoch in range(cfg.local_epochs):
         perm = stream.child("shuffle", epoch).generator().permutation(n)
         for bi, start in enumerate(range(0, n, batch)):
             yield epoch, bi, perm[start : start + batch]
 
 
-def _mean(losses: list) -> float:
-    return float(np.mean(losses)) if losses else float("nan")
+def _local_sgd(globals_: tuple, feats, labels, cfg: FedConfig, streams: list, objective):
+    """Train a cohort of K clients in lockstep from the global networks.
 
-
-def _local_sgd(nets: tuple, feats, labels, cfg: FedConfig, streams: list, objective):
-    """Train a cohort of K clients in lockstep.
-
-    ``nets`` holds each network as (K, P) cohort parameters, ``feats``
-    (K, n, d) and ``labels`` (K, n) hold each client's shard, and
-    ``streams`` each client's RngStream, whose own shuffle that client
-    walks. Per batch, ``objective(nets, x, y, epoch, bi)`` gets the
-    stacked (K, B, d) rows and (K, B) labels and gives the (K,) batch
-    losses and one (K, P) Gradients per net at its incoming parameters;
-    each net then takes one SGD step, in tuple order. Returns (nets, each
-    client's mean batch loss).
+    ``feats`` (K, n, d) and ``labels`` (K, n) hold each client's shard and
+    ``streams`` its RngStream, whose shuffle it walks. Per batch,
+    ``objective(nets, x, y, epoch, bi)`` gets the stacked (K, B, d) rows
+    and (K, B) labels and gives the (K,) batch losses and one (K, P)
+    Gradients per net; each net then takes one SGD step, in tuple order.
+    Returns ((K, P) nets, each client's mean batch loss).
     """
+    k = len(streams)
+    nets = tuple(ModelParams(np.broadcast_to(g.flat, (k, g.flat.size)), g.shapes) for g in globals_)
     walks = [_iter_batches(labels.shape[1], cfg, s) for s in streams]
-    clients = np.arange(len(streams))[:, None]
+    clients = np.arange(k)[:, None]
     losses = []
     for batch in zip(*walks, strict=True):
         epoch, bi, _ = batch[0]
@@ -272,7 +258,7 @@ def _local_sgd(nets: tuple, feats, labels, cfg: FedConfig, streams: list, object
         nets = tuple(sgd_step(net, g, cfg.lr) for net, g in zip(nets, grads))
         losses.append(loss)
     if not losses:
-        return nets, [float("nan")] * len(streams)
+        return nets, [float("nan")] * k
     # Each client's steps lie contiguous, so its mean sums them as a 1-D
     # mean over that client's losses would.
     return nets, [float(m) for m in np.stack(losses, axis=-1).mean(axis=-1)]
@@ -324,8 +310,113 @@ def _two_view(
     return objective
 
 
-def _coteaching(cfg: FedConfig, ct: CoteachingConfig, round_idx: int, sharpen_hp):
-    """Objective training each of two networks on the other's low-loss picks."""
+def local_train_ce(
+    global_params: ModelParams,
+    dataset: LabeledDataset,
+    shards: list,
+    cfg: FedConfig,
+    streams: list,
+) -> tuple:
+    """Plain cross-entropy SGD on each shard's observed labels."""
+    objective = _single_view(ce_loss)
+    return _local_sgd((global_params,), *_shard_arrays(dataset, shards), cfg, streams, objective)
+
+
+def local_train_ce_aug(
+    global_params: ModelParams,
+    dataset: LabeledDataset,
+    shards: list,
+    cfg: FedConfig,
+    policy: AugmentPolicy,
+    streams: list,
+) -> tuple:
+    """Cross-entropy on each shard expanded with one augmented copy per row.
+
+    This is the mixing-removal ablation: the augmented views enter as extra
+    training rows under the same labels instead of being fused into one
+    prediction. The shard doubles before batching, so each epoch walks twice
+    as many batches of the configured size.
+    """
+    feats, labels = _shard_arrays(dataset, shards)
+    aug = np.stack([
+        apply_batch(policy, rows, s.child("augment", "expand"), dataset.image_shape)
+        for rows, s in zip(feats, streams)
+    ])
+    feats = np.concatenate([feats, aug], axis=1)
+    labels = np.concatenate([labels, labels], axis=1)
+    return _local_sgd((global_params,), feats, labels, cfg, streams, _single_view(ce_loss))
+
+
+def local_train_symce(
+    global_params: ModelParams,
+    dataset: LabeledDataset,
+    shards: list,
+    cfg: FedConfig,
+    sp: SymCeParams,
+    streams: list,
+) -> tuple:
+    """Symmetric cross-entropy SGD on each shard's observed labels."""
+    objective = _single_view(partial(symmetric_ce_loss, sp=sp))
+    return _local_sgd((global_params,), *_shard_arrays(dataset, shards), cfg, streams, objective)
+
+
+def local_train_lsr(
+    global_params: ModelParams,
+    dataset: LabeledDataset,
+    shards: list,
+    cfg: FedConfig,
+    hp: LsrHyperParams,
+    policy: AugmentPolicy,
+    streams: list,
+    gamma_t: float,
+    plus: bool = False,
+) -> tuple:
+    """Self-regularized local training: dual forward, mixed sharpened CE,
+    plus the warm-up-weighted distillation term (and the entropy penalty
+    when ``plus``)."""
+    loss = lsr_plus_loss if plus else lsr_total_loss
+    objective = _two_view(partial(loss, gamma_t=gamma_t, hp=hp), dataset, hp, policy, streams)
+    return _local_sgd((global_params,), *_shard_arrays(dataset, shards), cfg, streams, objective)
+
+
+def local_train_symce_lsr(
+    global_params: ModelParams,
+    dataset: LabeledDataset,
+    shards: list,
+    cfg: FedConfig,
+    sp: SymCeParams,
+    hp: LsrHyperParams,
+    policy: AugmentPolicy,
+    streams: list,
+    gamma_t: float,
+) -> tuple:
+    """Symmetric CE on mixed logits plus the self-distillation term
+    (:func:`~fednoise.losses.symce_lsr_loss`) over the two views."""
+    loss_fn = partial(symce_lsr_loss, gamma_t=gamma_t, sp=sp, hp=hp)
+    objective = _two_view(loss_fn, dataset, hp, policy, streams)
+    return _local_sgd((global_params,), *_shard_arrays(dataset, shards), cfg, streams, objective)
+
+
+def local_train_coteaching(
+    params_a: ModelParams,
+    params_b: ModelParams,
+    dataset: LabeledDataset,
+    shards: list,
+    cfg: FedConfig,
+    ct: CoteachingConfig,
+    streams: list,
+    round_idx: int,
+    sharpen_hp: "LsrHyperParams | None" = None,
+) -> tuple:
+    """Train two peer networks, each on the other's low-loss picks.
+
+    Per batch, both networks score every sample; network A's smallest-loss
+    subset becomes B's training rows and vice versa, on the premise that
+    low-loss samples more likely carry correct labels. The kept share
+    ramps from 1 down to 1 - ``ct.noise_rate``. With ``sharpen_hp`` set,
+    the score and the update loss use the sharpened prediction. Each
+    batch's loss is the mean of the two updates'.
+    """
     per_sample, loss_fn = ce_per_sample, ce_loss
     if sharpen_hp is not None:
         per_sample = partial(sharpened_ce_per_sample, hp=sharpen_hp)
@@ -347,171 +438,9 @@ def _coteaching(cfg: FedConfig, ct: CoteachingConfig, round_idx: int, sharpen_hp
             grads.append(vjp(out.adjoint_o1))
         return (scalars[0] + scalars[1]) / 2, grads
 
-    return objective
-
-
-def _train_cohort(
-    method: str,
-    globals_: tuple,
-    dataset: LabeledDataset,
-    shards: list,
-    cfg: FedConfig,
-    streams: list,
-    hp: "LsrHyperParams | None" = None,
-    sp: "SymCeParams | None" = None,
-    ct: "CoteachingConfig | None" = None,
-    policy: "AugmentPolicy | None" = None,
-    round_idx: int = 0,
-    gamma_t: float = 0.0,
-):
-    """Train the clients of ``shards`` (all of one size) from the global
-    nets in lockstep. Returns ((K, P) params per net, per-client losses)."""
-    feats, labels = _shard_arrays(dataset, shards)
-    if method == "ce_aug":
-        # The mixing-removal ablation: each client's shard doubles with one
-        # augmented copy per row before batching.
-        aug = np.stack([
-            apply_batch(policy, rows, s.child("augment", "expand"), dataset.image_shape)
-            for rows, s in zip(feats, streams)
-        ])
-        feats = np.concatenate([feats, aug], axis=1)
-        labels = np.concatenate([labels, labels], axis=1)
-    if method in ("fedavg_ce", "ce_aug"):
-        objective = _single_view(ce_loss)
-    elif method == "sym_ce":
-        objective = _single_view(partial(symmetric_ce_loss, sp=sp))
-    elif method in ("lsr", "lsr_plus"):
-        loss = lsr_plus_loss if method == "lsr_plus" else lsr_total_loss
-        objective = _two_view(partial(loss, gamma_t=gamma_t, hp=hp), dataset, hp, policy, streams)
-    elif method == "sym_ce_lsr":
-        loss_fn = partial(symce_lsr_loss, gamma_t=gamma_t, sp=sp, hp=hp)
-        objective = _two_view(loss_fn, dataset, hp, policy, streams)
-    elif method in ("coteaching", "coteaching_lsr"):
-        objective = _coteaching(cfg, ct, round_idx, hp if method == "coteaching_lsr" else None)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    k = len(shards)
-    nets = tuple(ModelParams(np.broadcast_to(g.flat, (k, g.flat.size)), g.shapes) for g in globals_)
-    return _local_sgd(nets, feats, labels, cfg, streams, objective)
-
-
-def _train_solo(method: str, globals_: tuple, dataset, shard, cfg, stream, **kwargs):
-    """One client as a cohort of one: ((params per net), mean loss)."""
-    nets, (loss,) = _train_cohort(method, globals_, dataset, [shard], cfg, [stream], **kwargs)
-    return tuple(ModelParams(net.flat[0], net.shapes) for net in nets), loss
-
-
-def local_train_ce(
-    global_params: ModelParams,
-    dataset: LabeledDataset,
-    shard: ClientShard,
-    cfg: FedConfig,
-    stream: RngStream,
-) -> tuple:
-    """Plain cross-entropy SGD on the shard's observed labels."""
-    (params,), loss = _train_solo("fedavg_ce", (global_params,), dataset, shard, cfg, stream)
-    return params, loss
-
-
-def local_train_ce_aug(
-    global_params: ModelParams,
-    dataset: LabeledDataset,
-    shard: ClientShard,
-    cfg: FedConfig,
-    policy: AugmentPolicy,
-    stream: RngStream,
-) -> tuple:
-    """Cross-entropy on the shard expanded with one augmented copy per row.
-
-    This is the mixing-removal ablation: the augmented views enter as extra
-    training rows under the same labels instead of being fused into one
-    prediction. The shard doubles before batching, so each epoch walks twice
-    as many batches of the configured size.
-    """
-    (params,), loss = _train_solo(
-        "ce_aug", (global_params,), dataset, shard, cfg, stream, policy=policy
+    return _local_sgd(
+        (params_a, params_b), *_shard_arrays(dataset, shards), cfg, streams, objective
     )
-    return params, loss
-
-
-def local_train_symce(
-    global_params: ModelParams,
-    dataset: LabeledDataset,
-    shard: ClientShard,
-    cfg: FedConfig,
-    sp: SymCeParams,
-    stream: RngStream,
-) -> tuple:
-    """Symmetric cross-entropy SGD on the shard's observed labels."""
-    (params,), loss = _train_solo("sym_ce", (global_params,), dataset, shard, cfg, stream, sp=sp)
-    return params, loss
-
-
-def local_train_lsr(
-    global_params: ModelParams,
-    dataset: LabeledDataset,
-    shard: ClientShard,
-    cfg: FedConfig,
-    hp: LsrHyperParams,
-    policy: AugmentPolicy,
-    stream: RngStream,
-    gamma_t: float,
-    plus: bool = False,
-) -> tuple:
-    """Self-regularized local training: dual forward, mixed sharpened CE,
-    plus the warm-up-weighted distillation term (and the entropy penalty
-    when ``plus``)."""
-    (params,), loss = _train_solo(
-        "lsr_plus" if plus else "lsr", (global_params,), dataset, shard, cfg, stream,
-        hp=hp, policy=policy, gamma_t=gamma_t,
-    )
-    return params, loss
-
-
-def local_train_symce_lsr(
-    global_params: ModelParams,
-    dataset: LabeledDataset,
-    shard: ClientShard,
-    cfg: FedConfig,
-    sp: SymCeParams,
-    hp: LsrHyperParams,
-    policy: AugmentPolicy,
-    stream: RngStream,
-    gamma_t: float,
-) -> tuple:
-    """Symmetric CE on mixed logits plus the self-distillation term
-    (:func:`~fednoise.losses.symce_lsr_loss`) over the two views."""
-    (params,), loss = _train_solo(
-        "sym_ce_lsr", (global_params,), dataset, shard, cfg, stream,
-        sp=sp, hp=hp, policy=policy, gamma_t=gamma_t,
-    )
-    return params, loss
-
-
-def local_train_coteaching(
-    params_a: ModelParams,
-    params_b: ModelParams,
-    dataset: LabeledDataset,
-    shard: ClientShard,
-    cfg: FedConfig,
-    ct: CoteachingConfig,
-    stream: RngStream,
-    round_idx: int,
-    sharpen_hp: "LsrHyperParams | None" = None,
-) -> tuple:
-    """Train two peer networks, each on the other's low-loss picks.
-
-    Per batch, both networks score every sample; network A's smallest-loss
-    subset becomes B's training rows and vice versa. With ``sharpen_hp``
-    set, the per-sample score and the update loss use the sharpened
-    prediction instead of the raw one. Returns (params_a, params_b,
-    mean_loss), where each batch's loss is the mean of the two updates'.
-    """
-    (pa, pb), loss = _train_solo(
-        "coteaching" if sharpen_hp is None else "coteaching_lsr", (params_a, params_b),
-        dataset, shard, cfg, stream, hp=sharpen_hp, ct=ct, round_idx=round_idx,
-    )
-    return pa, pb, loss
 
 
 def aggregate(models: list, sizes: list) -> ModelParams:
@@ -552,47 +481,6 @@ def evaluate(params: ModelParams, test_set: LabeledDataset, chunk: int = 4096) -
     return hits / test_set.n
 
 
-def _train_one_client(
-    method: str,
-    globals_: tuple,
-    dataset: LabeledDataset,
-    shard: ClientShard,
-    cfg: FedConfig,
-    hp: LsrHyperParams,
-    sp: SymCeParams,
-    ct: CoteachingConfig,
-    policy: AugmentPolicy,
-    stream: RngStream,
-    round_idx: int,
-    gamma_t: float,
-):
-    """Dispatch one client's local training. Returns ((params...), mean_loss)."""
-    net = globals_[0]
-    if method in ("coteaching", "coteaching_lsr"):
-        *nets, loss = local_train_coteaching(
-            net, globals_[1], dataset, shard, cfg, ct, stream, round_idx,
-            sharpen_hp=hp if method == "coteaching_lsr" else None,
-        )
-        return tuple(nets), loss
-    if method == "fedavg_ce":
-        params, loss = local_train_ce(net, dataset, shard, cfg, stream)
-    elif method == "ce_aug":
-        params, loss = local_train_ce_aug(net, dataset, shard, cfg, policy, stream)
-    elif method == "sym_ce":
-        params, loss = local_train_symce(net, dataset, shard, cfg, sp, stream)
-    elif method in ("lsr", "lsr_plus"):
-        params, loss = local_train_lsr(
-            net, dataset, shard, cfg, hp, policy, stream, gamma_t, plus=(method == "lsr_plus")
-        )
-    elif method == "sym_ce_lsr":
-        params, loss = local_train_symce_lsr(
-            net, dataset, shard, cfg, sp, hp, policy, stream, gamma_t
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return (params,), loss
-
-
 def run_federation(
     cfg: FedConfig,
     train_set: LabeledDataset,
@@ -617,6 +505,14 @@ def run_federation(
         raise ValueError(f"{len(shards)} shards for {cfg.num_clients} clients")
     for shard in shards:
         _check_shard(shard)
+    # ce_aug trains on each shard plus one augmented copy of it.
+    rows = min(shard.n_k for shard in shards) * (2 if cfg.method == "ce_aug" else 1)
+    if cfg.batch_size > rows:
+        warnings.warn(
+            f"batch size {cfg.batch_size} exceeds shard size {rows}; "
+            "such shards train on one full batch per epoch",
+            stacklevel=2,
+        )
     stream = as_stream(seed)
     hp = hp if hp is not None else LsrHyperParams()
     sp = sp if sp is not None else SymCeParams()
@@ -631,63 +527,77 @@ def run_federation(
 
     metrics: list = []
     history: "list | None" = [] if record_history else None
-    for t in range(cfg.rounds):
-        selected = select_clients(cfg.num_clients, cfg.clients_per_round, stream.child("select", t))
-        gamma_t = gamma_schedule(t, cfg.warmup_rounds, hp.gamma)
+    with (ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext()) as pool:
+        run_chunks = map if pool is None else pool.map
+        for t in range(cfg.rounds):
+            selected = select_clients(
+                cfg.num_clients, cfg.clients_per_round, stream.child("select", t)
+            ).tolist()
+            gamma_t = gamma_schedule(t, cfg.warmup_rounds, hp.gamma)
 
-        if cfg.workers > 1:
-            def job(cid: int):
-                return _train_one_client(
-                    cfg.method, globals_, train_set, shards[cid], cfg, hp, sp, ct,
-                    policy, stream.child("client", int(cid), t), t, gamma_t,
-                )
-
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(job, selected))
-        else:
-            # One lockstep cohort per shard size; aggregation below still
-            # runs over the clients in selection order.
+            # One lockstep cohort per shard size, cut into contiguous chunks for
+            # the workers; aggregation still runs in selection order.
             cohorts: dict = {}
             for cid in selected:
-                cohorts.setdefault(shards[cid].n_k, []).append(int(cid))
-            trained = {}
-            for ids in cohorts.values():
-                nets, losses = _train_cohort(
-                    cfg.method, globals_, train_set, [shards[c] for c in ids], cfg,
-                    [stream.child("client", c, t) for c in ids], hp=hp, sp=sp, ct=ct,
-                    policy=policy, round_idx=t, gamma_t=gamma_t,
-                )
-                for k, cid in enumerate(ids):
-                    trained[cid] = (
-                        tuple(ModelParams(net.flat[k], net.shapes) for net in nets), losses[k]
-                    )
-            results = [trained[int(cid)] for cid in selected]
+                cohorts.setdefault(shards[cid].n_k, []).append(cid)
+            chunks = [
+                chunk.tolist() for ids in cohorts.values()
+                for chunk in np.array_split(ids, min(cfg.workers, len(ids)))
+            ]
 
-        sizes = [shards[cid].n_k for cid in selected]
-        globals_ = tuple(
-            aggregate([res[0][head] for res in results], sizes)
-            for head in range(len(globals_))
-        )
-        if twin:
-            acc = 0.5 * (evaluate(globals_[0], test_set) + evaluate(globals_[1], test_set))
-        else:
-            acc = evaluate(globals_[0], test_set)
-        round_losses = [res[1] for res in results]
-        metrics.append(
-            RoundMetrics(
-                round=t,
-                test_accuracy=float(acc),
-                mean_train_loss=_mean(round_losses),
-                gamma_t=gamma_t,
-                selected_clients=tuple(int(c) for c in selected),
+            def train(ids: list):
+                # The trainers are looked up in this module at call time, so
+                # a wrapper patched over one (a tracer's span) is the one run.
+                net, chunk = globals_[0], [shards[c] for c in ids]
+                streams = [stream.child("client", c, t) for c in ids]
+                if cfg.method == "fedavg_ce":
+                    return local_train_ce(net, train_set, chunk, cfg, streams)
+                if cfg.method == "ce_aug":
+                    return local_train_ce_aug(net, train_set, chunk, cfg, policy, streams)
+                if cfg.method == "sym_ce":
+                    return local_train_symce(net, train_set, chunk, cfg, sp, streams)
+                if cfg.method in ("lsr", "lsr_plus"):
+                    return local_train_lsr(
+                        net, train_set, chunk, cfg, hp, policy, streams, gamma_t,
+                        plus=(cfg.method == "lsr_plus"),
+                    )
+                if cfg.method == "sym_ce_lsr":
+                    return local_train_symce_lsr(
+                        net, train_set, chunk, cfg, sp, hp, policy, streams, gamma_t
+                    )
+                # FedConfig admits no method but the co-teaching pair here.
+                return local_train_coteaching(
+                    net, globals_[1], train_set, chunk, cfg, ct, streams, t,
+                    sharpen_hp=hp if cfg.method == "coteaching_lsr" else None,
+                )
+
+            trained = {}
+            for ids, (nets, losses) in zip(chunks, run_chunks(train, chunks)):
+                for k, cid in enumerate(ids):
+                    trained[cid] = [ModelParams(n.flat[k], n.shapes) for n in nets], losses[k]
+            results = [trained[cid] for cid in selected]
+
+            sizes = [shards[cid].n_k for cid in selected]
+            globals_ = tuple(
+                aggregate([res[0][head] for res in results], sizes)
+                for head in range(len(globals_))
             )
-        )
-        logger.info(
-            "round %d: accuracy %.4f, mean train loss %.4f",
-            t, metrics[-1].test_accuracy, metrics[-1].mean_train_loss,
-        )
-        if history is not None:
-            history.append(globals_ if twin else globals_[0])
+            acc = np.mean([evaluate(net, test_set) for net in globals_])
+            metrics.append(
+                RoundMetrics(
+                    round=t,
+                    test_accuracy=float(acc),
+                    mean_train_loss=float(np.mean([res[1] for res in results])),
+                    gamma_t=gamma_t,
+                    selected_clients=tuple(selected),
+                )
+            )
+            logger.info(
+                "round %d: accuracy %.4f, mean train loss %.4f",
+                t, metrics[-1].test_accuracy, metrics[-1].mean_train_loss,
+            )
+            if history is not None:
+                history.append(globals_ if twin else globals_[0])
 
     final = globals_ if twin else globals_[0]
     return RunResult(metrics=metrics, final_params=final, param_history=history)

@@ -1,7 +1,12 @@
 """Round loop, client selection, aggregation, and method dispatch."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+
+import fednoise.federation
 
 from fednoise.data import (
     ClientShard,
@@ -46,6 +51,13 @@ def small_world(n=120, clients=6, seed=0, noise=0.0):
         train = inject_symmetric_noise(train, NoiseSpec("symmetric", noise, seed=seed))
     shards = partition_iid(train, clients, seed=seed)
     return train, shards, test
+
+
+def uneven_shards(train):
+    """Six shards of the small world: clients 0, 2, 4 hold 15 rows, 1, 3, 5 hold 25."""
+    order = np.random.default_rng(8).permutation(train.n)
+    bounds = np.cumsum([0, 15, 25, 15, 25, 15, 25])
+    return [ClientShard(c, order[bounds[c] : bounds[c + 1]]) for c in range(6)]
 
 
 class TestFedConfig:
@@ -303,13 +315,12 @@ class TestRunFederationMechanics:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_worker_count_does_not_change_results(self, method):
-        # workers=1 trains each round's clients as cohorts of equal shard
-        # size (here one of 15-row and one of 25-row shards); workers=4
-        # trains one client per pool job. Both must agree bit for bit.
+        # Each round trains one cohort of 15-row and one of 25-row shards.
+        # workers=2 cuts each cohort into uneven 2+1 chunks, workers=3 and 4
+        # into chunks of one client; all must agree with workers=1 bit for
+        # bit. The worker counts run in one test, so workers=1 runs once.
         train, _, test = small_world(noise=0.3)
-        order = np.random.default_rng(8).permutation(train.n)
-        bounds = np.cumsum([0, 15, 25, 15, 25, 15, 25])
-        shards = [ClientShard(c, order[bounds[c] : bounds[c + 1]]) for c in range(6)]
+        shards = uneven_shards(train)
         base = dict(
             num_clients=6, clients_per_round=6, rounds=3, local_epochs=2,
             batch_size=5, method=method, warmup_rounds=1, hidden_layers=(6,),
@@ -319,17 +330,56 @@ class TestRunFederationMechanics:
             policy=AugmentPolicy((FeatureJitter(0.4),)),
         )
         a = run_federation(FedConfig(**base, workers=1), train, shards, test, **kw)
-        b = run_federation(FedConfig(**base, workers=4), train, shards, test, **kw)
-        nets_a, nets_b = (
-            r.final_params if isinstance(r.final_params, tuple) else (r.final_params,)
-            for r in (a, b)
-        )
-        for got, want in zip(nets_a, nets_b, strict=True):
-            np.testing.assert_array_equal(got.flat, want.flat)
-        for field in ("test_accuracy", "mean_train_loss", "selected_clients"):
-            np.testing.assert_array_equal(
-                [getattr(m, field) for m in a.metrics], [getattr(m, field) for m in b.metrics]
+        for workers in (2, 3, 4):
+            b = run_federation(FedConfig(**base, workers=workers), train, shards, test, **kw)
+            nets_a, nets_b = (
+                r.final_params if isinstance(r.final_params, tuple) else (r.final_params,)
+                for r in (a, b)
             )
+            for got, want in zip(nets_a, nets_b, strict=True):
+                np.testing.assert_array_equal(got.flat, want.flat, err_msg=f"workers={workers}")
+            for field in ("test_accuracy", "mean_train_loss", "selected_clients"):
+                np.testing.assert_array_equal(
+                    [getattr(m, field) for m in a.metrics],
+                    [getattr(m, field) for m in b.metrics],
+                    err_msg=f"{field} at workers={workers}",
+                )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_chunk_is_one_trainer_call(self, monkeypatch, workers):
+        # run_federation must look local_train_ce up in the module at call
+        # time (a tracer patches it there) and call it once per chunk: each
+        # shard-size cohort, in selection order, cut into min(workers, K)
+        # contiguous chunks of near-equal size.
+        train, _, test = small_world()
+        shards = uneven_shards(train)
+        calls = []
+
+        def spy(global_params, dataset, chunk, cfg, streams):
+            assert len(chunk) == len(streams)
+            calls.append(tuple(shard.client_id for shard in chunk))
+            return local_train_ce(global_params, dataset, chunk, cfg, streams)
+
+        monkeypatch.setattr(fednoise.federation, "local_train_ce", spy)
+        cfg = FedConfig(
+            num_clients=6, clients_per_round=6, rounds=3, local_epochs=1, batch_size=5,
+            method="fedavg_ce", warmup_rounds=0, hidden_layers=(5,), workers=workers,
+        )
+        result = run_federation(cfg, train, shards, test, seed=3)
+        for m in result.metrics:
+            selected = list(m.selected_clients)
+            sizes = dict.fromkeys(shards[c].n_k for c in selected)
+            cohorts = [[c for c in selected if shards[c].n_k == n] for n in sizes]
+            n_calls = sum(min(workers, len(ids)) for ids in cohorts)
+            round_calls, calls = calls[:n_calls], calls[n_calls:]
+            # Pool threads may start a round's chunks in any order.
+            round_calls.sort(key=lambda ids: selected.index(ids[0]))
+            for ids in cohorts:
+                chunks = [list(chunk) for chunk in round_calls if chunk[0] in ids]
+                assert len(chunks) == min(workers, len(ids))
+                assert [c for chunk in chunks for c in chunk] == ids
+                assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+        assert calls == []
 
     def test_record_history_lengths(self):
         train, shards, test = small_world()
@@ -367,17 +417,38 @@ class TestRunFederationMechanics:
         )
         params = init_params([6, 5, 4], 0)
         with pytest.raises(ValueError, match="client 0 has an empty shard"):
-            local_train_ce(params, train, ClientShard(0, []), cfg, RngStream(0))
+            local_train_ce(params, train, [ClientShard(0, [])], cfg, [RngStream(0)])
 
     def test_batch_larger_than_shard_warns_and_trains(self):
+        # One warning per run, located at the caller, however many clients
+        # and rounds train on the clamped batch, at either worker count.
+        train, shards, test = small_world()
+        for workers in (1, 2):
+            cfg = FedConfig(
+                num_clients=6, clients_per_round=3, rounds=2, local_epochs=1, batch_size=500,
+                method="fedavg_ce", warmup_rounds=0, hidden_layers=(5,), workers=workers,
+            )
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = run_federation(cfg, train, shards, test, seed=0)
+            assert [str(w.message) for w in caught] == [
+                "batch size 500 exceeds shard size 20; "
+                "such shards train on one full batch per epoch"
+            ], workers
+            assert caught[0].filename == __file__
+            assert np.isfinite(result.metrics[0].mean_train_loss)
+
+    def test_batch_warning_counts_ce_aug_rows_twice(self):
         train, shards, test = small_world()
         cfg = FedConfig(
-            num_clients=6, clients_per_round=2, rounds=1, local_epochs=1,
-            batch_size=500, method="fedavg_ce", warmup_rounds=0, hidden_layers=(5,),
+            num_clients=6, clients_per_round=2, rounds=1, local_epochs=1, batch_size=30,
+            method="ce_aug", warmup_rounds=0, hidden_layers=(5,),
         )
-        with pytest.warns(UserWarning, match="batch size"):
-            result = run_federation(cfg, train, shards, test, seed=0)
-        assert np.isfinite(result.metrics[0].mean_train_loss)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_federation(cfg, train, shards, test, seed=0)  # 40 rows per client
+        with pytest.warns(UserWarning, match="batch size 41 exceeds shard size 40"):
+            run_federation(dataclasses.replace(cfg, batch_size=41), train, shards, test, seed=0)
 
 
 class TestMethodEquivalences:
