@@ -1,10 +1,10 @@
 """Mild stochastic input transformations for the dual-forward objective.
 
 Policies are ordered lists of ops. Each op draws from its own sub-stream of
-the rng handed to :func:`apply_batch`, so inserting or removing one op never
-shifts the randomness of the others. Image ops (rotation, flip) need the
-dataset's ``image_shape`` metadata; purely tabular data can only be
-jittered.
+the RngStream handed to :func:`apply_batch`, so inserting or removing one op
+never shifts the randomness of the others; each op's function takes that
+sub-stream's numpy Generator. Image ops (rotation, flip) need the dataset's
+``image_shape`` metadata; purely tabular data can only be jittered.
 
 Augmentation here is deliberately weak: the downstream objective compares
 predictions on the original and transformed input, so the transform must
@@ -92,7 +92,7 @@ class AugmentPolicy:
 
 
 def random_rotation(
-    image: np.ndarray, max_degrees: float, rng: "RngStream | np.random.Generator"
+    image: np.ndarray, max_degrees: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Rotate about the image center, bilinear resampling, zero fill outside.
 
@@ -106,15 +106,14 @@ def random_rotation(
         )
     if max_degrees == 0:
         return img.copy()
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    angle = float(gen.uniform(-max_degrees, max_degrees))
+    angle = float(rng.uniform(-max_degrees, max_degrees))
     return ndimage.rotate(
         img, angle, axes=(1, 0), reshape=False, order=1, mode="constant", cval=0.0
     )
 
 
 def horizontal_flip(
-    image: np.ndarray, prob: float, rng: "RngStream | np.random.Generator"
+    image: np.ndarray, prob: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Mirror columns with the given probability (left-right flip)."""
     img = np.asarray(image, dtype=np.float64)
@@ -122,19 +121,17 @@ def horizontal_flip(
         raise UnsupportedAugmentationError(
             f"flip needs a (H, W) or (H, W, C) image, got shape {img.shape}"
         )
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    if gen.random() < prob:
+    if rng.random() < prob:
         return img[:, ::-1].copy()
     return img.copy()
 
 
 def feature_jitter(
-    x: np.ndarray, sigma: float, rng: "RngStream | np.random.Generator"
+    x: np.ndarray, sigma: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Add N(0, sigma^2) noise elementwise; sigma = 0 is the identity."""
     arr = np.asarray(x, dtype=np.float64)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    return arr + gen.normal(0.0, sigma, size=arr.shape)
+    return arr + rng.normal(0.0, sigma, size=arr.shape)
 
 
 def _to_image(x_flat: np.ndarray, image_shape: tuple) -> np.ndarray:

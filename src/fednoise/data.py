@@ -217,6 +217,10 @@ def load_idx(
     labels = raw_labels.astype(np.int64)
     if num_classes is None:
         num_classes = int(labels.max()) + 1 if n else 1
+    elif n and labels.max() >= num_classes:
+        raise DataError(
+            f"{labels_path}: label {labels.max()} out of range for {num_classes} classes"
+        )
     return LabeledDataset(
         features=features,
         true_labels=labels,
@@ -429,11 +433,11 @@ def partition_noniid(
     """Give each client samples from a fixed set of distinct true classes.
 
     Class sets are chosen by a seeded greedy draw that keeps the number of
-    clients holding each class balanced; each client then takes an equal
-    slice of every class it holds, so all shards have the same size. Samples
-    that the arithmetic cannot place are dropped with a warning. Raises
-    PartitionError with a per-class diagnostic when some class would need
-    more samples than it has.
+    clients holding each class balanced; each client then takes slices of
+    its classes equal up to one row, so all shards have the same size.
+    Samples that the arithmetic cannot place are dropped with a warning.
+    Raises PartitionError with a per-class diagnostic when some class would
+    need more samples than it has.
     """
     m = ds.num_classes
     if num_clients < 1:
@@ -472,11 +476,12 @@ def partition_noniid(
         slots_left[picked] -= 1
         client_classes.append(picked)
 
-    # Per-class take per client: equal split of the shard, remainder spread
-    # over a seeded choice of that client's classes.
+    # Per-class take per client: base rows of every class it holds, and one
+    # extra row from rem of them, placed on augmenting paths.
+    base, rem = divmod(shard_size, classes_per_client)
     takes = np.zeros((num_clients, m), dtype=np.int64)
     for cid, classes in enumerate(client_classes):
-        takes[cid, classes] = _even_split(shard_size, classes_per_client, gen)
+        takes[cid, classes] = base
 
     demand = takes.sum(axis=0)
     supply = np.bincount(ds.true_labels, minlength=m)
@@ -486,6 +491,26 @@ def partition_noniid(
             f"class {c}: need {demand[c]}, have {supply[c]}" for c in short
         )
         raise PartitionError(f"infeasible class assignment ({detail})")
+
+    def take_extra(cid: int, seen: set) -> bool:
+        """Give client cid an extra row, moving other holders' extra rows on if need be."""
+        for cls in client_classes[cid]:
+            if takes[cid, cls] > base or cls in seen:
+                continue
+            seen.add(cls)
+            holders = np.flatnonzero(takes[:, cls] > base)
+            if holders.size == supply[cls] - demand[cls]:  # no row left
+                mover = next((h for h in holders if take_extra(h, seen)), None)
+                if mover is None:
+                    continue
+                takes[mover, cls] -= 1
+            takes[cid, cls] += 1
+            return True
+        return False
+
+    for cid in range(num_clients):
+        if not all(take_extra(cid, set()) for _ in range(rem)):
+            raise PartitionError(f"infeasible class assignment: no rows left for client {cid}")
 
     pools = {
         cls: iter(gen.permutation(np.flatnonzero(ds.true_labels == cls)))

@@ -13,13 +13,15 @@ costs one ``forward_vjp`` per view, one call of the method's loss and one
 ``local_train_*`` function trains one cohort with its method: it takes
 the global parameters, a list of equal-size shards and one RngStream per
 shard, builds the method's per-batch objective, and returns ((K, P)
-parameters per network, each client's mean batch loss).
+parameters per network, a (K,) array of each client's mean batch loss).
 
 Clients in a cohort must walk the same batch sizes, so ``run_federation``
 groups the selected clients by shard size; both partitioners make equal
 shards, which gives one cohort per round. ``workers`` cuts each cohort
 into up to that many contiguous chunks, which run on a thread pool of
-that size made once per run; with one worker they run inline.
+that size made once per run; with one worker they run inline. Their
+stacks are joined in selection order into one (K, P) ``ModelParams`` per
+network, whose rows :func:`aggregate` averages.
 
 Determinism contract: every consumer of randomness derives its own
 RngStream path from the master seed (client selection per round, batch
@@ -244,7 +246,7 @@ def _local_sgd(globals_: tuple, feats, labels, cfg: FedConfig, streams: list, ob
     ``objective(nets, x, y, epoch, bi)`` gets the stacked (K, B, d) rows
     and (K, B) labels and gives the (K,) batch losses and one (K, P)
     Gradients per net; each net then takes one SGD step, in tuple order.
-    Returns ((K, P) nets, each client's mean batch loss).
+    Returns ((K, P) nets, (K,) mean batch loss of each client).
     """
     k = len(streams)
     nets = tuple(ModelParams(np.broadcast_to(g.flat, (k, g.flat.size)), g.shapes) for g in globals_)
@@ -258,10 +260,10 @@ def _local_sgd(globals_: tuple, feats, labels, cfg: FedConfig, streams: list, ob
         nets = tuple(sgd_step(net, g, cfg.lr) for net, g in zip(nets, grads))
         losses.append(loss)
     if not losses:
-        return nets, [float("nan")] * k
+        return nets, np.full(k, np.nan)
     # Each client's steps lie contiguous, so its mean sums them as a 1-D
     # mean over that client's losses would.
-    return nets, [float(m) for m in np.stack(losses, axis=-1).mean(axis=-1)]
+    return nets, np.stack(losses, axis=-1).mean(axis=-1)
 
 
 def _single_view(loss_fn):
@@ -443,41 +445,41 @@ def local_train_coteaching(
     )
 
 
-def aggregate(models: list, sizes: list) -> ModelParams:
-    """Average parameter vectors weighted by shard sizes.
+def aggregate(models: ModelParams, sizes: list) -> ModelParams:
+    """Average a (K, P) cohort's rows into (P,) parameters, weighted by the K shard sizes.
 
-    Computed as anchor + sum_k w_k * (flat_k - anchor) with the first model
-    as anchor: identical inputs come back bit-identical, a single model is
-    returned unchanged, and the weights sum to one by construction.
+    Computed as anchor + sum_k w_k * (row_k - anchor) with row 0 as anchor:
+    identical rows come back bit-identical, a single row is returned
+    unchanged, and the weights sum to one by construction.
     """
-    if not models:
-        raise ValueError("nothing to aggregate")
-    if len(models) != len(sizes):
-        raise ValueError(f"{len(models)} models but {len(sizes)} sizes")
+    flat = models.flat
+    if flat.ndim != 2 or flat.shape[0] == 0:
+        raise ValueError(f"aggregate expects (K, P) parameters with K >= 1, got {flat.shape}")
+    if flat.shape[0] != len(sizes):
+        raise ValueError(f"{flat.shape[0]} models but {len(sizes)} sizes")
     sizes_arr = np.asarray(sizes, dtype=np.float64)
     if np.any(sizes_arr <= 0) or not np.all(np.isfinite(sizes_arr)):
         raise ValueError(f"shard sizes must be positive, got {sizes}")
-    shapes = models[0].shapes
-    for m in models[1:]:
-        if m.shapes != shapes:
-            raise ValueError("cannot aggregate models with different layer shapes")
     total = sizes_arr.sum()
-    anchor = models[0].flat
+    anchor = flat[0]
     delta = np.zeros_like(anchor)
-    for m, s in zip(models, sizes_arr):
-        delta += (s / total) * (m.flat - anchor)
-    return ModelParams(anchor + delta, shapes)
+    for row, s in zip(flat, sizes_arr):
+        delta += (s / total) * (row - anchor)
+    return ModelParams(anchor + delta, models.shapes)
 
 
-def evaluate(params: ModelParams, test_set: LabeledDataset, chunk: int = 4096) -> float:
-    """Top-1 accuracy against true labels; argmax ties go to the lower class."""
+_EVAL_CHUNK = 4096  # test rows per forward pass of evaluate
+
+
+def evaluate(params: ModelParams, test_set: LabeledDataset) -> float:
+    """Top-1 accuracy of one (P,) network on the true labels; argmax ties go to the lower class."""
     if test_set.n == 0:
         raise ValueError("cannot evaluate on an empty test set")
     hits = 0
-    for start in range(0, test_set.n, chunk):
-        block = test_set.features[start : start + chunk]
+    for start in range(0, test_set.n, _EVAL_CHUNK):
+        block = test_set.features[start : start + _EVAL_CHUNK]
         preds = np.argmax(forward(params, block), axis=1)
-        hits += int((preds == test_set.true_labels[start : start + chunk]).sum())
+        hits += int((preds == test_set.true_labels[start : start + _EVAL_CHUNK]).sum())
     return hits / test_set.n
 
 
@@ -487,10 +489,10 @@ def run_federation(
     shards: list,
     test_set: LabeledDataset,
     seed: "int | RngStream",
-    hp: "LsrHyperParams | None" = None,
-    sp: "SymCeParams | None" = None,
-    ct: "CoteachingConfig | None" = None,
-    policy: "AugmentPolicy | None" = None,
+    hp: LsrHyperParams = LsrHyperParams(),
+    sp: SymCeParams = SymCeParams(),
+    ct: CoteachingConfig = CoteachingConfig(),
+    policy: AugmentPolicy = AugmentPolicy(),
     record_history: bool = False,
 ) -> RunResult:
     """Run the full federated protocol and return per-round metrics.
@@ -514,10 +516,6 @@ def run_federation(
             stacklevel=2,
         )
     stream = as_stream(seed)
-    hp = hp if hp is not None else LsrHyperParams()
-    sp = sp if sp is not None else SymCeParams()
-    ct = ct if ct is not None else CoteachingConfig()
-    policy = policy if policy is not None else AugmentPolicy()
 
     layer_sizes = [train_set.feature_dim, *cfg.hidden_layers, train_set.num_classes]
     twin = cfg.method in ("coteaching", "coteaching_lsr")
@@ -571,23 +569,23 @@ def run_federation(
                     sharpen_hp=hp if cfg.method == "coteaching_lsr" else None,
                 )
 
-            trained = {}
-            for ids, (nets, losses) in zip(chunks, run_chunks(train, chunks)):
-                for k, cid in enumerate(ids):
-                    trained[cid] = [ModelParams(n.flat[k], n.shapes) for n in nets], losses[k]
-            results = [trained[cid] for cid in selected]
-
+            chunk_nets, chunk_losses = zip(*run_chunks(train, chunks))
+            order = [cid for ids in chunks for cid in ids]
+            rows = [order.index(cid) for cid in selected]  # cohort order -> selection order
             sizes = [shards[cid].n_k for cid in selected]
             globals_ = tuple(
-                aggregate([res[0][head] for res in results], sizes)
-                for head in range(len(globals_))
+                aggregate(
+                    ModelParams(np.concatenate([c.flat for c in stacks])[rows], g.shapes), sizes
+                )
+                for g, stacks in zip(globals_, zip(*chunk_nets))
             )
+            losses = np.concatenate(chunk_losses)[rows]
             acc = np.mean([evaluate(net, test_set) for net in globals_])
             metrics.append(
                 RoundMetrics(
                     round=t,
                     test_accuracy=float(acc),
-                    mean_train_loss=float(np.mean([res[1] for res in results])),
+                    mean_train_loss=float(np.mean(losses)),
                     gamma_t=gamma_t,
                     selected_clients=tuple(selected),
                 )

@@ -508,7 +508,7 @@ def run_experiment(config_path: "str | None" = None, overrides: "dict | None" = 
     return summary
 
 
-def compare_methods(config, methods: list, seeds: list, out_dir: str) -> dict:
+def compare_methods(config: dict, methods: list, seeds: list, out_dir: str) -> dict:
     """Run each method across the seeds and tabulate accuracy statistics.
 
     Writes compare.json and compare.csv (rows in input method order, stds
@@ -519,13 +519,12 @@ def compare_methods(config, methods: list, seeds: list, out_dir: str) -> dict:
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"federation.method must be one of {METHODS}, got {m!r}")
-    base = _read_config(config) if isinstance(config, str) else config
     rows = []
     for method in methods:
         finals, bests = [], []
         for seed in seeds:
             echo = materialize_config(
-                base, {"federation.method": method, "seed": int(seed)}
+                config, {"federation.method": method, "seed": int(seed)}
             )
             result, _ = run_from_config(echo)
             summ = _summarize(result)

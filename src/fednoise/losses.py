@@ -7,12 +7,12 @@ module turns these adjoints into parameter gradients; keeping the chain rule
 explicit here is what makes the finite-difference oracles in the test suite
 possible.
 
-Logits may carry leading axes, ``(..., B, M)`` with labels ``(..., B)``: a
-cohort of K clients passes ``(K, B, M)``, and a mixing weight may then be
-one value per client, shape ``(K,)``. Every reduction runs along the last
-axes, so each client's slice is computed exactly as the 2-D call on that
-slice would be. The scalar has shape ``(...)``, and is a Python float for a
-single batch.
+Logits are ``(..., B, M)`` with labels ``(..., B)``: one batch passes
+``(B, M)`` and a cohort of K clients ``(K, B, M)``, and a mixing weight may
+then be one value per client, shape ``(K,)``. A lone ``(M,)`` row or a 0-d
+label is rejected. Every reduction runs along the last axes, so each
+client's slice is computed exactly as the 2-D call on that slice would be.
+The scalar has shape ``(...)``, and is a Python float for a single batch.
 
 The regularized classification loss works on probabilities rather than
 logits: the two softmax outputs are convexly mixed, the mixture is sharpened
@@ -136,13 +136,9 @@ class LossOutput:
 
 def _check_logits_labels(logits: np.ndarray, labels: np.ndarray):
     o = np.asarray(logits, dtype=np.float64)
-    if o.ndim == 1:
-        o = o[None, :]
     if o.ndim < 2:
         raise ValueError(f"logits must be (..., B, M), got shape {o.shape}")
     y = np.asarray(labels)
-    if y.ndim == 0:
-        y = y[None]
     if y.shape != o.shape[:-1]:
         raise ValueError(f"labels shape {y.shape} does not match logits {o.shape[:-1]}")
     if not np.issubdtype(y.dtype, np.integer):
@@ -159,15 +155,11 @@ def _check_logits_labels(logits: np.ndarray, labels: np.ndarray):
 
 
 def _check_heads(o1: np.ndarray, o2: np.ndarray):
-    """Both logit heads as float64 (..., B, M) arrays of one shape; (M,) means B = 1."""
+    """Both logit heads as float64 (..., B, M) arrays of one shape."""
     o1 = np.asarray(o1, dtype=np.float64)
     o2 = np.asarray(o2, dtype=np.float64)
-    if o1.ndim == 1:
-        o1 = o1[None, :]
-    if o2.ndim == 1:
-        o2 = o2[None, :]
     if o1.shape != o2.shape or o1.ndim < 2:
-        raise ValueError(f"logit head shapes differ: {o1.shape} vs {o2.shape}")
+        raise ValueError(f"logit heads must be (..., B, M) of one shape: {o1.shape} vs {o2.shape}")
     return o1, o2
 
 

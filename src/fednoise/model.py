@@ -12,7 +12,7 @@ array, one flat vector per row. Each layer's weights are then a ``(K, in,
 out)`` view into it, so a cohort runs on ``(K, B, d)`` inputs through one
 stacked ``np.matmul`` per layer, which computes every slice exactly as the
 same product on one network would. ``sgd_step`` is elementwise and so works
-on either layout.
+on either layout. One network takes ``(B, d)`` inputs, never a ``(d,)`` row.
 
 Gradients are exact reverse-mode, written out by hand. :func:`forward_vjp`
 runs one forward pass and returns the logits with a ``vjp`` closure that
@@ -166,31 +166,28 @@ def init_params(layer_sizes: "list[int] | tuple[int, ...]", seed: "int | RngStre
     return ModelParams(flat, shapes)
 
 
-def _check_input(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
+def _check_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     lead = params.flat.shape[:-1]
-    single = arr.ndim == 1 and not lead
-    if single:
-        arr = arr[None, :]
     if arr.ndim != len(lead) + 2 or arr.shape[: len(lead)] != lead:
-        want = f"(K, B, d) with K = {lead[0]}" if lead else "(d,) or (B, d)"
+        want = f"(K, B, d) with K = {lead[0]}" if lead else "(B, d)"
         raise ValueError(f"input has shape {arr.shape}, a model of this layout expects {want}")
     if arr.shape[-1] != params.in_dim:
         raise ValueError(
             f"input has feature dim {arr.shape[-1]}, model expects {params.in_dim}"
         )
-    return arr, single
+    return arr
 
 
 def forward_vjp(params: ModelParams, x: np.ndarray):
-    """One forward pass: (logits, vjp) for a sample (d,) or a batch (B, d),
-    or for a (K, P) cohort on (K, B, d) inputs, giving (K, B, M) logits.
+    """One forward pass: (logits, vjp) for a batch (B, d), giving (B, M)
+    logits, or for a (K, P) cohort on (K, B, d) inputs, giving (K, B, M).
 
     ``vjp(adjoint)`` maps dLoss/dLogits of this pass to the exact parameter
     gradient, (P,) or (K, P), reusing the pass's activations. Zero adjoints
     yield a zero gradient; the map is linear in the adjoint.
     """
-    arr, single = _check_input(params, x)
+    arr = _check_input(params, x)
     layers = list(_layer_views(params.flat, params.shapes))
     acts = [arr]
     for li, (w, b) in enumerate(layers):
@@ -201,8 +198,6 @@ def forward_vjp(params: ModelParams, x: np.ndarray):
 
     def vjp(adjoint: np.ndarray) -> Gradients:
         dz = np.asarray(adjoint, dtype=np.float64)
-        if single:
-            dz = dz[None, :]
         if dz.shape != out.shape:
             raise ValueError(
                 f"adjoint shape {dz.shape} does not match logits shape {out.shape}"
@@ -218,12 +213,12 @@ def forward_vjp(params: ModelParams, x: np.ndarray):
                 dz *= acts[li] > 0.0
         return Gradients(_frozen(np.concatenate(pieces[::-1], axis=-1)))
 
-    return (out[0] if single else out), vjp
+    return out, vjp
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Logits for a sample (d,) -> (M,), a batch (B, d) -> (B, M), or a
-    (K, P) cohort's (K, B, d) -> (K, B, M)."""
+    """Logits for a batch (B, d) -> (B, M), or a (K, P) cohort's
+    (K, B, d) -> (K, B, M)."""
     return forward_vjp(params, x)[0]
 
 

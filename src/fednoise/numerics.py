@@ -6,7 +6,8 @@ numpy float64 arrays, either a single row ``(M,)``, a batch of rows
 along the last axis. A probability array has entries in [0, 1] that sum to 1
 per row.
 
-All logarithms are natural logarithms.
+All logarithms are natural logarithms. :func:`sample_mix_weight` draws
+from an :class:`RngStream`, never from a live generator.
 """
 
 from __future__ import annotations
@@ -80,14 +81,6 @@ def as_stream(seed: "int | RngStream") -> RngStream:
     raise TypeError(f"expected int seed or RngStream, got {type(seed).__name__}")
 
 
-def _as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax along the last axis, with max-subtraction for
     overflow safety.
@@ -133,10 +126,9 @@ def sharpen(probs: np.ndarray, temp: float) -> np.ndarray:
     return powered / total
 
 
-def sample_mix_weight(rng: "RngStream | np.random.Generator") -> float:
+def sample_mix_weight(rng: RngStream) -> float:
     """Draw the convex mixing weight for prediction averaging, Beta(1, 1)."""
-    gen = _as_generator(rng)
-    return float(gen.beta(1.0, 1.0))
+    return float(rng.generator().beta(1.0, 1.0))
 
 
 def softmax_vjp(probs: np.ndarray, grad_out: np.ndarray, temp: float = 1.0) -> np.ndarray:

@@ -61,7 +61,7 @@ class TestRotation:
 
     def test_zero_degrees_is_identity(self):
         img = radial_image()
-        out = random_rotation(img, 0.0, RngStream(0))
+        out = random_rotation(img, 0.0, RngStream(0).generator())
         np.testing.assert_array_equal(out, img)
 
     def test_shape_preserved_with_channels(self):
@@ -74,19 +74,19 @@ class TestRotation:
         # draws stay inside [-max, +max]: rotating by at most ~0 degrees
         # cannot move mass far; compare against the worst case at 5 degrees
         img = radial_image()
-        out = random_rotation(img, 5.0, RngStream(3))
+        out = random_rotation(img, 5.0, RngStream(3).generator())
         assert np.abs(out - img).max() < 0.1
 
     def test_deterministic_under_stream(self):
         gen = np.random.default_rng(2)
         img = gen.random((10, 10))
-        a = random_rotation(img, 30.0, RngStream(4))
-        b = random_rotation(img, 30.0, RngStream(4))
+        a = random_rotation(img, 30.0, RngStream(4).generator())
+        b = random_rotation(img, 30.0, RngStream(4).generator())
         np.testing.assert_array_equal(a, b)
 
     def test_flat_vector_rejected(self):
         with pytest.raises(UnsupportedAugmentationError):
-            random_rotation(np.zeros(10), 30.0, RngStream(0))
+            random_rotation(np.zeros(10), 30.0, RngStream(0).generator())
 
     def test_negative_max_degrees_rejected(self):
         with pytest.raises(ValueError):
@@ -97,20 +97,20 @@ class TestHorizontalFlip:
     def test_forced_flip_is_exact_mirror(self):
         gen = np.random.default_rng(3)
         img = gen.random((6, 7))
-        out = horizontal_flip(img, 1.0, RngStream(0))
+        out = horizontal_flip(img, 1.0, RngStream(0).generator())
         np.testing.assert_array_equal(out, img[:, ::-1])
 
     def test_double_forced_flip_is_identity(self):
         gen = np.random.default_rng(4)
         img = gen.random((6, 7, 3))
-        once = horizontal_flip(img, 1.0, RngStream(0))
-        twice = horizontal_flip(once, 1.0, RngStream(0))
+        once = horizontal_flip(img, 1.0, RngStream(0).generator())
+        twice = horizontal_flip(once, 1.0, RngStream(0).generator())
         np.testing.assert_array_equal(twice, img)
 
     def test_prob_zero_never_flips(self):
         gen = np.random.default_rng(5)
         img = gen.random((4, 5))
-        out = horizontal_flip(img, 0.0, RngStream(1))
+        out = horizontal_flip(img, 0.0, RngStream(1).generator())
         np.testing.assert_array_equal(out, img)
 
     def test_flip_rate_near_prob(self):
@@ -130,23 +130,36 @@ class TestHorizontalFlip:
 class TestFeatureJitter:
     def test_sigma_zero_identity(self):
         x = np.arange(5.0)
-        np.testing.assert_array_equal(feature_jitter(x, 0.0, RngStream(0)), x)
+        np.testing.assert_array_equal(feature_jitter(x, 0.0, RngStream(0).generator()), x)
 
     def test_noise_statistics(self):
         x = np.zeros(20000)
-        out = feature_jitter(x, 0.5, RngStream(1))
+        out = feature_jitter(x, 0.5, RngStream(1).generator())
         assert abs(out.mean()) < 0.02
         assert abs(out.std() - 0.5) < 0.02
 
     def test_same_stream_same_jitter(self):
         x = np.ones(10)
-        a = feature_jitter(x, 0.3, RngStream(2))
-        b = feature_jitter(x, 0.3, RngStream(2))
+        a = feature_jitter(x, 0.3, RngStream(2).generator())
+        b = feature_jitter(x, 0.3, RngStream(2).generator())
         np.testing.assert_array_equal(a, b)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             FeatureJitter(-0.1)
+
+
+def test_single_ops_take_a_generator_not_a_stream():
+    # apply_batch hands each op its sub-stream's Generator; an RngStream is
+    # no second accepted form.
+    img = np.ones((4, 4))
+    for op in (
+        lambda rng: random_rotation(img, 10.0, rng),
+        lambda rng: horizontal_flip(img, 0.5, rng),
+        lambda rng: feature_jitter(img, 0.1, rng),
+    ):
+        with pytest.raises(AttributeError):
+            op(RngStream(0))
 
 
 class TestPolicy:

@@ -1,6 +1,7 @@
 """Dataset loaders, synthetic generator, noise injection, partitions."""
 
 import hashlib
+import itertools
 import struct
 
 import numpy as np
@@ -289,6 +290,36 @@ class TestPartitionNoniid:
         with pytest.raises(PartitionError, match="class"):
             partition_noniid(ds, 100, 2, seed=0)
 
+    def test_balanced_requests_with_a_remainder(self):
+        # The grid's requests split evenly across clients and class slots,
+        # but classes_per_client does not divide the shard size. Each is
+        # accepted with equal shards whose class slices are equal up to one
+        # row, except one: its seeded class deal gives a client the two
+        # 55-row classes 3 and 5 for a 111-row shard, which no placement of
+        # the remainder rows can serve.
+        requests = refused = 0
+        for n, m in itertools.product((60, 97, 120, 200, 333), range(2, 8)):
+            ds = generate_synthetic(n, m, 4, seed=3)
+            for clients, q in itertools.product(range(2, 11), range(1, m + 1)):
+                shard = n // clients
+                if n % clients or clients * q % m or shard % q == 0 or shard < q:
+                    continue
+                requests += 1
+                try:
+                    shards = partition_noniid(ds, clients, q, seed=7)
+                except PartitionError:
+                    assert (n, m, clients, q) == (333, 6, 3, 2)
+                    refused += 1
+                    continue
+                union = np.concatenate([s.indices for s in shards])
+                assert np.unique(union).size == union.size
+                for s in shards:
+                    counts = np.bincount(ds.true_labels[s.indices], minlength=m)
+                    held = counts[counts > 0]
+                    assert s.n_k == shard and held.size == q
+                    assert held.max() - held.min() <= 1
+        assert (requests, refused) == (84, 1)
+
     def test_argument_validation(self):
         ds = generate_synthetic(100, 10, 8, 0)
         with pytest.raises(PartitionError):
@@ -401,6 +432,12 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match=match) as err:
             load_idx(*paths)
         assert str(err.value).startswith(path)
+
+    def test_label_beyond_num_classes_names_the_file(self, tmp_path):
+        img, lab = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), np.array([0, 4]))
+        with pytest.raises(DataError, match="label 4 out of range for 4 classes") as err:
+            load_idx(img, lab, num_classes=4)
+        assert str(err.value).startswith(lab)
 
     def test_count_mismatch(self, tmp_path):
         img, _ = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), np.zeros(2, np.uint8))

@@ -165,45 +165,55 @@ class TestCoteachKeepRatio:
         assert coteach_keep_ratio(ct, 50) == 1.0
 
 
+def stack(*nets):
+    """One (K, P) cohort holding the given networks as its rows."""
+    return ModelParams(np.stack([net.flat for net in nets]), nets[0].shapes)
+
+
 class TestAggregate:
     def test_single_model_unchanged_bitwise(self):
         p = init_params([4, 3, 2], 0)
-        out = aggregate([p], [10])
+        out = aggregate(stack(p), [10])
         np.testing.assert_array_equal(out.flat, p.flat)
 
     def test_identical_models_bit_identical(self):
         p = init_params([4, 3, 2], 0)
-        out = aggregate([p, ModelParams(p.flat.copy(), p.shapes), p], [3, 5, 2])
+        out = aggregate(stack(p, p, p), [3, 5, 2])
         np.testing.assert_array_equal(out.flat, p.flat)
 
     def test_weighted_mean(self):
-        shapes = ((2, 1),)
-        a = ModelParams(np.array([1.0, 0.0, 0.0]), shapes)
-        b = ModelParams(np.array([4.0, 3.0, 0.0]), shapes)
-        out = aggregate([a, b], [1, 3])
+        cohort = ModelParams(np.array([[1.0, 0.0, 0.0], [4.0, 3.0, 0.0]]), ((2, 1),))
+        out = aggregate(cohort, [1, 3])
         np.testing.assert_allclose(out.flat, [3.25, 2.25, 0.0], atol=1e-15)
 
     def test_validation(self):
         p = init_params([4, 3, 2], 0)
-        q = init_params([4, 5, 2], 0)
         with pytest.raises(ValueError):
-            aggregate([], [])
+            aggregate(ModelParams(np.zeros((0, p.flat.size)), p.shapes), [])
         with pytest.raises(ValueError):
-            aggregate([p], [1, 2])
+            aggregate(stack(p), [1, 2])
         with pytest.raises(ValueError):
-            aggregate([p, q], [1, 1])
-        with pytest.raises(ValueError):
-            aggregate([p], [0])
+            aggregate(stack(p), [0])
+
+    def test_only_a_stacked_cohort_is_accepted(self):
+        # One (P,) network is not a cohort, and a list of networks is no
+        # second accepted form.
+        p = init_params([4, 3, 2], 0)
+        with pytest.raises(ValueError, match=r"\(K, P\)"):
+            aggregate(p, [1])
+        with pytest.raises(AttributeError):
+            aggregate([p], [1])
 
 
 class TestEvaluate:
-    def test_matches_direct_argmax_across_chunks(self):
+    def test_matches_direct_argmax_across_chunks(self, monkeypatch):
         train, _, test = small_world()
         p = init_params([6, 8, 4], 3)
         direct = float(
             (np.argmax(forward(p, test.features), axis=1) == test.true_labels).mean()
         )
-        assert evaluate(p, test, chunk=7) == direct
+        assert evaluate(p, test) == direct
+        monkeypatch.setattr(fednoise.federation, "_EVAL_CHUNK", 7)
         assert evaluate(p, test) == direct
 
     def test_empty_test_set_rejected(self):
@@ -380,6 +390,35 @@ class TestRunFederationMechanics:
                 assert [c for chunk in chunks for c in chunk] == ids
                 assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
         assert calls == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_round_aggregates_in_selection_order(self, workers):
+        # The two shard-size cohorts train apart, and aggregation must still
+        # see the clients in selection order, which fixes its anchor and its
+        # weights: the round equals each client trained alone, stacked in
+        # selection order and averaged.
+        train, _, test = small_world()
+        shards = uneven_shards(train)
+        cfg = FedConfig(
+            num_clients=6, clients_per_round=4, rounds=1, local_epochs=2, batch_size=5,
+            method="fedavg_ce", warmup_rounds=0, hidden_layers=(5,), workers=workers,
+        )
+        result = run_federation(cfg, train, shards, test, seed=3)
+        selected = list(result.metrics[0].selected_clients)
+        sizes = [shards[c].n_k for c in selected]
+        assert sorted(sizes, key=sizes.index) != sizes  # the cohorts interleave
+
+        stream = RngStream(3)
+        net = init_params([6, 5, 4], stream.child("init", 0))
+        alone = [
+            local_train_ce(net, train, [shards[c]], cfg, [stream.child("client", c, 0)])
+            for c in selected
+        ]
+        stacked = np.concatenate([nets[0].flat for nets, _ in alone])
+        want = aggregate(ModelParams(stacked, net.shapes), sizes)
+        np.testing.assert_array_equal(result.final_params.flat, want.flat)
+        losses = np.concatenate([loss for _, loss in alone])
+        assert result.metrics[0].mean_train_loss == float(np.mean(losses))
 
     def test_record_history_lengths(self):
         train, shards, test = small_world()

@@ -21,6 +21,7 @@ from fednoise.harness import (
     run_from_config,
     write_metrics_csv,
 )
+from test_data import write_idx_pair
 
 
 def tiny_config(**over):
@@ -375,6 +376,9 @@ class TestCompareMethods:
             compare_methods(tiny_config(), ["fedavg_ce"], [], str(tmp_path))
         with pytest.raises(ConfigError, match="method"):
             compare_methods(tiny_config(), ["mixup"], [0], str(tmp_path))
+        # A config path is no second accepted form; main reads the file.
+        with pytest.raises(ConfigError, match="JSON object"):
+            compare_methods(str(tmp_path / "config.json"), ["fedavg_ce"], [0], str(tmp_path))
 
 
 class TestCli:
@@ -454,6 +458,24 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: dataset: {train}: row 2 label {label} ")
+
+    def test_idx_test_label_unseen_in_training_exits_2_naming_file(self, tmp_path, capsys):
+        # The training labels give 2 classes; the test set holds a class 2.
+        paths = {}
+        for split, labels in (("train", [0, 1, 0, 1]), ("test", [0, 2])):
+            (tmp_path / split).mkdir()
+            images = np.zeros((len(labels), 2, 2), np.uint8)
+            pair = write_idx_pair(tmp_path / split, images, np.array(labels))
+            paths[f"{split}_images"], paths[f"{split}_labels"] = pair
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(tiny_config(
+            dataset={"kind": "idx", **paths}, augment="none",
+            federation={"num_clients": 2, "clients_per_round": 1, "rounds": 1},
+        )))
+        code = main(["run", "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: dataset: {paths['test_labels']}: label 2 ")
 
     def test_compare_missing_config_exits_2(self, tmp_path, capsys):
         code = main([

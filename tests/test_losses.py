@@ -78,6 +78,22 @@ class TestCeLoss:
         with pytest.raises(ValueError):
             ce_loss(np.zeros((0, 3)), np.zeros(0, dtype=int))
 
+    def test_lone_row_rejected_naming_the_layout(self):
+        # Logits always carry a batch axis: an (M,) row is no accepted form
+        # for one-head or two-head losses, and a 0-d label none for labels.
+        hp = LsrHyperParams()
+        row = np.zeros(3)
+        for call in (
+            lambda: ce_loss(row, np.array([0])),
+            lambda: ce_per_sample(row, np.array([0])),
+            lambda: lsr_cls_loss(row, row, np.array([0]), 0.5, hp),
+            lambda: self_distill_loss(row, row, hp),
+        ):
+            with pytest.raises(ValueError, match=r"\(\.\.\., B, M\)"):
+                call()
+        with pytest.raises(ValueError, match=r"labels shape \(\) does not match"):
+            ce_loss(np.zeros((1, 3)), np.array(0))
+
 
 class TestMixupPrediction:
     def test_endpoints_and_midpoint(self):

@@ -96,11 +96,11 @@ class TestModelParamsValidation:
 class TestForward:
     def test_batch_and_single_shapes(self):
         p = tiny_net()
-        x1 = np.ones(5)
+        x1 = np.ones((1, 5))
         xb = np.ones((6, 5))
-        assert forward(p, x1).shape == (3,)
+        assert forward(p, x1).shape == (1, 3)
         assert forward(p, xb).shape == (6, 3)
-        np.testing.assert_allclose(forward(p, xb)[0], forward(p, x1), atol=1e-12)
+        np.testing.assert_allclose(forward(p, xb)[:1], forward(p, x1), atol=1e-12)
 
     def test_manual_two_layer_computation(self):
         # W1 = identity-ish, relu, then sum; checked by hand
@@ -114,14 +114,25 @@ class TestForward:
         )
         p = ModelParams(flat, ((2, 2), (2, 1)))
         # z1 = [3, 2-1] = [3, 1]; relu same; out = 3 + 1 + 0.5
-        np.testing.assert_allclose(forward(p, np.array([3.0, 2.0])), [4.5], atol=1e-12)
+        np.testing.assert_allclose(forward(p, np.array([[3.0, 2.0]])), [[4.5]], atol=1e-12)
         # negative pre-activation is cut by relu
         # z1 = [1, -5]; relu [1, 0]; out = 1.5
-        np.testing.assert_allclose(forward(p, np.array([1.0, -4.0])), [1.5], atol=1e-12)
+        np.testing.assert_allclose(forward(p, np.array([[1.0, -4.0]])), [[1.5]], atol=1e-12)
 
     def test_wrong_feature_dim_rejected(self):
-        with pytest.raises(ValueError):
-            forward(tiny_net(), np.ones(4))
+        with pytest.raises(ValueError, match="feature dim 4"):
+            forward(tiny_net(), np.ones((2, 4)))
+
+    def test_lone_sample_rejected_naming_the_layout(self):
+        # One network takes (B, d) only; a (d,) sample has no batch axis.
+        p = tiny_net()
+        for call in (
+            lambda: forward(p, np.ones(5)),
+            lambda: forward_vjp(p, np.ones(5)),
+            lambda: backward(p, np.ones(5), np.zeros(3)),
+        ):
+            with pytest.raises(ValueError, match=r"expects \(B, d\)"):
+                call()
 
 
 class TestBackward:

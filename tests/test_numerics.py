@@ -175,11 +175,17 @@ class TestMixWeight:
         assert 0.0 <= lam1 <= 1.0
 
     def test_beta_1_1_moments(self):
-        gen = np.random.default_rng(6)
-        draws = np.array([sample_mix_weight(gen) for _ in range(4000)])
+        root = RngStream(6)
+        draws = np.array([sample_mix_weight(root.child("mixweight", i)) for i in range(4000)])
         # Beta(1, 1) is Uniform(0, 1): mean 1/2, var 1/12
         assert abs(draws.mean() - 0.5) < 0.02
         assert abs(draws.var() - 1.0 / 12.0) < 0.01
+
+    def test_generator_is_not_a_stream(self):
+        # The weight is drawn from a stream's origin; a live generator is no
+        # second accepted form.
+        with pytest.raises(AttributeError):
+            sample_mix_weight(np.random.default_rng(0))
 
 
 class TestSoftmaxVjp:
