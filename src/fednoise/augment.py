@@ -160,9 +160,6 @@ def apply_batch(
         raise UnsupportedAugmentationError(
             "policy contains image ops but the data has no image shape"
         )
-    if not policy.ops or arr.shape[0] == 0:
-        return arr.copy()
-
     out = arr.copy()
     for i, op in enumerate(policy.ops):
         gen = rng.child(i).generator()

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import RngStream, as_stream
+from .numerics import RngStream
 
 __all__ = [
     "DataError",
@@ -282,7 +282,7 @@ def load_csv(path: str, num_classes: "int | None" = None) -> LabeledDataset:
 
 
 def generate_synthetic(
-    n: int, num_classes: int, dim: int, seed: "int | RngStream"
+    n: int, num_classes: int, dim: int, seed: int
 ) -> LabeledDataset:
     """Balanced Gaussian class clusters centered on the unit sphere.
 
@@ -296,7 +296,8 @@ def generate_synthetic(
     their center with per-coordinate standard deviation 0.25. Sample i
     belongs to class ``i % num_classes``, so any prefix or suffix whose
     length divides num_classes stays balanced, which keeps train/test
-    splits stratified without extra bookkeeping.
+    splits stratified without extra bookkeeping. Every draw derives from the
+    integer ``seed``.
     """
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
@@ -304,7 +305,7 @@ def generate_synthetic(
         raise ValueError(f"need n >= num_classes, got n={n}, classes={num_classes}")
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")
-    stream = as_stream(seed)
+    stream = RngStream(seed)
     gen_centers = stream.child("centers").generator()
     pairs = num_classes // 2
     mids = gen_centers.normal(size=(pairs + num_classes % 2, dim))
@@ -406,7 +407,7 @@ def transition_counts(ds: LabeledDataset) -> np.ndarray:
     return counts
 
 
-def partition_iid(ds: LabeledDataset, num_clients: int, seed: "int | RngStream") -> list[ClientShard]:
+def partition_iid(ds: LabeledDataset, num_clients: int, seed: int) -> list[ClientShard]:
     """Seeded global shuffle followed by contiguous equal slices.
 
     Requires the sample count to divide evenly by num_clients.
@@ -418,7 +419,7 @@ def partition_iid(ds: LabeledDataset, num_clients: int, seed: "int | RngStream")
             f"cannot split {ds.n} samples evenly across {num_clients} clients"
         )
     per = ds.n // num_clients
-    perm = as_stream(seed).child("partition-iid").generator().permutation(ds.n)
+    perm = RngStream(seed).child("partition-iid").generator().permutation(ds.n)
     return [
         ClientShard(i, perm[i * per : (i + 1) * per]) for i in range(num_clients)
     ]
@@ -428,7 +429,7 @@ def partition_noniid(
     ds: LabeledDataset,
     num_clients: int,
     classes_per_client: int,
-    seed: "int | RngStream",
+    seed: int,
 ) -> list[ClientShard]:
     """Give each client samples from a fixed set of distinct true classes.
 
@@ -456,7 +457,7 @@ def partition_noniid(
             f"dropping {ds.n % num_clients} surplus samples to keep shards equal",
             stacklevel=2,
         )
-    gen = as_stream(seed).child("partition-noniid").generator()
+    gen = RngStream(seed).child("partition-noniid").generator()
 
     # Deal class slots to clients, always drawing from the classes with the
     # most slots left (seeded tie-break); this keeps the deal feasible and

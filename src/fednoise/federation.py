@@ -58,8 +58,8 @@ from .losses import (
     symce_lsr_loss,
     symmetric_ce_loss,
 )
-from .model import Gradients, ModelParams, forward, forward_vjp, init_params, sgd_step
-from .numerics import RngStream, as_stream, sample_mix_weight
+from .model import ModelParams, forward, forward_vjp, init_params, sgd_step
+from .numerics import RngStream, sample_mix_weight
 
 __all__ = [
     "METHODS",
@@ -137,6 +137,9 @@ class FedConfig:
                 f"warmup_rounds {self.warmup_rounds} exceeds rounds {self.rounds}"
             )
         hidden = tuple(int(h) for h in self.hidden_layers)
+        for width, h in zip(self.hidden_layers, hidden):
+            if width != h:
+                raise ValueError(f"hidden width {width!r} is not an integer")
         if not hidden or any(h < 1 for h in hidden):
             raise ValueError(f"hidden_layers must be positive widths, got {self.hidden_layers}")
         object.__setattr__(self, "hidden_layers", hidden)
@@ -283,10 +286,10 @@ def _two_view(
     """Objective summing both heads' gradients under ``loss_fn(o1, o2, y, lam)``.
 
     Each client augments its rows and draws its mixing weight from its own
-    stream. A client's augmented-head vjp is skipped when its adjoint is
-    exactly zero, which keeps degenerate configurations (identity
-    augmentation, mixing weight pinned to 1) arithmetic-identical to the
-    single-view trainers.
+    stream, unless ``hp.fix_lambda`` pins every weight. A head whose adjoint
+    is zero (identity augmentation, a weight pinned to 1) adds a gradient of
+    signed zeros, which leaves every non-zero sum and parameter bit-identical,
+    so degenerate configurations still match the single-view trainers.
     """
 
     def objective(nets, x, y, epoch, bi):
@@ -296,18 +299,12 @@ def _two_view(
         ])
         o1, vjp1 = forward_vjp(nets[0], x)
         o2, vjp2 = forward_vjp(nets[0], x_aug)
-        if hp.fix_lambda is not None:
-            lam = float(hp.fix_lambda)
-        else:
+        if hp.fix_lambda is None:
             lam = np.array([sample_mix_weight(s.child("mixweight", epoch, bi)) for s in streams])
+        else:
+            lam = np.full(len(streams), float(hp.fix_lambda))
         out = loss_fn(o1, o2, y, lam)
-        grads = vjp1(out.adjoint_o1)
-        live = out.adjoint_o2.any(axis=(-2, -1))
-        if live.any():
-            both = grads + vjp2(out.adjoint_o2)
-            grads = both if live.all() else Gradients(
-                np.where(live[:, None], both.flat, grads.flat))
-        return out.scalar, (grads,)
+        return out.scalar, (vjp1(out.adjoint_o1) + vjp2(out.adjoint_o2),)
 
     return objective
 
@@ -488,7 +485,7 @@ def run_federation(
     train_set: LabeledDataset,
     shards: list,
     test_set: LabeledDataset,
-    seed: "int | RngStream",
+    seed: int,
     hp: LsrHyperParams = LsrHyperParams(),
     sp: SymCeParams = SymCeParams(),
     ct: CoteachingConfig = CoteachingConfig(),
@@ -497,10 +494,11 @@ def run_federation(
 ) -> RunResult:
     """Run the full federated protocol and return per-round metrics.
 
-    The reported mean_train_loss averages the selected clients' per-step
-    batch losses; gamma_t records the warm-up schedule value whether or not
-    the method consumes it. For the two-network method, test accuracy is the
-    mean of the two networks' accuracies and both networks are aggregated
+    Every draw derives from the integer master ``seed``. The reported
+    mean_train_loss averages the selected clients' per-step batch losses;
+    gamma_t records the warm-up schedule value whether or not the method
+    consumes it. For the two-network method, test accuracy is the mean of
+    the two networks' accuracies and both networks are aggregated
     separately across their client replicas.
     """
     if len(shards) != cfg.num_clients:
@@ -515,7 +513,7 @@ def run_federation(
             "such shards train on one full batch per epoch",
             stacklevel=2,
         )
-    stream = as_stream(seed)
+    stream = RngStream(seed)
 
     layer_sizes = [train_set.feature_dim, *cfg.hidden_layers, train_set.num_classes]
     twin = cfg.method in ("coteaching", "coteaching_lsr")

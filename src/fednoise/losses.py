@@ -8,8 +8,8 @@ explicit here is what makes the finite-difference oracles in the test suite
 possible.
 
 Logits are ``(..., B, M)`` with labels ``(..., B)``: one batch passes
-``(B, M)`` and a cohort of K clients ``(K, B, M)``, and a mixing weight may
-then be one value per client, shape ``(K,)``. A lone ``(M,)`` row or a 0-d
+``(B, M)`` and a cohort of K clients ``(K, B, M)``; a 0-d or ``(K,)`` mixing
+weight is checked once and shaped to broadcast. A lone ``(M,)`` row or a 0-d
 label is rejected. Every reduction runs along the last axes, so each
 client's slice is computed exactly as the 2-D call on that slice would be.
 The scalar has shape ``(...)``, and is a Python float for a single batch.
@@ -44,7 +44,6 @@ __all__ = [
     "LossOutput",
     "ce_loss",
     "ce_per_sample",
-    "mixup_prediction",
     "lsr_cls_loss",
     "self_distill_loss",
     "lsr_total_loss",
@@ -163,15 +162,13 @@ def _check_heads(o1: np.ndarray, o2: np.ndarray):
     return o1, o2
 
 
-def _mix_weight(lam, lead: tuple):
-    """A checked mixing weight: a float, or per-client weights of shape
-    ``lead`` returned as ``lead + (1, 1)`` to broadcast over (B, M)."""
+def _mix_weight(lam, lead: tuple) -> np.ndarray:
+    """The checked mixing weight, 0-d or of shape ``lead``, with two unit axes
+    appended so that it broadcasts over the (..., B, M) arrays it mixes."""
     arr = np.asarray(lam, dtype=np.float64)
     if not np.all(np.isfinite(arr) & (arr >= 0.0) & (arr <= 1.0)):
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
-    if arr.ndim == 0:
-        return float(arr)
-    if arr.shape != lead:
+    if arr.ndim and arr.shape != lead:
         raise ValueError(f"mixing weights of shape {arr.shape} for leading axes {lead}")
     return arr[..., None, None]
 
@@ -214,19 +211,6 @@ def ce_loss(logits: np.ndarray, labels: np.ndarray) -> LossOutput:
     return LossOutput(scalar, adj, np.zeros_like(o))
 
 
-def mixup_prediction(p1: np.ndarray, p2: np.ndarray, lam: "float | np.ndarray") -> np.ndarray:
-    """Convex combination lam * p1 + (1 - lam) * p2 of two prediction arrays.
-
-    ``lam`` is one weight, or one per leading index of (..., B, M) arrays.
-    """
-    a = np.asarray(p1, dtype=np.float64)
-    b = np.asarray(p2, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"prediction shapes differ: {a.shape} vs {b.shape}")
-    lam = _mix_weight(lam, a.shape[:-2])
-    return lam * a + (1.0 - lam) * b
-
-
 def lsr_cls_loss(
     o1: np.ndarray,
     o2: np.ndarray,
@@ -258,7 +242,7 @@ def lsr_cls_loss(
     u = 1.0 / hp.sharpen_temp
     p1 = softmax(o1)
     p2 = softmax(o2)
-    p = mixup_prediction(p1, p2, lam)
+    p = weight * p1 + (1.0 - weight) * p2
 
     powered = p**u
     norm = powered.sum(axis=-1)

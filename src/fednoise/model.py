@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, as_stream
+from .numerics import RngStream
 
 __all__ = [
     "ModelParams",
@@ -150,19 +150,15 @@ def _layer_views(flat: np.ndarray, shapes: tuple[tuple[int, int], ...]):
         yield w, b
 
 
-def init_params(layer_sizes: "list[int] | tuple[int, ...]", seed: "int | RngStream") -> ModelParams:
-    """Glorot-uniform weights, zero biases, deterministic under the seed."""
-    count = param_count(layer_sizes)
+def init_params(layer_sizes: "list[int] | tuple[int, ...]", stream: RngStream) -> ModelParams:
+    """Glorot-uniform weights, zero biases, deterministic under the stream."""
+    flat = np.zeros(param_count(layer_sizes), dtype=np.float64)
     sizes = [int(s) for s in layer_sizes]
     shapes = tuple(zip(sizes[:-1], sizes[1:]))
-    gen = as_stream(seed).child("model-init").generator()
-    flat = np.zeros(count, dtype=np.float64)
-    offset = 0
-    for in_dim, out_dim in shapes:
-        limit = np.sqrt(6.0 / (in_dim + out_dim))
-        n_w = in_dim * out_dim
-        flat[offset : offset + n_w] = gen.uniform(-limit, limit, size=n_w)
-        offset += n_w + out_dim  # biases stay zero
+    gen = stream.child("model-init").generator()
+    for w, _ in _layer_views(flat, shapes):  # biases stay zero
+        limit = np.sqrt(6.0 / sum(w.shape))
+        w[...] = gen.uniform(-limit, limit, size=w.shape)
     return ModelParams(flat, shapes)
 
 
@@ -262,7 +258,8 @@ def save_params(params: ModelParams, path: "str | os.PathLike") -> None:
 
 
 def load_params(path: "str | os.PathLike") -> ModelParams:
-    """Read a checkpoint written by save_params. Raises ValueError on mismatch."""
+    """Read a checkpoint written by save_params. Raises ValueError on a malformed
+    header and on a payload whose length disagrees with the header's count."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
@@ -270,12 +267,22 @@ def load_params(path: "str | os.PathLike") -> ModelParams:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"checkpoint header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"checkpoint header must be a JSON object, got {header!r}")
     if header.get("format") != _CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format {header.get('format')!r}")
     if header.get("version") != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
-    shapes = tuple((int(i), int(o)) for i, o in header["layers"])
-    count = int(header["count"])
+    try:
+        shapes = tuple((int(i), int(o)) for i, o in header["layers"])
+        count = int(header["count"])
+    except KeyError as exc:
+        raise ValueError(f"checkpoint header lacks the {exc.args[0]!r} field") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint header has malformed layers or count: {exc}") from None
+    chained = all(out == nxt for (_, out), (nxt, _) in zip(shapes, shapes[1:]))
+    if not shapes or min(map(min, shapes)) < 1 or not chained:
+        raise ValueError(f"checkpoint layers {shapes} do not chain positive widths")
     flat = np.frombuffer(blob, dtype="<f8")
     if flat.size != count:
         raise ValueError(

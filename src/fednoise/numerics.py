@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "RngStream",
-    "as_stream",
     "softmax",
     "tempered_softmax",
     "sharpen",
@@ -58,7 +57,10 @@ class RngStream:
     path: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if int(self.master_seed) < 0:
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise TypeError(f"master_seed must be an integer, got {seed!r}")
+        if seed < 0:
             raise ValueError("master_seed must be non-negative")
 
     def child(self, *steps: int | str) -> "RngStream":
@@ -70,15 +72,6 @@ class RngStream:
         """Fresh generator positioned at the start of this stream."""
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=self.path)
         return np.random.Generator(np.random.PCG64(seq))
-
-
-def as_stream(seed: "int | RngStream") -> RngStream:
-    """Coerce an integer seed or an existing stream to an RngStream."""
-    if isinstance(seed, RngStream):
-        return seed
-    if isinstance(seed, (int, np.integer)):
-        return RngStream(int(seed))
-    raise TypeError(f"expected int seed or RngStream, got {type(seed).__name__}")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -124,6 +124,8 @@ class TestGenerateSynthetic:
             generate_synthetic(3, 5, 8, 0)
         with pytest.raises(ValueError):
             generate_synthetic(100, 5, 1, 0)
+        with pytest.raises(TypeError):
+            generate_synthetic(100, 5, 8, seed=2.5)
 
 
 class TestSubset:

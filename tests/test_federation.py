@@ -89,6 +89,8 @@ class TestFedConfig:
             FedConfig(rounds=10, warmup_rounds=11)
         with pytest.raises(ValueError):
             FedConfig(hidden_layers=())
+        with pytest.raises(ValueError, match="hidden width 2.7 is not an integer"):
+            FedConfig(hidden_layers=(2.7, 3))
         with pytest.raises(ValueError):
             FedConfig(workers=0)
 
@@ -172,12 +174,12 @@ def stack(*nets):
 
 class TestAggregate:
     def test_single_model_unchanged_bitwise(self):
-        p = init_params([4, 3, 2], 0)
+        p = init_params([4, 3, 2], RngStream(0))
         out = aggregate(stack(p), [10])
         np.testing.assert_array_equal(out.flat, p.flat)
 
     def test_identical_models_bit_identical(self):
-        p = init_params([4, 3, 2], 0)
+        p = init_params([4, 3, 2], RngStream(0))
         out = aggregate(stack(p, p, p), [3, 5, 2])
         np.testing.assert_array_equal(out.flat, p.flat)
 
@@ -187,7 +189,7 @@ class TestAggregate:
         np.testing.assert_allclose(out.flat, [3.25, 2.25, 0.0], atol=1e-15)
 
     def test_validation(self):
-        p = init_params([4, 3, 2], 0)
+        p = init_params([4, 3, 2], RngStream(0))
         with pytest.raises(ValueError):
             aggregate(ModelParams(np.zeros((0, p.flat.size)), p.shapes), [])
         with pytest.raises(ValueError):
@@ -198,7 +200,7 @@ class TestAggregate:
     def test_only_a_stacked_cohort_is_accepted(self):
         # One (P,) network is not a cohort, and a list of networks is no
         # second accepted form.
-        p = init_params([4, 3, 2], 0)
+        p = init_params([4, 3, 2], RngStream(0))
         with pytest.raises(ValueError, match=r"\(K, P\)"):
             aggregate(p, [1])
         with pytest.raises(AttributeError):
@@ -208,7 +210,7 @@ class TestAggregate:
 class TestEvaluate:
     def test_matches_direct_argmax_across_chunks(self, monkeypatch):
         train, _, test = small_world()
-        p = init_params([6, 8, 4], 3)
+        p = init_params([6, 8, 4], RngStream(3))
         direct = float(
             (np.argmax(forward(p, test.features), axis=1) == test.true_labels).mean()
         )
@@ -220,7 +222,7 @@ class TestEvaluate:
         from fednoise.data import LabeledDataset
 
         empty = LabeledDataset(np.zeros((0, 4)), np.zeros(0, int), np.zeros(0, int), 2)
-        p = init_params([4, 3, 2], 0)
+        p = init_params([4, 3, 2], RngStream(0))
         with pytest.raises(ValueError):
             evaluate(p, empty)
 
@@ -454,7 +456,7 @@ class TestRunFederationMechanics:
             num_clients=6, clients_per_round=2, rounds=1, local_epochs=1,
             batch_size=10, method="fedavg_ce", warmup_rounds=0, hidden_layers=(5,),
         )
-        params = init_params([6, 5, 4], 0)
+        params = init_params([6, 5, 4], RngStream(0))
         with pytest.raises(ValueError, match="client 0 has an empty shard"):
             local_train_ce(params, train, [ClientShard(0, [])], cfg, [RngStream(0)])
 
@@ -510,6 +512,29 @@ class TestMethodEquivalences:
         assert [m.mean_train_loss for m in ce.metrics] == [
             m.mean_train_loss for m in lsr.metrics
         ]
+
+    @pytest.mark.parametrize("method", ["lsr", "sym_ce_lsr"])
+    def test_zero_weighted_view_leaves_training_unchanged(self, method):
+        # With gamma 0 the view mixed in with weight 0 gets a zero adjoint,
+        # and summing its gradient must not move a bit: jittering that view,
+        # or swapping which identical view carries the weight, changes nothing.
+        train, shards, test = small_world(noise=0.4)
+        cfg = FedConfig(
+            num_clients=6, clients_per_round=3, rounds=3, local_epochs=2,
+            batch_size=10, method=method, warmup_rounds=0, hidden_layers=(6,),
+        )
+
+        def run(fix_lambda, policy):
+            result = run_federation(
+                cfg, train, shards, test, seed=3, policy=policy, record_history=True,
+                hp=LsrHyperParams(fix_lambda=fix_lambda, gamma=0.0),
+            )
+            params = [p.flat.tobytes() for p in result.param_history]
+            return params, [m.mean_train_loss for m in result.metrics]
+
+        identity = run(1.0, AugmentPolicy())
+        assert run(1.0, AugmentPolicy((FeatureJitter(0.3),))) == identity
+        assert run(0.0, AugmentPolicy()) == identity
 
     def test_coteaching_zero_rate_first_net_matches_plain_ce(self):
         # keep ratio 1 disables the selection, so network A sees exactly the

@@ -12,7 +12,6 @@ from fednoise.losses import (
     lsr_cls_loss,
     lsr_plus_loss,
     lsr_total_loss,
-    mixup_prediction,
     self_distill_loss,
     sharpened_ce_loss,
     sharpened_ce_per_sample,
@@ -20,7 +19,7 @@ from fednoise.losses import (
     symce_lsr_loss,
     symmetric_ce_loss,
 )
-from fednoise.numerics import softmax, tempered_softmax
+from fednoise.numerics import sharpen, softmax, tempered_softmax
 
 
 def fd_grad(fn, o, eps=1e-6):
@@ -95,25 +94,6 @@ class TestCeLoss:
             ce_loss(np.zeros((1, 3)), np.array(0))
 
 
-class TestMixupPrediction:
-    def test_endpoints_and_midpoint(self):
-        p1 = np.array([1.0, 0.0])
-        p2 = np.array([0.0, 1.0])
-        np.testing.assert_array_equal(mixup_prediction(p1, p2, 1.0), p1)
-        np.testing.assert_array_equal(mixup_prediction(p1, p2, 0.0), p2)
-        np.testing.assert_allclose(mixup_prediction(p1, p2, 0.5), [0.5, 0.5], atol=1e-15)
-
-    def test_weight_validated(self):
-        p = np.full(3, 1 / 3)
-        for lam in (-0.1, 1.1, np.nan):
-            with pytest.raises(ValueError):
-                mixup_prediction(p, p, lam)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mixup_prediction(np.zeros(3), np.zeros(4), 0.5)
-
-
 class TestLsrClsLoss:
     def test_adjoints_match_fd_both_heads(self):
         gen = np.random.default_rng(3)
@@ -185,6 +165,28 @@ class TestLsrClsLoss:
         hp = LsrHyperParams()
         with pytest.raises(ValueError):
             lsr_cls_loss(np.zeros((2, 3)), np.zeros((2, 4)), np.array([0, 1]), 0.5, hp)
+
+    def test_scalar_weight_validated(self):
+        o = np.zeros((2, 3))
+        for lam in (-0.1, 1.1, np.nan):
+            with pytest.raises(ValueError, match="mixing weight"):
+                lsr_cls_loss(o, o, np.array([0, 1]), lam, LsrHyperParams())
+
+    def test_weight_endpoints_and_midpoint(self):
+        # lam = 0 scores the second head alone, bit for bit as lam = 1
+        # scores the first; lam = 1/2 scores the even mixture.
+        gen = np.random.default_rng(12)
+        hp = LsrHyperParams()
+        o1, o2 = gen.normal(scale=2.0, size=(2, 4, 6))
+        y = gen.integers(0, 6, size=4)
+        zero = lsr_cls_loss(o1, o2, y, 0.0, hp)
+        one = lsr_cls_loss(o2, o1, y, 1.0, hp)
+        assert zero.scalar == one.scalar
+        np.testing.assert_array_equal(zero.adjoint_o1, one.adjoint_o2)
+        np.testing.assert_array_equal(zero.adjoint_o2, one.adjoint_o1)
+        mixed = sharpen(0.5 * softmax(o1) + 0.5 * softmax(o2), hp.sharpen_temp)
+        expect = -np.log(mixed[np.arange(4), y]).mean()
+        np.testing.assert_allclose(lsr_cls_loss(o1, o2, y, 0.5, hp).scalar, expect, rtol=1e-12)
 
 
 class TestSelfDistill:

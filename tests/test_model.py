@@ -1,5 +1,7 @@
 """Flat-vector MLP: init, forward, exact gradients, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from fednoise.numerics import RngStream
 
 
 def tiny_net(seed=0, sizes=(5, 7, 4, 3)):
-    return init_params(list(sizes), seed)
+    return init_params(list(sizes), RngStream(seed))
 
 
 class TestParamCount:
@@ -30,7 +32,7 @@ class TestParamCount:
 
     def test_matches_init_size(self):
         sizes = [12, 8, 5]
-        assert init_params(sizes, 0).flat.size == param_count(sizes)
+        assert init_params(sizes, RngStream(0)).flat.size == param_count(sizes)
 
     def test_too_few_layers_rejected(self):
         with pytest.raises(ValueError):
@@ -43,20 +45,24 @@ class TestParamCount:
 
 class TestInit:
     def test_deterministic_per_seed(self):
-        a = init_params([6, 4, 3], 42)
-        b = init_params([6, 4, 3], 42)
+        a = init_params([6, 4, 3], RngStream(42))
+        b = init_params([6, 4, 3], RngStream(42))
         np.testing.assert_array_equal(a.flat, b.flat)
-        c = init_params([6, 4, 3], 43)
+        c = init_params([6, 4, 3], RngStream(43))
         assert not np.array_equal(a.flat, c.flat)
 
     def test_stream_seed_accepted(self):
-        a = init_params([6, 4, 3], RngStream(42))
-        b = init_params([6, 4, 3], 42)
+        # The stream's whole path seeds the draws; a bare int is not a stream.
+        a = init_params([6, 4, 3], RngStream(42).child("init", 0))
+        b = init_params([6, 4, 3], RngStream(42).child("init", 0))
         np.testing.assert_array_equal(a.flat, b.flat)
+        assert not np.array_equal(a.flat, init_params([6, 4, 3], RngStream(42)).flat)
+        with pytest.raises(AttributeError):
+            init_params([6, 4, 3], 42)
 
     def test_weights_within_glorot_bound_biases_zero(self):
         sizes = [30, 20, 10]
-        p = init_params(sizes, 7)
+        p = init_params(sizes, RngStream(7))
         offset = 0
         for in_dim, out_dim in p.shapes:
             limit = np.sqrt(6.0 / (in_dim + out_dim))
@@ -70,7 +76,7 @@ class TestInit:
             offset += out_dim
 
     def test_shapes_chain(self):
-        p = init_params([9, 5, 4, 2], 0)
+        p = init_params([9, 5, 4, 2], RngStream(0))
         assert p.shapes == ((9, 5), (5, 4), (4, 2))
         assert p.in_dim == 9
         assert p.out_dim == 2
@@ -257,7 +263,7 @@ class TestCohort:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        p = init_params([11, 6, 4], 5)
+        p = init_params([11, 6, 4], RngStream(5))
         path = tmp_path / "model.ckpt"
         save_params(p, path)
         q = load_params(path)
@@ -265,8 +271,6 @@ class TestCheckpoint:
         assert p.shapes == q.shapes
 
     def test_header_is_json_line(self, tmp_path):
-        import json
-
         p = tiny_net()
         path = tmp_path / "model.ckpt"
         save_params(p, path)
@@ -285,6 +289,25 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b'{"format": "other", "version": 1, "layers": [[1, 1]], "count": 2}\n')
         with pytest.raises(ValueError):
+            load_params(path)
+
+    @pytest.mark.parametrize("header, fault", [
+        ([1, 2], "must be a JSON object"),
+        ({"count": 2}, "lacks the 'layers' field"),
+        ({"layers": [[1, 1]]}, "lacks the 'count' field"),
+        ({"layers": 5, "count": 2}, "malformed layers or count"),
+        ({"layers": [[1]], "count": 2}, "malformed layers or count"),
+        ({"layers": [[1, 1]], "count": None}, "malformed layers or count"),
+        ({"layers": [], "count": 0}, "do not chain positive widths"),
+        ({"layers": [[0, 3]], "count": 3}, "do not chain positive widths"),
+        ({"layers": [[2, 3], [4, 1]], "count": 14}, "do not chain positive widths"),
+    ])
+    def test_malformed_header_raises_value_error(self, tmp_path, header, fault):
+        if isinstance(header, dict):
+            header = {"format": "fednoise-mlp", "version": 1, **header}
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 16)
+        with pytest.raises(ValueError, match=fault):
             load_params(path)
 
     def test_truncated_payload_rejected(self, tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from fednoise.numerics import (
     RngStream,
-    as_stream,
     sample_mix_weight,
     sharpen,
     softmax,
@@ -51,12 +50,16 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(0).child(-2)
 
-    def test_as_stream_coercion(self):
-        assert as_stream(5) == RngStream(5)
-        s = RngStream(5, (1,))
-        assert as_stream(s) is s
-        with pytest.raises(TypeError):
-            as_stream("5")
+    @pytest.mark.parametrize("seed", ["5", 5.7, 5.0, True, None])
+    def test_non_integer_seed_rejected_on_construction(self, seed):
+        # Rejected here, not later inside numpy at generator().
+        with pytest.raises(TypeError, match="master_seed must be an integer"):
+            RngStream(seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        a = RngStream(np.int64(5)).child("x").generator().normal(size=4)
+        b = RngStream(5).child("x").generator().normal(size=4)
+        np.testing.assert_array_equal(a, b)
 
     def test_sibling_streams_statistically_independent(self):
         # correlation across many sibling draws should be tiny
