@@ -4,7 +4,9 @@ Policies are ordered lists of ops. Each op draws from its own sub-stream of
 the RngStream handed to :func:`apply_batch`, so inserting or removing one op
 never shifts the randomness of the others; each op's function takes that
 sub-stream's numpy Generator. Image ops (rotation, flip) need the dataset's
-``image_shape`` metadata; purely tabular data can only be jittered.
+``image_shape`` metadata; purely tabular data can only be jittered. scipy is
+imported only when a policy holding a :class:`Rotation` is built or an image
+is rotated, so a run that never rotates never loads it.
 
 Augmentation here is deliberately weak: the downstream objective compares
 predictions on the original and transformed input, so the transform must
@@ -13,10 +15,10 @@ preserve the label.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .numerics import RngStream
 
@@ -70,6 +72,14 @@ class FeatureJitter:
             raise ValueError(f"jitter sigma must be non-negative, got {self.sigma}")
 
 
+@functools.cache
+def _ndimage():
+    """``scipy.ndimage``, imported on first use: only rotation needs it."""
+    from scipy import ndimage
+
+    return ndimage
+
+
 _IMAGE_OPS = (Rotation, HorizontalFlip)
 _ALL_OPS = (Rotation, HorizontalFlip, FeatureJitter)
 
@@ -85,6 +95,8 @@ class AugmentPolicy:
         for op in ops:
             if not isinstance(op, _ALL_OPS):
                 raise ValueError(f"unknown augmentation op {op!r}")
+            if isinstance(op, Rotation):
+                _ndimage()  # pay the import while the run is set up
         object.__setattr__(self, "ops", ops)
 
     def needs_image(self) -> bool:
@@ -107,7 +119,7 @@ def random_rotation(
     if max_degrees == 0:
         return img.copy()
     angle = float(rng.uniform(-max_degrees, max_degrees))
-    return ndimage.rotate(
+    return _ndimage().rotate(
         img, angle, axes=(1, 0), reshape=False, order=1, mode="constant", cval=0.0
     )
 

@@ -211,6 +211,28 @@ def ce_loss(logits: np.ndarray, labels: np.ndarray) -> LossOutput:
     return LossOutput(scalar, adj, np.zeros_like(o))
 
 
+def _sharpened_nll(p: np.ndarray, y: np.ndarray, hp: LsrHyperParams):
+    """Batch-mean -log sharpen(p, T)[y], floored at clamp_lo inside the log,
+    and its gradient with respect to the (..., B, M) probabilities p."""
+    batch = p.shape[-2]
+    at_y = _label_index(y)
+    u = 1.0 / hp.sharpen_temp
+    powered = p**u
+    norm = powered.sum(axis=-1)
+    sharp_y = powered[at_y] / norm
+    loss_rows = -np.log(np.maximum(sharp_y, hp.clamp_lo))
+    scalar = _scalar(loss_rows.mean(axis=-1))
+
+    # d(-log sharp_y)/dp_i = u * (p_i^(u-1) / norm - [i == y] / p_y),
+    # treating p as free variables; softmax_vjp absorbs the simplex
+    # constraint. Rows where the clamp is active contribute zero gradient.
+    grad_p = u * p ** (u - 1.0) / norm[..., None]
+    grad_p[at_y] -= u / p[at_y]
+    grad_p[sharp_y <= hp.clamp_lo] = 0.0
+    grad_p /= batch
+    return scalar, grad_p
+
+
 def lsr_cls_loss(
     o1: np.ndarray,
     o2: np.ndarray,
@@ -237,27 +259,9 @@ def lsr_cls_loss(
         if np.all(weight == 1.0):
             return LossOutput(base.scalar, base.adjoint_o1, np.zeros_like(o2))
 
-    batch = o1.shape[-2]
-    at_y = _label_index(y)
-    u = 1.0 / hp.sharpen_temp
     p1 = softmax(o1)
     p2 = softmax(o2)
-    p = weight * p1 + (1.0 - weight) * p2
-
-    powered = p**u
-    norm = powered.sum(axis=-1)
-    sharp_y = powered[at_y] / norm
-    loss_rows = -np.log(np.maximum(sharp_y, hp.clamp_lo))
-    scalar = _scalar(loss_rows.mean(axis=-1))
-
-    # d(-log sharp_y)/dp_i = u * (p_i^(u-1) / norm - [i == y] / p_y),
-    # treating p as free variables; softmax_vjp absorbs the simplex
-    # constraint. Rows where the clamp is active contribute zero gradient.
-    grad_p = u * p ** (u - 1.0) / norm[..., None]
-    grad_p[at_y] -= u / p[at_y]
-    grad_p[sharp_y <= hp.clamp_lo] = 0.0
-    grad_p /= batch
-
+    scalar, grad_p = _sharpened_nll(weight * p1 + (1.0 - weight) * p2, y, hp)
     adj1 = softmax_vjp(p1, weight * grad_p)
     adj2 = softmax_vjp(p2, (1.0 - weight) * grad_p)
     if plain:
@@ -455,9 +459,18 @@ def symce_lsr_loss(
 
 
 def sharpened_ce_loss(logits: np.ndarray, labels: np.ndarray, hp: LsrHyperParams) -> LossOutput:
-    """Cross-entropy of the sharpened single-head prediction (no mixing)."""
-    out = lsr_cls_loss(logits, logits, labels, 1.0, hp)
-    return LossOutput(out.scalar, out.adjoint_o1, np.zeros_like(out.adjoint_o2))
+    """Cross-entropy of the sharpened single-head prediction (no mixing).
+
+    Equals ``lsr_cls_loss(logits, logits, labels, 1.0, hp)`` bit for bit,
+    since at weight 1 that mixture ``1.0 * p + 0.0 * p`` is ``p`` exactly.
+    T = 1 is plain :func:`ce_loss`.
+    """
+    o, y = _check_logits_labels(logits, labels)
+    if hp.sharpen_temp == 1.0:
+        return ce_loss(o, y)
+    p = softmax(o)
+    scalar, grad_p = _sharpened_nll(p, y, hp)
+    return LossOutput(scalar, softmax_vjp(p, grad_p), np.zeros_like(o))
 
 
 def sharpened_ce_per_sample(

@@ -60,6 +60,14 @@ def param_count(layer_sizes: "list[int] | tuple[int, ...]") -> int:
     return sum((i + 1) * o for i, o in zip(sizes[:-1], sizes[1:]))
 
 
+def _check_layers(shapes: tuple[tuple[int, int], ...]) -> None:
+    """Raise ValueError unless the (in, out) pairs chain positive widths into
+    a network of at least one layer."""
+    chained = all(out == nxt for (_, out), (nxt, _) in zip(shapes, shapes[1:]))
+    if not shapes or min(map(min, shapes)) < 1 or not chained:
+        raise ValueError(f"layers {shapes} do not chain positive widths")
+
+
 def _immutable(values) -> np.ndarray:
     """``values`` as a read-only float64 array that nothing else can write.
 
@@ -98,6 +106,7 @@ class ModelParams:
         if flat.ndim not in (1, 2):
             raise ValueError(f"flat parameters must be (P,) or (K, P), got shape {flat.shape}")
         shapes = tuple((int(i), int(o)) for i, o in self.shapes)
+        _check_layers(shapes)
         expected = sum((i + 1) * o for i, o in shapes)
         if flat.shape[-1] != expected:
             raise ValueError(
@@ -280,9 +289,7 @@ def load_params(path: "str | os.PathLike") -> ModelParams:
         raise ValueError(f"checkpoint header lacks the {exc.args[0]!r} field") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint header has malformed layers or count: {exc}") from None
-    chained = all(out == nxt for (_, out), (nxt, _) in zip(shapes, shapes[1:]))
-    if not shapes or min(map(min, shapes)) < 1 or not chained:
-        raise ValueError(f"checkpoint layers {shapes} do not chain positive widths")
+    _check_layers(shapes)
     flat = np.frombuffer(blob, dtype="<f8")
     if flat.size != count:
         raise ValueError(

@@ -1,5 +1,12 @@
 """Augmentation ops: rotation, flip, jitter, policy composition."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -251,3 +258,35 @@ class TestApplyBatch:
             apply_batch(AugmentPolicy(), np.zeros(4), RngStream(0))
         with pytest.raises(ValueError):
             apply_batch(AugmentPolicy(), np.zeros((2, 2, 2)), RngStream(0))
+
+
+# Runs in a fresh interpreter: other tests (and scikit-learn) may already
+# have loaded scipy into the pytest process.
+_LAZY_SCIPY_SCRIPT = textwrap.dedent("""
+    import json, sys
+    import fednoise
+
+    fednoise.run_experiment(config=json.loads(sys.argv[1]))
+    assert "scipy" not in sys.modules, "a tabular run loaded scipy"
+    fednoise.AugmentPolicy((fednoise.Rotation(),))
+    assert "scipy.ndimage" in sys.modules, "a rotating policy did not load scipy.ndimage"
+""")
+
+
+def test_scipy_loaded_only_when_a_policy_rotates(tmp_path):
+    config = {
+        "seed": 0,
+        "out": str(tmp_path / "run"),
+        "dataset": {"n_train": 60, "n_test": 20, "num_classes": 3, "dim": 4},
+        "federation": {"num_clients": 3, "clients_per_round": 2, "rounds": 2,
+                       "local_epochs": 1, "batch_size": 10, "method": "lsr",
+                       "hidden_layers": [5]},
+    }
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY_SCRIPT, json.dumps(config)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

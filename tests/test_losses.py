@@ -466,6 +466,19 @@ class TestSharpenedCe:
         assert a.scalar == b.scalar
         np.testing.assert_array_equal(a.adjoint_o2, np.zeros_like(o))
 
+    @pytest.mark.parametrize("temp", [0.5, 1.0])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["batch", "cohort"])
+    def test_bitwise_equal_to_cls_loss_at_lambda_one(self, temp, lead):
+        gen = np.random.default_rng(26)
+        hp = LsrHyperParams(sharpen_temp=temp)
+        o = gen.normal(size=(*lead, 7, 5)) * 4.0
+        y = gen.integers(0, 5, size=(*lead, 7))
+        a = sharpened_ce_loss(o, y, hp)
+        b = lsr_cls_loss(o, o, y, 1.0, hp)
+        np.testing.assert_array_equal(a.scalar, b.scalar)
+        assert a.adjoint_o1.tobytes() == b.adjoint_o1.tobytes()
+        assert a.adjoint_o2.tobytes() == np.zeros_like(o).tobytes()
+
     def test_per_sample_matches_mean(self):
         gen = np.random.default_rng(24)
         hp = LsrHyperParams()

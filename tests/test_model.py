@@ -93,6 +93,12 @@ class TestModelParamsValidation:
         with pytest.raises(ValueError):
             ModelParams(flat, ((3, 2),))
 
+    @pytest.mark.parametrize("shapes", [(), ((-1, 2),), ((2, 3), (4, 1))],
+                             ids=["no-layers", "negative-width", "unchained"])
+    def test_layers_that_form_no_network_rejected(self, shapes):
+        with pytest.raises(ValueError, match="do not chain positive widths"):
+            ModelParams(np.zeros(0), shapes)
+
     def test_flat_is_frozen(self):
         p = tiny_net()
         with pytest.raises(ValueError):
