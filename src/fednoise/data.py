@@ -15,7 +15,6 @@ warning.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 import warnings
@@ -137,7 +136,9 @@ class ClientShard:
         idx = np.asarray(self.indices, dtype=np.int64)
         if idx.ndim != 1:
             raise PartitionError("shard indices must be a 1-D array")
-        if idx.size and np.unique(idx).size != idx.size:
+        # Neighbours after a sort, not np.unique: that loads numpy.ma.
+        ordered = np.sort(idx)
+        if (ordered[1:] == ordered[:-1]).any():
             raise PartitionError(f"client {self.client_id} has duplicate indices")
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
@@ -235,6 +236,8 @@ def load_csv(path: str, num_classes: "int | None" = None) -> LabeledDataset:
 
     A single header row is tolerated (detected by a non-numeric first cell).
     """
+    import csv  # only CSV datasets pay for the module
+
     rows: list[list[str]] = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):

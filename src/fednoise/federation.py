@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import logging
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -425,9 +424,8 @@ def local_train_coteaching(
         per_a, per_b = (per_sample(forward(net, x), y) for net in nets)
         step = round_idx if ct.schedule_unit == "round" else round_idx * cfg.local_epochs + epoch
         keep = coteach_keep_ratio(ct, step)
-        # Every client keeps ceil(keep * B) rows, so the picks stack.
-        picks_a = np.stack([small_loss_select(row, keep) for row in per_a])  # A's picks train B
-        picks_b = np.stack([small_loss_select(row, keep) for row in per_b])
+        picks_a = small_loss_select(per_a, keep)  # (K, ceil(keep * B)); A's picks train B
+        picks_b = small_loss_select(per_b, keep)
         clients = np.arange(len(picks_a))[:, None]
         scalars, grads = [], []
         for net, picks in zip(nets, (picks_b, picks_a)):
@@ -465,11 +463,15 @@ def aggregate(models: ModelParams, sizes: list) -> ModelParams:
     return ModelParams(anchor + delta, models.shapes)
 
 
-_EVAL_CHUNK = 4096  # test rows per forward pass of evaluate
+_EVAL_CHUNK = 512  # test rows per forward pass of evaluate
 
 
 def evaluate(params: ModelParams, test_set: LabeledDataset) -> float:
-    """Top-1 accuracy of one (P,) network on the true labels; argmax ties go to the lower class."""
+    """Top-1 accuracy of one (P,) network on the true labels; argmax ties go to the lower class.
+
+    The test rows go through the network in blocks of ``_EVAL_CHUNK``, so
+    the activations held at once stay small whatever the test set's size.
+    """
     if test_set.n == 0:
         raise ValueError("cannot evaluate on an empty test set")
     hits = 0
@@ -523,7 +525,12 @@ def run_federation(
 
     metrics: list = []
     history: "list | None" = [] if record_history else None
-    with (ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext()) as pool:
+    executor = nullcontext()
+    if cfg.workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a pooled run loads it
+
+        executor = ThreadPoolExecutor(cfg.workers)
+    with executor as pool:
         run_chunks = map if pool is None else pool.map
         for t in range(cfg.rounds):
             selected = select_clients(

@@ -46,7 +46,6 @@ for multi-channel ones, and feature jitter for flat feature vectors.
 
 from __future__ import annotations
 
-import argparse
 import copy
 import dataclasses
 import json
@@ -572,6 +571,8 @@ _RUN_OVERRIDES = {
 
 
 def _parse_args(argv):
+    import argparse  # a library run never parses a command line
+
     parser = argparse.ArgumentParser(
         prog="fednoise",
         description="Federated training under label noise with self-regularization.",

@@ -483,23 +483,27 @@ def sharpened_ce_per_sample(
 
 
 def small_loss_select(losses: np.ndarray, keep_ratio: float) -> np.ndarray:
-    """Indices of the ceil(keep_ratio * B) smallest losses, ascending.
+    """Indices of the ceil(keep_ratio * B) smallest losses of each (..., B)
+    row, ascending.
 
-    Ties are broken toward the lower index; an empty input yields an empty
-    selection. keep_ratio must lie in (0, 1].
+    A (B,) batch gives (count,) indices and a (K, B) cohort (K, count), each
+    row picked as that row alone would be. Ties are broken toward the lower
+    index; empty rows yield empty selections. keep_ratio must lie in
+    (0, 1].
     """
     if not (np.isfinite(keep_ratio) and 0.0 < keep_ratio <= 1.0):
         raise ValueError(f"keep_ratio must lie in (0, 1], got {keep_ratio}")
     arr = np.asarray(losses, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"losses must be a 1-D array, got shape {arr.shape}")
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.int64)
+    if arr.ndim < 1:
+        raise ValueError(f"losses must be a (..., B) array, got shape {arr.shape}")
+    n = arr.shape[-1]
+    if n == 0:
+        return np.zeros(arr.shape, dtype=np.int64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("losses must be finite")
     # The tiny slack keeps float dust in keep_ratio * n (for example
     # 0.7 * 10 landing a hair above 7) from inflating the count.
-    count = int(math.ceil(keep_ratio * arr.size - 1e-9))
-    count = max(1, min(count, arr.size))
-    picked = np.argsort(arr, kind="stable")[:count]
-    return np.sort(picked).astype(np.int64)
+    count = int(math.ceil(keep_ratio * n - 1e-9))
+    count = max(1, min(count, n))
+    picked = np.argsort(arr, axis=-1, kind="stable")[..., :count]
+    return np.sort(picked, axis=-1).astype(np.int64)

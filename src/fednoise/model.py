@@ -71,19 +71,22 @@ def _check_layers(shapes: tuple[tuple[int, int], ...]) -> None:
 def _immutable(values) -> np.ndarray:
     """``values`` as a read-only float64 array that nothing else can write.
 
-    An array that owns its data and is already read-only is adopted as is;
-    anything else is copied. Results computed in this module are frozen
-    with :func:`_frozen` before they are wrapped, so a step does not copy
-    the whole parameter vector once more.
+    A C-contiguous array that owns its data and is already read-only is
+    adopted as is; anything else is copied into C order, so every layer
+    view of a (K, P) stack has contiguous rows (a broadcast copied in its
+    own stride order would not). Results computed in this module are
+    frozen with :func:`_frozen` before they are wrapped, so a step does not
+    copy the whole parameter vector once more.
     """
     if (
         isinstance(values, np.ndarray)
         and values.dtype == np.float64
         and values.base is None
         and not values.flags.writeable
+        and values.flags.c_contiguous
     ):
         return values
-    arr = np.array(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -189,8 +192,10 @@ def forward_vjp(params: ModelParams, x: np.ndarray):
     logits, or for a (K, P) cohort on (K, B, d) inputs, giving (K, B, M).
 
     ``vjp(adjoint)`` maps dLoss/dLogits of this pass to the exact parameter
-    gradient, (P,) or (K, P), reusing the pass's activations. Zero adjoints
-    yield a zero gradient; the map is linear in the adjoint.
+    gradient, (P,) or (K, P), reusing the pass's activations. It allocates
+    that one array and writes each layer's weight and bias gradients
+    straight into their views of it. Zero adjoints yield a zero gradient;
+    the map is linear in the adjoint.
     """
     arr = _check_input(params, x)
     layers = list(_layer_views(params.flat, params.shapes))
@@ -207,16 +212,17 @@ def forward_vjp(params: ModelParams, x: np.ndarray):
             raise ValueError(
                 f"adjoint shape {dz.shape} does not match logits shape {out.shape}"
             )
-        # Walk layers in reverse; the pieces come out in reverse flat order.
-        pieces = []
+        grad = np.empty(params.flat.shape)
+        views = list(_layer_views(grad, params.shapes))
         for li in range(len(layers) - 1, -1, -1):
-            a_t = np.swapaxes(acts[li], -1, -2)
-            pieces += [dz.sum(axis=-2), (a_t @ dz).reshape(*out.shape[:-2], -1)]
+            gw, gb = views[li]
+            np.matmul(np.swapaxes(acts[li], -1, -2), dz, out=gw)
+            np.sum(dz, axis=-2, keepdims=True, out=gb)
             if li > 0:
                 # acts[li] = relu(z), so acts[li] > 0 exactly where z > 0.
                 dz = dz @ np.swapaxes(layers[li][0], -1, -2)
                 dz *= acts[li] > 0.0
-        return Gradients(_frozen(np.concatenate(pieces[::-1], axis=-1)))
+        return Gradients(_frozen(grad))
 
     return out, vjp
 

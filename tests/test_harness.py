@@ -3,7 +3,12 @@
 import copy
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,6 +352,31 @@ class TestRunExperiment:
             "0,0.5,1.25,0.0,3;1\n"
             "1,0.625,nan,0.1,0\n"
         )
+
+
+# Runs in a fresh interpreter: pytest itself has loaded these modules.
+_LAZY_IMPORTS_SCRIPT = textwrap.dedent("""
+    import json, sys
+    import fednoise
+
+    assert "numpy.random" in sys.modules, "importing fednoise did not load numpy.random"
+    fednoise.run_experiment(config=json.loads(sys.argv[1]))
+    unused = ("numpy.ma", "argparse", "concurrent.futures", "csv")
+    loaded = [name for name in unused if name in sys.modules]
+    assert not loaded, f"a one-worker tabular run loaded {loaded}"
+""")
+
+
+def test_tabular_run_loads_no_module_it_never_uses(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    config = tiny_config(out=str(tmp_path / "run"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORTS_SCRIPT, json.dumps(config)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCompareMethods:

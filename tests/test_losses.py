@@ -551,6 +551,8 @@ class TestSmallLossSelect:
         out = small_loss_select(np.zeros(0), 0.5)
         assert out.size == 0
         assert out.dtype == np.int64
+        out = small_loss_select(np.zeros((3, 0)), 0.5)
+        assert out.shape == (3, 0) and out.dtype == np.int64
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -559,8 +561,22 @@ class TestSmallLossSelect:
             small_loss_select(np.array([1.0]), 1.5)
         with pytest.raises(ValueError):
             small_loss_select(np.array([np.inf]), 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            small_loss_select(np.array([[1.0, 2.0], [np.nan, 0.0]]), 0.5)
         with pytest.raises(ValueError):
-            small_loss_select(np.zeros((2, 2)), 0.5)
+            small_loss_select(np.float64(1.0), 0.5)
+
+    def test_cohort_rows_pick_as_each_row_alone(self):
+        losses = np.array([
+            [2.0, 1.0, 1.0, 1.0, 3.0, 1.0],
+            [0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+            [4.0, 3.0, 3.0, 0.0, 3.0, 4.0],
+        ])
+        for keep in (0.1, 0.5, 0.7, 1.0):
+            got = small_loss_select(losses, keep)
+            want = np.stack([small_loss_select(row, keep) for row in losses])
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
 
 
 class TestHyperParamValidation:

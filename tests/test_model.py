@@ -104,6 +104,18 @@ class TestModelParamsValidation:
         with pytest.raises(ValueError):
             p.flat[0] = 99.0
 
+    def test_cohort_is_stored_c_contiguous(self):
+        # A copy in a broadcast's own stride order would be column-major,
+        # and every layer view of it strided; a read-only column-major
+        # array is copied, not adopted.
+        p = tiny_net()
+        fortran = np.asfortranarray(np.tile(p.flat, (3, 1)))
+        fortran.setflags(write=False)
+        for stacked in (np.broadcast_to(p.flat, (3, p.flat.size)), fortran):
+            flat = ModelParams(stacked, p.shapes).flat
+            assert flat.flags.c_contiguous
+            np.testing.assert_array_equal(flat, np.tile(p.flat, (3, 1)))
+
 
 class TestForward:
     def test_batch_and_single_shapes(self):
