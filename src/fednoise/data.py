@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import RngStream
+from .numerics import RngStream, _frozen, _immutable
 
 __all__ = [
     "DataError",
@@ -75,6 +75,9 @@ class LabeledDataset:
                      true_labels until a noise injector replaces it.
     image_shape:     (height, width, channels) when the flat features are a
                      raster image, else None.
+
+    Arrays are held as ``numerics._immutable`` gives them: a caller's
+    writeable array, or a view of one, is copied, never frozen in place.
     """
 
     features: np.ndarray
@@ -84,9 +87,9 @@ class LabeledDataset:
     image_shape: "tuple[int, int, int] | None" = None
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        true = np.asarray(self.true_labels, dtype=np.int64)
-        obs = np.asarray(self.observed_labels, dtype=np.int64)
+        feats = _immutable(self.features, np.float64)
+        true = _immutable(self.true_labels, np.int64)
+        obs = _immutable(self.observed_labels, np.int64)
         if feats.ndim != 2:
             raise DataError(f"features must be (n, d), got shape {feats.shape}")
         if not np.all(np.isfinite(feats)):
@@ -109,8 +112,6 @@ class LabeledDataset:
                     f"image_shape {shape} does not match feature dim {feats.shape[1]}"
                 )
             object.__setattr__(self, "image_shape", shape)
-        for arr in (feats, true, obs):
-            arr.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "true_labels", true)
         object.__setattr__(self, "observed_labels", obs)
@@ -133,14 +134,13 @@ class ClientShard:
     indices: np.ndarray
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = _immutable(self.indices, np.int64)
         if idx.ndim != 1:
             raise PartitionError("shard indices must be a 1-D array")
         # Neighbours after a sort, not np.unique: that loads numpy.ma.
         ordered = np.sort(idx)
         if (ordered[1:] == ordered[:-1]).any():
             raise PartitionError(f"client {self.client_id} has duplicate indices")
-        idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "client_id", int(self.client_id))
 
@@ -214,8 +214,8 @@ def load_idx(
             f"image/label count mismatch: {n} images vs {n_labels} labels"
         )
 
-    features = pixels.astype(np.float64).reshape(n, rows * cols) / 255.0
-    labels = raw_labels.astype(np.int64)
+    features = _frozen(pixels.astype(np.float64).reshape(n, rows * cols) / 255.0)
+    labels = _frozen(raw_labels.astype(np.int64))
     if num_classes is None:
         num_classes = int(labels.max()) + 1 if n else 1
     elif n and labels.max() >= num_classes:
@@ -225,7 +225,7 @@ def load_idx(
     return LabeledDataset(
         features=features,
         true_labels=labels,
-        observed_labels=labels.copy(),
+        observed_labels=labels,
         num_classes=num_classes,
         image_shape=(int(rows), int(cols), 1),
     )
@@ -277,9 +277,9 @@ def load_csv(path: str, num_classes: "int | None" = None) -> LabeledDataset:
             f"{path}: label {labels.max()} out of range for {num_classes} classes"
         )
     return LabeledDataset(
-        features=features,
-        true_labels=labels,
-        observed_labels=labels.copy(),
+        features=_frozen(features),
+        true_labels=_frozen(labels),
+        observed_labels=labels,
         num_classes=int(num_classes),
     )
 
@@ -329,9 +329,9 @@ def generate_synthetic(
     gen_samples = stream.child("samples").generator()
     features = centers[labels] + 0.25 * gen_samples.normal(size=(n, dim))
     return LabeledDataset(
-        features=features,
-        true_labels=labels,
-        observed_labels=labels.copy(),
+        features=_frozen(features),
+        true_labels=_frozen(labels),
+        observed_labels=labels,
         num_classes=num_classes,
     )
 
@@ -340,9 +340,9 @@ def subset(ds: LabeledDataset, indices: np.ndarray) -> LabeledDataset:
     """Dataset restricted to the given sample indices (order preserved)."""
     idx = np.asarray(indices, dtype=np.int64)
     return LabeledDataset(
-        features=ds.features[idx],
-        true_labels=ds.true_labels[idx],
-        observed_labels=ds.observed_labels[idx],
+        features=_frozen(ds.features[idx]),
+        true_labels=_frozen(ds.true_labels[idx]),
+        observed_labels=_frozen(ds.observed_labels[idx]),
         num_classes=ds.num_classes,
         image_shape=ds.image_shape,
     )
@@ -378,7 +378,7 @@ def _flip_per_class(ds: LabeledDataset, spec: NoiseSpec, kind: str, relabel) -> 
             continue
         chosen = gen.permutation(members)[:k]
         observed[chosen] = relabel(cls, k, gen)
-    return replace(ds, observed_labels=observed)
+    return replace(ds, observed_labels=_frozen(observed))
 
 
 def inject_symmetric_noise(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDataset:
@@ -526,5 +526,5 @@ def partition_noniid(
         for cls in client_classes[cid]:
             pool = pools[cls]
             picked_rows.extend(next(pool) for _ in range(takes[cid, cls]))
-        shards.append(ClientShard(cid, np.array(picked_rows, dtype=np.int64)))
+        shards.append(ClientShard(cid, _frozen(np.array(picked_rows, dtype=np.int64))))
     return shards

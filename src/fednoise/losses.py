@@ -64,8 +64,8 @@ class LsrHyperParams:
     distill_temp:   temperature dividing the logits inside the distillation
                     softmax (values < 1 peak the compared distributions).
     gamma:          full weight of the distillation term after warm-up.
-    entropy_weight: weight of the prediction-entropy bonus (the "plus"
-                    objective); 0 disables it.
+    entropy_weight: weight of the entropy penalty (entropy minimization) on
+                    both predictions, the "plus" objective; 0 disables it.
     distill_kind:   js | l1 | l2 | cosine | none.
     clamp_lo:       floor applied to compared probabilities, and to the
                     sharpened target probability inside the log.

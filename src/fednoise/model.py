@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream
+from .numerics import RngStream, _frozen, _immutable
 
 __all__ = [
     "ModelParams",
@@ -68,34 +68,6 @@ def _check_layers(shapes: tuple[tuple[int, int], ...]) -> None:
         raise ValueError(f"layers {shapes} do not chain positive widths")
 
 
-def _immutable(values) -> np.ndarray:
-    """``values`` as a read-only float64 array that nothing else can write.
-
-    A C-contiguous array that owns its data and is already read-only is
-    adopted as is; anything else is copied into C order, so every layer
-    view of a (K, P) stack has contiguous rows (a broadcast copied in its
-    own stride order would not). Results computed in this module are
-    frozen with :func:`_frozen` before they are wrapped, so a step does not
-    copy the whole parameter vector once more.
-    """
-    if (
-        isinstance(values, np.ndarray)
-        and values.dtype == np.float64
-        and values.base is None
-        and not values.flags.writeable
-        and values.flags.c_contiguous
-    ):
-        return values
-    arr = np.array(values, dtype=np.float64, order="C")
-    arr.setflags(write=False)
-    return arr
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Immutable flat parameters, (P,) or a (K, P) cohort, plus per-layer
@@ -105,7 +77,7 @@ class ModelParams:
     shapes: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        flat = _immutable(self.flat)
+        flat = _immutable(self.flat, np.float64)
         if flat.ndim not in (1, 2):
             raise ValueError(f"flat parameters must be (P,) or (K, P), got shape {flat.shape}")
         shapes = tuple((int(i), int(o)) for i, o in self.shapes)
@@ -136,7 +108,7 @@ class Gradients:
     flat: np.ndarray
 
     def __post_init__(self) -> None:
-        flat = _immutable(self.flat)
+        flat = _immutable(self.flat, np.float64)
         if flat.ndim not in (1, 2):
             raise ValueError(f"flat gradient must be (P,) or (K, P), got shape {flat.shape}")
         object.__setattr__(self, "flat", flat)

@@ -1,4 +1,5 @@
-"""Probability transforms and splittable random streams.
+"""Probability transforms, splittable random streams, and the one rule by
+which the package's immutable types hold arrays.
 
 Conventions used across the package: logit and probability vectors are plain
 numpy float64 arrays, either a single row ``(M,)``, a batch of rows
@@ -40,6 +41,35 @@ def _path_step(step: int | str) -> int:
     if step < 0:
         raise ValueError(f"rng path steps must be non-negative, got {step}")
     return step
+
+
+def _immutable(values, dtype) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array that nothing else can write.
+
+    A C-contiguous array of that dtype that owns its data and is already
+    read-only is adopted as is. Anything else is copied into C order: a
+    caller's array stays writeable, a view's base cannot change the result,
+    and every layer view of a (K, P) stack has contiguous rows (a broadcast
+    copied in its own stride order would not). Code that wraps an array it
+    has just built freezes it with :func:`_frozen` first, so nothing is
+    copied.
+    """
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == dtype
+        and values.base is None
+        and not values.flags.writeable
+        and values.flags.c_contiguous
+    ):
+        return values
+    arr = np.array(values, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)

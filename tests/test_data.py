@@ -55,6 +55,24 @@ class TestLabeledDataset:
         with pytest.raises(ValueError):
             ds.observed_labels[0] = 1
 
+    def test_caller_arrays_stay_writeable(self):
+        feats, labels = np.zeros((4, 3)), np.arange(4) % 2
+        LabeledDataset(feats, labels, labels, 2)
+        feats[0, 0] = 1.0
+        labels[0] = 1
+        indices = np.arange(4)
+        ClientShard(0, indices)
+        indices[0] = 9
+
+    def test_view_base_cannot_change_the_dataset(self):
+        base = np.zeros((4, 3))
+        labels = np.arange(4) % 2
+        ds = LabeledDataset(base[:, :], labels[:], labels.copy(), 2)
+        base[0, 0] = 5.0
+        labels[0] = 1
+        assert ds.features[0, 0] == 0.0
+        assert ds.true_labels[0] == 0
+
     def test_properties(self):
         ds = generate_synthetic(20, 4, 6, 0)
         assert ds.n == 20

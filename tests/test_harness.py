@@ -354,6 +354,19 @@ class TestRunExperiment:
         )
 
 
+def test_package_exports_each_module_all_once():
+    import fednoise
+    from fednoise import augment, data, federation, losses, model, numerics
+
+    modules = (augment, data, federation, harness, losses, model, numerics)
+    exported = fednoise.__all__
+    assert len(exported) == len(set(exported))
+    assert set(exported) == {"__version__"}.union(*(m.__all__ for m in modules))
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(fednoise, name) is getattr(module, name), name
+
+
 # Runs in a fresh interpreter: pytest itself has loaded these modules.
 _LAZY_IMPORTS_SCRIPT = textwrap.dedent("""
     import json, sys
