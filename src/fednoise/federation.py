@@ -14,6 +14,7 @@ costs one ``forward_vjp`` per view, one call of the method's loss and one
 the global parameters, a list of equal-size shards and one RngStream per
 shard, builds the method's per-batch objective, and returns ((K, P)
 parameters per network, a (K,) array of each client's mean batch loss).
+A trainer that serves two methods takes its variant from ``cfg.method``.
 
 Clients in a cohort must walk the same batch sizes, so ``run_federation``
 groups the selected clients by shard size; both partitioners make equal
@@ -367,12 +368,11 @@ def local_train_lsr(
     policy: AugmentPolicy,
     streams: list,
     gamma_t: float,
-    plus: bool = False,
 ) -> tuple:
     """Self-regularized local training: dual forward, mixed sharpened CE,
     plus the warm-up-weighted distillation term (and the entropy penalty
-    when ``plus``)."""
-    loss = lsr_plus_loss if plus else lsr_total_loss
+    when ``cfg.method`` is "lsr_plus")."""
+    loss = lsr_plus_loss if cfg.method == "lsr_plus" else lsr_total_loss
     objective = _two_view(partial(loss, gamma_t=gamma_t, hp=hp), dataset, hp, policy, streams)
     return _local_sgd((global_params,), *_shard_arrays(dataset, shards), cfg, streams, objective)
 
@@ -402,23 +402,23 @@ def local_train_coteaching(
     shards: list,
     cfg: FedConfig,
     ct: CoteachingConfig,
+    hp: LsrHyperParams,
     streams: list,
     round_idx: int,
-    sharpen_hp: "LsrHyperParams | None" = None,
 ) -> tuple:
     """Train two peer networks, each on the other's low-loss picks.
 
     Per batch, both networks score every sample; network A's smallest-loss
     subset becomes B's training rows and vice versa, on the premise that
     low-loss samples more likely carry correct labels. The kept share
-    ramps from 1 down to 1 - ``ct.noise_rate``. With ``sharpen_hp`` set,
-    the score and the update loss use the sharpened prediction. Each
-    batch's loss is the mean of the two updates'.
+    ramps from 1 down to 1 - ``ct.noise_rate``. When ``cfg.method`` is
+    "coteaching_lsr", the score and the update loss use the prediction
+    sharpened by ``hp``. Each batch's loss is the mean of the two updates'.
     """
     per_sample, loss_fn = ce_per_sample, ce_loss
-    if sharpen_hp is not None:
-        per_sample = partial(sharpened_ce_per_sample, hp=sharpen_hp)
-        loss_fn = partial(sharpened_ce_loss, hp=sharpen_hp)
+    if cfg.method == "coteaching_lsr":
+        per_sample = partial(sharpened_ce_per_sample, hp=hp)
+        loss_fn = partial(sharpened_ce_loss, hp=hp)
 
     def objective(nets, x, y, epoch, bi):
         per_a, per_b = (per_sample(forward(net, x), y) for net in nets)
@@ -560,18 +560,14 @@ def run_federation(
                 if cfg.method == "sym_ce":
                     return local_train_symce(net, train_set, chunk, cfg, sp, streams)
                 if cfg.method in ("lsr", "lsr_plus"):
-                    return local_train_lsr(
-                        net, train_set, chunk, cfg, hp, policy, streams, gamma_t,
-                        plus=(cfg.method == "lsr_plus"),
-                    )
+                    return local_train_lsr(net, train_set, chunk, cfg, hp, policy, streams, gamma_t)
                 if cfg.method == "sym_ce_lsr":
                     return local_train_symce_lsr(
                         net, train_set, chunk, cfg, sp, hp, policy, streams, gamma_t
                     )
                 # FedConfig admits no method but the co-teaching pair here.
                 return local_train_coteaching(
-                    net, globals_[1], train_set, chunk, cfg, ct, streams, t,
-                    sharpen_hp=hp if cfg.method == "coteaching_lsr" else None,
+                    net, globals_[1], train_set, chunk, cfg, ct, hp, streams, t
                 )
 
             chunk_nets, chunk_losses = zip(*run_chunks(train, chunks))

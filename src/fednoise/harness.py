@@ -40,8 +40,9 @@ the master seed, warmup_rounds to 20% of the rounds, gamma to a tuned
 per-noise-level table, distill_kind to "js" under IID partitioning and
 "l1" otherwise, entropy_weight to 0.6 for lsr_plus and 0 for every other
 method, and coteaching.noise_rate to the injected noise ratio. "default"
-augmentation picks rotation for single-channel images, flip plus jitter
-for multi-channel ones, and feature jitter for flat feature vectors.
+augmentation picks rotation for images and feature jitter for flat feature
+vectors. Numbers are echoed as given, so a config that writes 1 for a
+float-valued key echoes 1.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from typing import NamedTuple
 
 import numpy as np
@@ -107,12 +107,11 @@ _GAMMA_FALLBACK = 0.2  # used when noise.kind is "none"
 
 _REQUIRED = object()  # the default of a key that has none
 
-# Value types: (description, test). A "num" is echoed as given and a
-# "float" as a float, so a config that writes 1 for a "num" key echoes 1.
+# Value types: (description, test). Every value is echoed as given, so a
+# config that writes 1 for a "num" key echoes 1.
 _TYPES = {
     "int": ("an integer", lambda v: isinstance(v, int)),
     "num": ("a number", lambda v: isinstance(v, (int, float))),
-    "float": ("a number", lambda v: isinstance(v, (int, float))),
     "str": ("a string", lambda v: isinstance(v, str)),
     "path": ("a non-empty path", lambda v: isinstance(v, str) and v != ""),
     "widths": (
@@ -150,22 +149,26 @@ class _ByKind(NamedTuple):
     default: object = _REQUIRED
 
 
-def _fields(cls, **types) -> _Section:
-    """A dataclass-backed section: types here, defaults from the fields.
+# Dataclass field annotation (a string, as every module postpones its
+# annotations) -> the value type of its config key.
+_ANNOTATION_TYPES = {"int": "int", "float": "num", "float | None": "num", "str": "str",
+                     "tuple": "widths"}
 
-    A type may be a full _Key instead, for a default that is derived (null)
-    or a bound the dataclass does not check.
-    """
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    return _Section(
-        {k: t if isinstance(t, _Key) else _Key(t, defaults[k]) for k, t in types.items()}, cls
-    )
+
+def _fields(cls, **derived) -> _Section:
+    """A dataclass-backed section: one key per field, in field order, typed by
+    its annotation and defaulting to its default, except that ``derived``
+    gives the full _Key of each field whose null default _derive resolves."""
+    return _Section({
+        f.name: derived.get(f.name) or _Key(_ANNOTATION_TYPES[f.type], f.default)
+        for f in dataclasses.fields(cls)
+    }, cls)
 
 
 _AUGMENT_OPS = _ByKind({
-    "rotation": _fields(Rotation, max_degrees="num"),
-    "horizontal_flip": _fields(HorizontalFlip, prob="num"),
-    "feature_jitter": _fields(FeatureJitter, sigma="num"),
+    "rotation": _fields(Rotation),
+    "horizontal_flip": _fields(HorizontalFlip),
+    "feature_jitter": _fields(FeatureJitter),
 })
 
 # The config schema. Bounds of dataclass-backed sections live in the
@@ -178,7 +181,7 @@ _SCHEMA = _Section({
             "n_train": _Key("int", 10000, lo=1),
             "n_test": _Key("int", 2000, lo=1),
             "num_classes": _Key("int", 10, lo=2),
-            "dim": _Key("int", 32, lo=1),
+            "dim": _Key("int", 32, lo=2),
             "seed": _Key("int", None, lo=0),
         }),
         "idx": _Section({
@@ -194,26 +197,18 @@ _SCHEMA = _Section({
             "num_classes": _Key("int", None, lo=2),
         }),
     }, default="synthetic"),
-    "noise": _fields(NoiseSpec, kind="str", ratio="float", seed=_Key("int", None, lo=0)),
+    "noise": _fields(NoiseSpec, seed=_Key("int", None, lo=0)),
     "partition": _Section({
         "kind": _Key("str", "iid", choices=("iid", "noniid")),
         "classes_per_client": _Key("int", 2, lo=1),
     }),
-    "federation": _fields(
-        FedConfig, num_clients="int", clients_per_round="int", rounds="int",
-        local_epochs="int", batch_size="int", lr="num", method="str",
-        warmup_rounds=_Key("int", None), hidden_layers="widths", workers="int",
-    ),
+    "federation": _fields(FedConfig, warmup_rounds=_Key("int", None)),
     "lsr": _fields(
-        LsrHyperParams, sharpen_temp="num", distill_temp="num",
-        gamma=_Key("float", None), entropy_weight=_Key("float", None),
-        distill_kind=_Key("str", None), clamp_lo="num", fix_lambda="float",
+        LsrHyperParams, gamma=_Key("num", None), entropy_weight=_Key("num", None),
+        distill_kind=_Key("str", None),
     ),
-    "sym_ce": _fields(SymCeParams, alpha="num", beta="num", log_zero="num"),
-    "coteaching": _fields(
-        CoteachingConfig, noise_rate=_Key("float", None), ramp_rounds="int",
-        schedule_unit="str",
-    ),
+    "sym_ce": _fields(SymCeParams),
+    "coteaching": _fields(CoteachingConfig, noise_rate=_Key("num", None)),
     "augment": _Key("augment", "default"),
 })
 
@@ -236,8 +231,6 @@ def _walk(value, spec, where: str):
             raise ConfigError(f"{where} must be >= {spec.lo}, got {value!r}")
         if spec.choices and value not in spec.choices:
             raise ConfigError(f"{where} must be one of {list(spec.choices)}, got {value!r}")
-        if spec.type == "float":
-            return float(value)
         return list(value) if spec.type == "widths" else value
     if not isinstance(value, dict):
         raise ConfigError(f"config section {where!r} must be an object")
@@ -345,12 +338,7 @@ def _default_augment(train: LabeledDataset) -> list:
     # structure survives. Images keep the ops' default geometric settings.
     if train.image_shape is None:
         return [{"kind": "feature_jitter", "sigma": 0.6}]
-    if train.image_shape[2] == 1:
-        return [{"kind": "rotation", **dataclasses.asdict(Rotation())}]
-    return [
-        {"kind": "horizontal_flip", **dataclasses.asdict(HorizontalFlip())},
-        {"kind": "feature_jitter", **dataclasses.asdict(FeatureJitter())},
-    ]
+    return [{"kind": "rotation", **dataclasses.asdict(Rotation())}]
 
 
 def _build_policy(spec) -> AugmentPolicy:
@@ -437,8 +425,9 @@ def run_from_config(echo: dict) -> tuple:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    # Created 0o666 beside the target, so the umask sets the mode as for open().
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.getpid()}-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -584,8 +573,7 @@ def _parse_args(argv):
     run_p.add_argument("--config", required=True, help="path to the JSON config")
     run_p.add_argument("--seed", type=int, help="override the master seed")
     run_p.add_argument("--method", choices=METHODS, help="override federation.method")
-    run_p.add_argument("--noise-kind", "--noise-type", dest="noise_kind",
-                       choices=NOISE_KINDS, help="override noise.kind")
+    run_p.add_argument("--noise-kind", choices=NOISE_KINDS, help="override noise.kind")
     run_p.add_argument("--noise-ratio", type=float, help="override noise.ratio")
     run_p.add_argument("--rounds", type=int, help="override federation.rounds")
     run_p.add_argument("--workers", type=int, help="override federation.workers")
@@ -636,7 +624,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

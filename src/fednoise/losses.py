@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import sharpen, softmax, softmax_vjp, tempered_softmax
+from .numerics import softmax, softmax_vjp, tempered_softmax
 
 __all__ = [
     "LsrHyperParams",
@@ -79,7 +79,7 @@ class LsrHyperParams:
     entropy_weight: float = 0.0
     distill_kind: str = "js"
     clamp_lo: float = 1e-6
-    fix_lambda: "float | None" = None
+    fix_lambda: float | None = None
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.sharpen_temp) and self.sharpen_temp > 0):
@@ -212,25 +212,26 @@ def ce_loss(logits: np.ndarray, labels: np.ndarray) -> LossOutput:
 
 
 def _sharpened_nll(p: np.ndarray, y: np.ndarray, hp: LsrHyperParams):
-    """Batch-mean -log sharpen(p, T)[y], floored at clamp_lo inside the log,
-    and its gradient with respect to the (..., B, M) probabilities p."""
-    batch = p.shape[-2]
+    """Per-row -log sharpen(p, T)[y], floored at clamp_lo inside the log, and
+    a function giving the gradient of their batch mean with respect to the
+    (..., B, M) probabilities p."""
     at_y = _label_index(y)
     u = 1.0 / hp.sharpen_temp
     powered = p**u
     norm = powered.sum(axis=-1)
     sharp_y = powered[at_y] / norm
-    loss_rows = -np.log(np.maximum(sharp_y, hp.clamp_lo))
-    scalar = _scalar(loss_rows.mean(axis=-1))
 
-    # d(-log sharp_y)/dp_i = u * (p_i^(u-1) / norm - [i == y] / p_y),
-    # treating p as free variables; softmax_vjp absorbs the simplex
-    # constraint. Rows where the clamp is active contribute zero gradient.
-    grad_p = u * p ** (u - 1.0) / norm[..., None]
-    grad_p[at_y] -= u / p[at_y]
-    grad_p[sharp_y <= hp.clamp_lo] = 0.0
-    grad_p /= batch
-    return scalar, grad_p
+    def grad():
+        # d(-log sharp_y)/dp_i = u * (p_i^(u-1) / norm - [i == y] / p_y),
+        # treating p as free variables; softmax_vjp absorbs the simplex
+        # constraint. Rows where the clamp is active contribute zero gradient.
+        grad_p = u * p ** (u - 1.0) / norm[..., None]
+        grad_p[at_y] -= u / p[at_y]
+        grad_p[sharp_y <= hp.clamp_lo] = 0.0
+        grad_p /= p.shape[-2]
+        return grad_p
+
+    return -np.log(np.maximum(sharp_y, hp.clamp_lo)), grad
 
 
 def lsr_cls_loss(
@@ -261,7 +262,8 @@ def lsr_cls_loss(
 
     p1 = softmax(o1)
     p2 = softmax(o2)
-    scalar, grad_p = _sharpened_nll(weight * p1 + (1.0 - weight) * p2, y, hp)
+    rows, grad = _sharpened_nll(weight * p1 + (1.0 - weight) * p2, y, hp)
+    scalar, grad_p = _scalar(rows.mean(axis=-1)), grad()
     adj1 = softmax_vjp(p1, weight * grad_p)
     adj2 = softmax_vjp(p2, (1.0 - weight) * grad_p)
     if plain:
@@ -469,17 +471,19 @@ def sharpened_ce_loss(logits: np.ndarray, labels: np.ndarray, hp: LsrHyperParams
     if hp.sharpen_temp == 1.0:
         return ce_loss(o, y)
     p = softmax(o)
-    scalar, grad_p = _sharpened_nll(p, y, hp)
-    return LossOutput(scalar, softmax_vjp(p, grad_p), np.zeros_like(o))
+    rows, grad = _sharpened_nll(p, y, hp)
+    return LossOutput(_scalar(rows.mean(axis=-1)), softmax_vjp(p, grad()), np.zeros_like(o))
 
 
 def sharpened_ce_per_sample(
     logits: np.ndarray, labels: np.ndarray, hp: LsrHyperParams
 ) -> np.ndarray:
-    """Per-sample -log sharpen(softmax(o), T)[y], floored at clamp_lo."""
+    """Per-sample -log sharpen(softmax(o), T)[y], floored at clamp_lo: the rows
+    whose mean :func:`sharpened_ce_loss` takes. T = 1 is :func:`ce_per_sample`."""
     o, y = _check_logits_labels(logits, labels)
-    sharp = sharpen(softmax(o), hp.sharpen_temp)
-    return -np.log(np.maximum(sharp[_label_index(y)], hp.clamp_lo))
+    if hp.sharpen_temp == 1.0:
+        return ce_per_sample(o, y)
+    return _sharpened_nll(softmax(o), y, hp)[0]
 
 
 def small_loss_select(losses: np.ndarray, keep_ratio: float) -> np.ndarray:

@@ -551,6 +551,27 @@ class TestMethodEquivalences:
         )
         np.testing.assert_array_equal(co.final_params[0].flat, ce.final_params.flat)
 
+    def test_coteaching_lsr_at_temp_one_is_bitwise_coteaching(self):
+        # At T = 1 the sharpened score and loss are plain CE's, so the two
+        # co-teaching variants must walk the same trajectory.
+        train, shards, test = small_world(noise=0.3)
+        base = dict(
+            num_clients=6, clients_per_round=3, rounds=3, local_epochs=2,
+            batch_size=10, warmup_rounds=0, hidden_layers=(6,),
+        )
+        hp = LsrHyperParams(sharpen_temp=1.0)
+        ct = CoteachingConfig(noise_rate=0.3, ramp_rounds=2)
+        runs = [
+            run_federation(
+                FedConfig(**base, method=m), train, shards, test, seed=4, hp=hp, ct=ct,
+                record_history=True,
+            )
+            for m in ("coteaching", "coteaching_lsr")
+        ]
+        plain, sharp = ([[p.flat.tobytes() for p in nets] for nets in r.param_history] for r in runs)
+        assert plain == sharp
+        assert runs[0].metrics == runs[1].metrics
+
     def test_twin_accuracy_is_mean_of_both_nets(self):
         train, shards, test = small_world()
         cfg = FedConfig(

@@ -1,6 +1,7 @@
 """Config materialization, experiment runner outputs, and the CLI."""
 
 import copy
+import dataclasses
 import json
 import logging
 import os
@@ -172,6 +173,12 @@ class TestMaterializeValidation:
         )
         assert echo["dataset"]["num_classes"] is None
 
+    def test_synthetic_dim_bound_matches_the_generator(self):
+        # generate_synthetic needs dim >= 2; the config must say so up front.
+        with pytest.raises(ConfigError, match="dataset.dim"):
+            materialize_config({"dataset": {"dim": 1}})
+        assert materialize_config({"dataset": {"dim": 2}})["dataset"]["dim"] == 2
+
     def test_augment_forms(self):
         assert materialize_config({"augment": "none"})["augment"] == "none"
         spec = [{"kind": "feature_jitter", "sigma": 0.2}]
@@ -231,6 +238,32 @@ def test_augment_op_defaults():
     policy = harness._build_policy(spec)
     assert policy == AugmentPolicy((Rotation(30.0), HorizontalFlip(0.5), FeatureJitter(0.05)))
     assert materialize_config({"augment": spec})["augment"] == spec
+
+
+def test_dataclass_sections_state_each_field_once():
+    # A dataclass-backed section has one key per field, in field order, each
+    # typed from the field's annotation.
+    sections = {**harness._AUGMENT_OPS.kinds, **harness._SCHEMA.entries}
+    backed = [spec for spec in sections.values() if getattr(spec, "cls", None) is not None]
+    assert len(backed) == 8
+    for spec in backed:
+        fields = dataclasses.fields(spec.cls)
+        assert list(spec.entries) == [f.name for f in fields]
+        for f in fields:
+            assert harness._ANNOTATION_TYPES[f.type] in harness._TYPES
+
+
+def test_integers_for_float_keys_echo_as_given(tmp_path):
+    def run(ratio, gamma, out):
+        cfg = tiny_config(out=str(tmp_path / out))
+        cfg["noise"]["ratio"] = ratio
+        cfg["lsr"] = {"gamma": gamma}
+        echo = run_experiment(config=cfg)["config_echo"]
+        return echo, (tmp_path / out / "metrics.csv").read_bytes()
+
+    echo, ints = run(0, 1, "ints")
+    assert repr(echo["noise"]["ratio"]) == "0" and repr(echo["lsr"]["gamma"]) == "1"
+    assert ints == run(0.0, 1.0, "floats")[1]
 
 
 def test_docstring_config_block_matches_schema():
@@ -294,6 +327,15 @@ class TestRunExperiment:
         cfg_b["federation"]["workers"] = 3
         run_experiment(config=cfg_b)
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+
+    def test_outputs_follow_the_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            run_experiment(config=tiny_config(out=str(tmp_path / "run")))
+        finally:
+            os.umask(old)
+        for name in ("metrics.csv", "summary.json"):
+            assert (tmp_path / "run" / name).stat().st_mode & 0o777 == 0o644
 
     def test_logs_each_round_as_it_completes(self, tmp_path, caplog):
         out = tmp_path / "logged"

@@ -499,6 +499,25 @@ class TestSharpenedCe:
             sharpened_ce_per_sample(o, y, hp), ce_per_sample(o, y), atol=1e-12
         )
 
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["batch", "cohort"])
+    def test_temp_one_rows_are_ce_rows_bitwise(self, lead):
+        # As sharpened_ce_loss is ce_loss at T = 1, its rows are ce_per_sample's.
+        gen = np.random.default_rng(27)
+        o = gen.normal(size=(*lead, 9, 5)) * 4.0
+        y = gen.integers(0, 5, size=(*lead, 9))
+        got = sharpened_ce_per_sample(o, y, LsrHyperParams(sharpen_temp=1.0))
+        assert got.tobytes() == ce_per_sample(o, y).tobytes()
+
+    @pytest.mark.parametrize("temp", [0.3, 0.5, 2.0])
+    def test_rows_are_the_loss_rows_bitwise(self, temp):
+        # The per-sample rows and the loss's scalar come from one formula.
+        gen = np.random.default_rng(28)
+        hp = LsrHyperParams(sharpen_temp=temp)
+        o = gen.normal(size=(3, 8, 6)) * 3.0
+        y = gen.integers(0, 6, size=(3, 8))
+        rows = sharpened_ce_per_sample(o, y, hp)
+        assert rows.mean(axis=-1).tobytes() == sharpened_ce_loss(o, y, hp).scalar.tobytes()
+
 
 class TestAdjointTangency:
     def test_all_adjoint_rows_sum_to_zero(self):
