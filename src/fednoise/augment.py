@@ -1,12 +1,14 @@
 """Mild stochastic input transformations for the dual-forward objective.
 
-Policies are ordered lists of ops. Each op draws from its own sub-stream of
-the RngStream handed to :func:`apply_batch`, so inserting or removing one op
-never shifts the randomness of the others; each op's function takes that
-sub-stream's numpy Generator. Image ops (rotation, flip) need the dataset's
-``image_shape`` metadata; purely tabular data can only be jittered. scipy is
-imported only when a policy holding a :class:`Rotation` is built or an image
-is rotated, so a run that never rotates never loads it.
+Policies are ordered lists of ops. :func:`apply_batch` augments a cohort
+of K clients' batches at once. Each op draws from its own sub-stream of
+each client's RngStream, so inserting or removing one op never shifts the
+randomness of the others, and one client's draws never depend on the
+others'; each op's function takes that sub-stream's numpy Generator. Image
+ops (rotation, flip) need the dataset's ``image_shape`` metadata; purely
+tabular data can only be jittered. scipy is imported only when a policy
+holding a :class:`Rotation` is built or an image is rotated, so a run that
+never rotates never loads it.
 
 Augmentation here is deliberately weak: the downstream objective compares
 predictions on the original and transformed input, so the transform must
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream
+from .numerics import generators
 
 __all__ = [
     "UnsupportedAugmentationError",
@@ -155,34 +157,39 @@ def _to_image(x_flat: np.ndarray, image_shape: tuple) -> np.ndarray:
 def apply_batch(
     policy: AugmentPolicy,
     batch: np.ndarray,
-    rng: RngStream,
+    streams: list,
+    steps: tuple,
     image_shape: "tuple[int, int, int] | None" = None,
 ) -> np.ndarray:
-    """Run the policy on a (B, d) batch, one independent draw per sample.
+    """Run the policy on a (K, B, d) cohort batch, one independent draw per sample.
 
-    Per op, a single sub-stream supplies the whole batch in row order, so
-    every sample gets fresh randomness and re-running with the same rng path
-    reproduces the batch bit-for-bit. The jitter op draws one vectorized
-    normal block; the image ops loop over rows.
+    Op i draws client k's rows, in row order, from the sub-stream at
+    ``steps + (i,)`` of ``streams[k]``, so every sample gets fresh
+    randomness and re-running with the same streams and steps reproduces
+    the batch bit-for-bit. :func:`~fednoise.numerics.generators` builds the
+    K generators of each op at once. The jitter op draws one vectorized
+    normal block per client; the image ops loop over rows.
     """
     arr = np.asarray(batch, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"apply_batch expects (B, d), got shape {arr.shape}")
+    if arr.ndim != 3:
+        raise ValueError(f"apply_batch expects (K, B, d), got shape {arr.shape}")
+    if arr.shape[0] != len(streams):
+        raise ValueError(f"{arr.shape[0]} clients' batches but {len(streams)} streams")
     if policy.needs_image() and image_shape is None:
         raise UnsupportedAugmentationError(
             "policy contains image ops but the data has no image shape"
         )
     out = arr.copy()
     for i, op in enumerate(policy.ops):
-        gen = rng.child(i).generator()
-        if isinstance(op, FeatureJitter):
-            out = feature_jitter(out, op.sigma, gen)
-        elif isinstance(op, Rotation):
-            for b in range(out.shape[0]):
-                img = _to_image(out[b], image_shape)
-                out[b] = random_rotation(img, op.max_degrees, gen).reshape(-1)
-        else:
-            for b in range(out.shape[0]):
-                img = _to_image(out[b], image_shape)
-                out[b] = horizontal_flip(img, op.prob, gen).reshape(-1)
+        for rows, gen in zip(out, generators(streams, *steps, i)):
+            if isinstance(op, FeatureJitter):
+                rows[:] = feature_jitter(rows, op.sigma, gen)
+            elif isinstance(op, Rotation):
+                for b in range(rows.shape[0]):
+                    img = _to_image(rows[b], image_shape)
+                    rows[b] = random_rotation(img, op.max_degrees, gen).reshape(-1)
+            else:
+                for b in range(rows.shape[0]):
+                    img = _to_image(rows[b], image_shape)
+                    rows[b] = horizontal_flip(img, op.prob, gen).reshape(-1)
     return out

@@ -30,7 +30,10 @@ shuffling per client/round/epoch, augmentation and mixing draws per
 client and batch). Within a cohort these draws stay per client, and each
 client's slice of the stacked arithmetic equals the arithmetic on that
 client alone, so results depend neither on how clients are grouped nor
-on ``workers``, which changes only the wall clock.
+on ``workers``, which changes only the wall clock. A cohort step builds
+its K clients' generators for one path at once with
+:func:`~fednoise.numerics.generators`, which gives the same states as
+each client stream's own ``child(...).generator()``.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .losses import (
     symmetric_ce_loss,
 )
 from .model import ModelParams, forward, forward_vjp, init_params, sgd_step
-from .numerics import RngStream, sample_mix_weight
+from .numerics import RngStream, generators, sample_mix_weight
 
 __all__ = [
     "METHODS",
@@ -231,21 +234,22 @@ def _shard_arrays(dataset: LabeledDataset, shards: list):
     return dataset.features[rows], dataset.observed_labels[rows]
 
 
-def _iter_batches(n: int, cfg: FedConfig, stream: RngStream):
-    """(epoch, batch_counter, row_indices) over a seeded shuffle per epoch:
-    consecutive batches of at most n rows, the final short batch kept."""
+def _iter_batches(n: int, cfg: FedConfig, streams: list):
+    """(epoch, batch_counter, (K, B) row indices) over a seeded shuffle per
+    client and epoch: consecutive batches of at most n rows, the final
+    short batch kept."""
     batch = min(cfg.batch_size, n)
     for epoch in range(cfg.local_epochs):
-        perm = stream.child("shuffle", epoch).generator().permutation(n)
+        perm = np.stack([gen.permutation(n) for gen in generators(streams, "shuffle", epoch)])
         for bi, start in enumerate(range(0, n, batch)):
-            yield epoch, bi, perm[start : start + batch]
+            yield epoch, bi, perm[:, start : start + batch]
 
 
 def _local_sgd(globals_: tuple, feats, labels, cfg: FedConfig, streams: list, objective):
     """Train a cohort of K clients in lockstep from the global networks.
 
     ``feats`` (K, n, d) and ``labels`` (K, n) hold each client's shard and
-    ``streams`` its RngStream, whose shuffle it walks. Per batch,
+    ``streams`` its RngStream, whose shuffles it walks. Per batch,
     ``objective(nets, x, y, epoch, bi)`` gets the stacked (K, B, d) rows
     and (K, B) labels and gives the (K,) batch losses and one (K, P)
     Gradients per net; each net then takes one SGD step, in tuple order.
@@ -253,12 +257,10 @@ def _local_sgd(globals_: tuple, feats, labels, cfg: FedConfig, streams: list, ob
     """
     k = len(streams)
     nets = tuple(ModelParams(np.broadcast_to(g.flat, (k, g.flat.size)), g.shapes) for g in globals_)
-    walks = [_iter_batches(labels.shape[1], cfg, s) for s in streams]
     clients = np.arange(k)[:, None]
     losses = []
-    for batch in zip(*walks, strict=True):
-        epoch, bi, _ = batch[0]
-        rows = clients, np.stack([b[2] for b in batch])
+    for epoch, bi, picks in _iter_batches(labels.shape[1], cfg, streams):
+        rows = clients, picks
         loss, grads = objective(nets, feats[rows], labels[rows], epoch, bi)
         nets = tuple(sgd_step(net, g, cfg.lr) for net, g in zip(nets, grads))
         losses.append(loss)
@@ -293,14 +295,11 @@ def _two_view(
     """
 
     def objective(nets, x, y, epoch, bi):
-        x_aug = np.stack([
-            apply_batch(policy, rows, s.child("augment", epoch, bi), dataset.image_shape)
-            for rows, s in zip(x, streams)
-        ])
+        x_aug = apply_batch(policy, x, streams, ("augment", epoch, bi), dataset.image_shape)
         o1, vjp1 = forward_vjp(nets[0], x)
         o2, vjp2 = forward_vjp(nets[0], x_aug)
         if hp.fix_lambda is None:
-            lam = np.array([sample_mix_weight(s.child("mixweight", epoch, bi)) for s in streams])
+            lam = sample_mix_weight(streams, "mixweight", epoch, bi)
         else:
             lam = np.full(len(streams), float(hp.fix_lambda))
         out = loss_fn(o1, o2, y, lam)
@@ -337,10 +336,7 @@ def local_train_ce_aug(
     as many batches of the configured size.
     """
     feats, labels = _shard_arrays(dataset, shards)
-    aug = np.stack([
-        apply_batch(policy, rows, s.child("augment", "expand"), dataset.image_shape)
-        for rows, s in zip(feats, streams)
-    ])
+    aug = apply_batch(policy, feats, streams, ("augment", "expand"), dataset.image_shape)
     feats = np.concatenate([feats, aug], axis=1)
     labels = np.concatenate([labels, labels], axis=1)
     return _local_sgd((global_params,), feats, labels, cfg, streams, _single_view(ce_loss))

@@ -219,6 +219,11 @@ def _sharpened_nll(p: np.ndarray, y: np.ndarray, hp: LsrHyperParams):
     u = 1.0 / hp.sharpen_temp
     powered = p**u
     norm = powered.sum(axis=-1)
+    if np.any(norm == 0):
+        raise ValueError(
+            f"p ** (1 / sharpen_temp) underflowed to zero in a whole row; "
+            f"sharpen_temp {hp.sharpen_temp} is too small"
+        )
     sharp_y = powered[at_y] / norm
 
     def grad():

@@ -8,11 +8,22 @@ along the last axis. A probability array has entries in [0, 1] that sum to 1
 per row.
 
 All logarithms are natural logarithms. :func:`sample_mix_weight` draws
-from an :class:`RngStream`, never from a live generator.
+from a cohort's :class:`RngStream` list, never from a live generator.
+
+Random streams: an :class:`RngStream` names a numpy ``SeedSequence`` by its
+master seed and spawn-key path, and :meth:`RngStream.generator` builds
+``Generator(PCG64(SeedSequence(seed, spawn_key=path)))`` through numpy.
+:func:`generators` gives the same generators for the child at one path of
+each of K streams, without building K ``SeedSequence`` objects: it carries
+on each stream's mixed entropy pool with the child's extra words and
+derives the K PCG64 states with a few uint32 array operations. This copies
+``SeedSequence``'s mixing and output hash, whose results NEP 19 fixes for
+all numpy versions, so both routes give the same bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 
@@ -20,6 +31,7 @@ import numpy as np
 
 __all__ = [
     "RngStream",
+    "generators",
     "softmax",
     "tempered_softmax",
     "sharpen",
@@ -41,6 +53,79 @@ def _path_step(step: int | str) -> int:
     if step < 0:
         raise ValueError(f"rng path steps must be non-negative, got {step}")
     return step
+
+
+# SeedSequence's hash constants (numpy.random.bit_generator), fixed by NEP 19.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_WORDS = 4
+
+
+def _words(value: int) -> list:
+    """The little-endian uint32 words numpy's ``SeedSequence`` reads from a
+    non-negative integer; 0 gives one zero word."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hash_consts(init: int, mult: int, call: int) -> tuple:
+    """(XOR, multiplier) of SeedSequence's multiply-xorshift hash at its
+    ``call``-th use (0-based): the constant starts at ``init`` and is
+    multiplied by ``mult`` between the XOR and the multiplication."""
+    xor = init * pow(mult, call, 1 << 32) & _MASK32
+    return xor, xor * mult & _MASK32
+
+
+def _hashmix(value: int, call: int) -> int:
+    """SeedSequence's ``hashmix`` of one word at the pool hash's ``call``-th use."""
+    xor, mult = _hash_consts(_INIT_A, _MULT_A, call)
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ (value >> 16)
+
+
+# generate_state's output hash over the eight uint32 words of a PCG64
+# seed, which cycle twice through the pool: as (2, 4) rows.
+_STATE_XOR, _STATE_MULT = np.array(
+    [_hash_consts(_INIT_B, _MULT_B, i) for i in range(8)], dtype=np.uint32
+).T.reshape(2, 2, _POOL_WORDS)
+
+
+@functools.lru_cache(maxsize=256)
+def _mix_terms(first: int, steps: tuple) -> np.ndarray:
+    """(S, 4) uint32 rows ``MIX_R * hashmix(w)`` that the S entropy words of
+    ``steps`` subtract in ``mix`` from the four pool words, the first of
+    them being entropy word ``first`` past the pool's four.
+
+    A run asks for a few dozen (first, steps) pairs, over and over."""
+    words = [w for step in steps for w in _words(_path_step(step))]
+    terms = [
+        [_hashmix(w, 16 + 4 * j + d) for d in range(_POOL_WORDS)]
+        for j, w in enumerate(words, start=first)
+    ]
+    return _frozen(np.array(terms, dtype=np.uint32) * _MIX_R)
+
+
+@functools.cache
+def _row_seed():
+    """An ``ISeedSequence`` type whose instances hand PCG64 one precomputed
+    (4,) uint64 state row. Built on first use, so loading this module does
+    not load ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class RowSeed(ISeedSequence):
+        def __init__(self, row: np.ndarray) -> None:
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row
+
+    return RowSeed
 
 
 def _immutable(values, dtype) -> np.ndarray:
@@ -99,9 +184,57 @@ class RngStream:
         return RngStream(self.master_seed, self.path + extra)
 
     def generator(self) -> np.random.Generator:
-        """Fresh generator positioned at the start of this stream."""
+        """Fresh generator positioned at the start of this stream, built by
+        numpy's own ``SeedSequence``. :func:`generators` must match it."""
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=self.path)
         return np.random.Generator(np.random.PCG64(seq))
+
+    @functools.cached_property
+    def _pool(self) -> tuple:
+        """(numpy's mixed (4,) uint32 entropy pool for this stream, the
+        number of entropy words mixed into it). The count is None for a
+        root stream: its seed is not padded to the pool size as a child's
+        is, so its pool cannot be carried on. Not a field, so equality,
+        hash and repr ignore it."""
+        seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=self.path)
+        if not self.path:
+            return seq.pool, None
+        seed_words = max(len(_words(int(self.master_seed))), _POOL_WORDS)
+        return seq.pool, seed_words + sum(len(_words(step)) for step in self.path)
+
+
+def generators(streams: list, *steps: int | str) -> list:
+    """``[s.child(*steps).generator() for s in streams]``, state for state.
+
+    SeedSequence mixes its entropy words into a 4-word pool. Past the first
+    four, the j-th word w (0-based) mixes into pool word d as
+    ``mix(pool[d], hashmix(w))`` at the hash's call 16 + 4j + d. Every
+    child here appends the same words, so their hashes are shared and a few
+    (K, 4) array operations per word carry all K pools on. The PCG64 state
+    is then ``generate_state(4, uint64)`` of each pool, taken for all K
+    rows at once. Streams whose pools hold different word counts, or root
+    streams, go through :meth:`RngStream.generator` one by one.
+    """
+    if not streams:
+        return []
+    counts = {s._pool[1] for s in streams}
+    if steps and (len(counts) > 1 or None in counts):
+        return [s.child(*steps).generator() for s in streams]
+    pool = np.array([s._pool[0] for s in streams])
+    if steps:
+        for term in _mix_terms(counts.pop() - _POOL_WORDS, steps):
+            pool *= _MIX_L
+            pool -= term
+            pool ^= pool >> 16
+    out = pool[:, None, :] ^ _STATE_XOR
+    out *= _STATE_MULT
+    out ^= out >> 16
+    # Word pairs read little-endian, as numpy does. PCG64 reads each row's
+    # raw memory, so the (K, 4) rows must be C-contiguous, as here.
+    rows = out.reshape(len(streams), 8).astype("<u4", copy=False).view("<u8")
+    rows = rows.astype(np.uint64, copy=False)
+    row_seed, generator, pcg64 = _row_seed(), np.random.Generator, np.random.PCG64
+    return [generator(pcg64(row_seed(row))) for row in rows]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -149,9 +282,10 @@ def sharpen(probs: np.ndarray, temp: float) -> np.ndarray:
     return powered / total
 
 
-def sample_mix_weight(rng: RngStream) -> float:
-    """Draw the convex mixing weight for prediction averaging, Beta(1, 1)."""
-    return float(rng.generator().beta(1.0, 1.0))
+def sample_mix_weight(streams: list, *steps: int | str) -> np.ndarray:
+    """(K,) convex mixing weights for prediction averaging, Beta(1, 1): one
+    draw from the child at ``steps`` of each of the K client streams."""
+    return np.array([gen.beta(1.0, 1.0) for gen in generators(streams, *steps)])
 
 
 def softmax_vjp(probs: np.ndarray, grad_out: np.ndarray, temp: float = 1.0) -> np.ndarray:

@@ -169,10 +169,15 @@ def test_single_ops_take_a_generator_not_a_stream():
             op(RngStream(0))
 
 
+def one_client(policy, rows, stream, steps=(), image_shape=None):
+    """apply_batch on a cohort of one client's (B, d) rows."""
+    return apply_batch(policy, rows[None], [stream], steps, image_shape)[0]
+
+
 class TestPolicy:
     def test_empty_policy_is_identity(self):
         x = np.arange(6.0)
-        out = apply_batch(AugmentPolicy(), x[None], RngStream(0))[0]
+        out = one_client(AugmentPolicy(), x[None], RngStream(0))[0]
         np.testing.assert_array_equal(out, x)
         assert out is not x
 
@@ -180,15 +185,15 @@ class TestPolicy:
         gen = np.random.default_rng(7)
         img = gen.random((5, 4))
         policy = AugmentPolicy((HorizontalFlip(1.0), Rotation(0.0)))
-        out = apply_batch(policy, img.reshape(1, -1), RngStream(0), image_shape=(5, 4, 1))[0]
+        out = one_client(policy, img.reshape(1, -1), RngStream(0), image_shape=(5, 4, 1))[0]
         np.testing.assert_array_equal(out.reshape(5, 4), img[:, ::-1])
 
     def test_image_op_on_tabular_data_rejected(self):
         policy = AugmentPolicy((Rotation(30.0),))
         with pytest.raises(UnsupportedAugmentationError):
-            apply_batch(policy, np.zeros((1, 10)), RngStream(0))
+            one_client(policy, np.zeros((1, 10)), RngStream(0))
         with pytest.raises(UnsupportedAugmentationError):
-            apply_batch(policy, np.zeros((2, 10)), RngStream(0))
+            one_client(policy, np.zeros((2, 10)), RngStream(0))
 
     def test_needs_image_flag(self):
         assert AugmentPolicy((Rotation(10.0),)).needs_image()
@@ -202,9 +207,9 @@ class TestPolicy:
     def test_deterministic_per_path(self):
         policy = AugmentPolicy((FeatureJitter(0.5),))
         x = np.ones(8)
-        a = apply_batch(policy, x[None], RngStream(1).child("augment", 0, 0))[0]
-        b = apply_batch(policy, x[None], RngStream(1).child("augment", 0, 0))[0]
-        c = apply_batch(policy, x[None], RngStream(1).child("augment", 0, 1))[0]
+        a = one_client(policy, x[None], RngStream(1), ("augment", 0, 0))[0]
+        b = one_client(policy, x[None], RngStream(1), ("augment", 0, 0))[0]
+        c = one_client(policy, x[None], RngStream(1), ("augment", 0, 1))[0]
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -212,8 +217,8 @@ class TestPolicy:
         # removing the first op must not change what the second op draws
         x = np.zeros(6)
         both = AugmentPolicy((FeatureJitter(1.0), FeatureJitter(1.0)))
-        jitter_only = apply_batch(AugmentPolicy((FeatureJitter(1.0),)), x[None], RngStream(5))[0]
-        combined = apply_batch(both, x[None], RngStream(5))[0]
+        jitter_only = one_client(AugmentPolicy((FeatureJitter(1.0),)), x[None], RngStream(5))[0]
+        combined = one_client(both, x[None], RngStream(5))[0]
         # first op's contribution equals the single-op run
         assert not np.array_equal(combined, jitter_only)
 
@@ -221,21 +226,21 @@ class TestPolicy:
 class TestApplyBatch:
     def test_rows_get_independent_draws(self):
         policy = AugmentPolicy((FeatureJitter(1.0),))
-        out = apply_batch(policy, np.zeros((3, 5)), RngStream(0))
+        out = one_client(policy, np.zeros((3, 5)), RngStream(0))
         assert not np.array_equal(out[0], out[1])
 
     def test_batch_reproducible(self):
         policy = AugmentPolicy((FeatureJitter(0.5),))
         x = np.ones((4, 6))
-        a = apply_batch(policy, x, RngStream(3))
-        b = apply_batch(policy, x, RngStream(3))
+        a = one_client(policy, x, RngStream(3))
+        b = one_client(policy, x, RngStream(3))
         np.testing.assert_array_equal(a, b)
 
     def test_image_ops_per_row(self):
         gen = np.random.default_rng(8)
         batch = gen.random((3, 20))
         policy = AugmentPolicy((HorizontalFlip(1.0),))
-        out = apply_batch(policy, batch, RngStream(0), image_shape=(4, 5, 1))
+        out = one_client(policy, batch, RngStream(0), image_shape=(4, 5, 1))
         for b in range(3):
             np.testing.assert_array_equal(
                 out[b].reshape(4, 5), batch[b].reshape(4, 5)[:, ::-1]
@@ -243,21 +248,60 @@ class TestApplyBatch:
 
     def test_empty_batch_passthrough(self):
         policy = AugmentPolicy((FeatureJitter(0.5),))
-        out = apply_batch(policy, np.zeros((0, 4)), RngStream(0))
+        out = one_client(policy, np.zeros((0, 4)), RngStream(0))
         assert out.shape == (0, 4)
 
     def test_input_never_mutated(self):
         policy = AugmentPolicy((FeatureJitter(1.0),))
-        x = np.ones((2, 3))
+        x = np.ones((2, 2, 3))
         before = x.copy()
-        apply_batch(policy, x, RngStream(0))
+        apply_batch(policy, x, [RngStream(0), RngStream(1)], ())
         np.testing.assert_array_equal(x, before)
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            apply_batch(AugmentPolicy(), np.zeros(4), RngStream(0))
-        with pytest.raises(ValueError):
-            apply_batch(AugmentPolicy(), np.zeros((2, 2, 2)), RngStream(0))
+        with pytest.raises(ValueError, match=r"\(K, B, d\)"):
+            apply_batch(AugmentPolicy(), np.zeros((2, 4)), [RngStream(0)] * 2, ())
+        with pytest.raises(ValueError, match=r"\(K, B, d\)"):
+            apply_batch(AugmentPolicy(), np.zeros((1, 2, 2, 2)), [RngStream(0)], ())
+        with pytest.raises(ValueError, match="streams"):
+            apply_batch(AugmentPolicy(), np.zeros((2, 2, 2)), [RngStream(0)], ())
+
+    @pytest.mark.parametrize(
+        "policy, image_shape",
+        [
+            (AugmentPolicy((FeatureJitter(0.4),)), None),
+            (AugmentPolicy((Rotation(25.0),)), (4, 5, 1)),
+            (AugmentPolicy((HorizontalFlip(0.5),)), (4, 5, 1)),
+            (AugmentPolicy((HorizontalFlip(0.5), Rotation(25.0), FeatureJitter(0.4))), (2, 5, 2)),
+        ],
+        ids=["jitter", "rotation", "flip", "all_three"],
+    )
+    def test_cohort_rows_match_each_clients_own_streams(self, policy, image_shape):
+        # Client k's rows are the ops applied in turn with op i's generator
+        # from streams[k].child(*steps, i), as if that client ran alone.
+        gen = np.random.default_rng(9)
+        batch = gen.random((4, 6, 20))
+        streams = [RngStream(12).child("client", c, 3) for c in (0, 7, 2, 9)]
+        steps = ("augment", 1, 2)
+        out = apply_batch(policy, batch, streams, steps, image_shape)
+        for k, stream in enumerate(streams):
+            want = batch[k].copy()
+            for i, op in enumerate(policy.ops):
+                rng = stream.child(*steps, i).generator()
+                if isinstance(op, FeatureJitter):
+                    want = feature_jitter(want, op.sigma, rng)
+                    continue
+                h, w, c = image_shape
+                for b in range(len(want)):
+                    img = want[b].reshape(h, w, c)
+                    img = img[:, :, 0] if c == 1 else img
+                    if isinstance(op, Rotation):
+                        img = random_rotation(img, op.max_degrees, rng)
+                    else:
+                        img = horizontal_flip(img, op.prob, rng)
+                    want[b] = img.reshape(-1)
+            assert out[k].tobytes() == want.tobytes()
+        assert not np.array_equal(out[0], out[1])
 
 
 # Runs in a fresh interpreter: other tests (and scikit-learn) may already

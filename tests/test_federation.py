@@ -15,7 +15,7 @@ from fednoise.data import (
     inject_symmetric_noise,
     partition_iid,
 )
-from fednoise.augment import AugmentPolicy, FeatureJitter, apply_batch
+from fednoise.augment import AugmentPolicy, FeatureJitter
 from fednoise.federation import (
     METHODS,
     CoteachingConfig,
@@ -37,7 +37,7 @@ from fednoise.losses import (
     small_loss_select,
 )
 from fednoise.model import ModelParams, backward, forward, init_params, sgd_step
-from fednoise.numerics import RngStream, sample_mix_weight
+from fednoise.numerics import RngStream
 
 
 def small_world(n=120, clients=6, seed=0, noise=0.0):
@@ -259,10 +259,11 @@ class TestRunFederationMechanics:
                 grads = [backward(nets[0], x, out.adjoint_o1)]
                 losses.append(out.scalar)
             elif method == "lsr":
-                x_aug = apply_batch(
-                    policy, x, client_stream.child("augment", epoch, 0), train.image_shape
-                )
-                lam = sample_mix_weight(client_stream.child("mixweight", epoch, 0))
+                # The policy's one op, jitter, and the Beta(1, 1) mixing weight,
+                # drawn by hand from numpy-seeded generators of the client stream.
+                jitter = client_stream.child("augment", epoch, 0, 0).generator()
+                x_aug = x + jitter.normal(0.0, 0.3, size=x.shape)
+                lam = client_stream.child("mixweight", epoch, 0).generator().beta(1.0, 1.0)
                 p = nets[0]
                 out = lsr_total_loss(forward(p, x), forward(p, x_aug), y, lam, hp.gamma, hp)
                 assert np.any(out.adjoint_o2)

@@ -1,5 +1,7 @@
 """Loss values and exact adjoints, checked against finite differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -517,6 +519,25 @@ class TestSharpenedCe:
         y = gen.integers(0, 6, size=(3, 8))
         rows = sharpened_ce_per_sample(o, y, hp)
         assert rows.mean(axis=-1).tobytes() == sharpened_ce_loss(o, y, hp).scalar.tobytes()
+
+    @pytest.mark.parametrize(
+        "loss",
+        [
+            lambda o, y, hp: sharpened_ce_loss(o, y, hp),
+            lambda o, y, hp: sharpened_ce_per_sample(o, y, hp),
+            lambda o, y, hp: lsr_cls_loss(o, o, y, 0.5, hp),
+        ],
+        ids=["sharpened_ce_loss", "sharpened_ce_per_sample", "lsr_cls_loss"],
+    )
+    def test_underflowing_temperature_rejected(self, loss):
+        # Uniform rows give p = 0.1 per class, and 0.1 ** 1000 underflows to
+        # zero in every entry: the loss must refuse, not return nan.
+        o = np.zeros((4, 10))
+        y = np.arange(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sharpen_temp"):
+                loss(o, y, LsrHyperParams(sharpen_temp=0.001))
 
 
 class TestAdjointTangency:

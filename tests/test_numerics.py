@@ -1,10 +1,13 @@
 """Probability transforms and random-stream determinism."""
 
+import random
+
 import numpy as np
 import pytest
 
 from fednoise.numerics import (
     RngStream,
+    generators,
     sample_mix_weight,
     sharpen,
     softmax,
@@ -171,24 +174,118 @@ class TestSharpen:
 
 class TestMixWeight:
     def test_uniform_range_and_determinism(self):
-        s = RngStream(9).child("mixweight", 0, 0)
-        lam1 = sample_mix_weight(s)
-        lam2 = sample_mix_weight(s)
-        assert lam1 == lam2
-        assert 0.0 <= lam1 <= 1.0
+        streams = [RngStream(9).child("client", c, 0) for c in range(3)]
+        lam1 = sample_mix_weight(streams, "mixweight", 0, 0)
+        lam2 = sample_mix_weight(streams, "mixweight", 0, 0)
+        assert lam1.shape == (3,)
+        np.testing.assert_array_equal(lam1, lam2)
+        assert np.all((0.0 <= lam1) & (lam1 <= 1.0))
+        for s, lam in zip(streams, lam1):
+            assert lam == s.child("mixweight", 0, 0).generator().beta(1.0, 1.0)
 
     def test_beta_1_1_moments(self):
         root = RngStream(6)
-        draws = np.array([sample_mix_weight(root.child("mixweight", i)) for i in range(4000)])
+        draws = sample_mix_weight([root.child("client", i) for i in range(4000)], "mixweight")
         # Beta(1, 1) is Uniform(0, 1): mean 1/2, var 1/12
         assert abs(draws.mean() - 0.5) < 0.02
         assert abs(draws.var() - 1.0 / 12.0) < 0.01
 
     def test_generator_is_not_a_stream(self):
-        # The weight is drawn from a stream's origin; a live generator is no
+        # The weights are drawn from stream origins; live generators are no
         # second accepted form.
         with pytest.raises(AttributeError):
-            sample_mix_weight(np.random.default_rng(0))
+            sample_mix_weight([np.random.default_rng(0)], "mixweight")
+
+
+def _numpy_generator(seed, path):
+    """The oracle: numpy's own SeedSequence, PCG64 and Generator."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=path)
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def _assert_same_generators(got, streams, steps):
+    assert len(got) == len(streams)
+    for gen, stream in zip(got, streams):
+        want = _numpy_generator(stream.master_seed, stream.child(*steps).path)
+        assert gen.bit_generator.state == want.bit_generator.state
+        assert gen.random(3).tobytes() == want.random(3).tobytes()
+        assert gen.integers(0, 2**63, size=2).tobytes() == want.integers(0, 2**63, size=2).tobytes()
+
+
+class TestGenerators:
+    """generators() against numpy's own SeedSequence derivation."""
+
+    @staticmethod
+    def _step(rnd):
+        kind = rnd.randrange(4)
+        if kind == 0:
+            return rnd.choice(["shuffle", "augment", "mixweight", "expand", "client"])
+        if kind == 1:
+            return rnd.randrange(2**32)
+        if kind == 2:
+            return rnd.randrange(2**32, 2**96)
+        return rnd.randrange(50)
+
+    def test_matches_numpy_on_random_streams(self):
+        rnd = random.Random(20260)
+        for _ in range(2000):
+            seed = rnd.choice([
+                0, rnd.randrange(2**32), rnd.randrange(2**32, 2**64),
+                rnd.randrange(2**128, 2**192),
+            ])
+            base = [self._step(rnd) for _ in range(rnd.randint(0, 3))]
+            k = rnd.randint(1, 6)
+            # One- or two-word client ids: a cohort of one kind derives its
+            # streams together, a mixed one takes the fallback.
+            one, two = (0, 2**32), (2**32, 2**64)
+            ranges = rnd.choice([[one], [two], [one, two]])
+            ids = [rnd.randrange(*rnd.choice(ranges)) for _ in range(k)]
+            streams = [RngStream(seed).child(*base, c) for c in ids]
+            steps = [self._step(rnd) for _ in range(rnd.randint(1, 4))]
+            _assert_same_generators(generators(streams, *steps), streams, steps)
+
+    def test_no_steps_is_each_streams_own_generator(self):
+        streams = [RngStream(3), RngStream(2**130), RngStream(3).child("client", 7)]
+        _assert_same_generators(generators(streams), streams, ())
+
+    def test_mixed_word_counts_and_roots_fall_back(self, monkeypatch):
+        calls = []
+        original = RngStream.generator
+        monkeypatch.setattr(
+            RngStream, "generator", lambda self: calls.append(self) or original(self)
+        )
+        same = [RngStream(1).child("client", c) for c in (0, 5, 2**32 - 1)]
+        _assert_same_generators(generators(same, "shuffle", 2), same, ("shuffle", 2))
+        assert not calls  # one word count: derived together
+        cohorts = (
+            [RngStream(1).child("client", 3), RngStream(1).child("client", 2**40)],
+            [RngStream(2**128).child(1), RngStream(5).child(1)],
+            [RngStream(1), RngStream(1).child(4)],
+        )
+        for streams in cohorts:
+            calls.clear()
+            _assert_same_generators(generators(streams, "augment", 0), streams, ("augment", 0))
+            assert len(calls) == len(streams)
+
+    def test_empty_cohort(self):
+        assert generators([], "shuffle", 0) == []
+
+    def test_generators_are_independent_objects(self):
+        streams = [RngStream(4).child("client", 1)] * 2
+        a, b = generators(streams, "shuffle", 0)
+        assert a is not b
+        first = a.random(4)
+        np.testing.assert_array_equal(b.random(4), first)
+
+    def test_cached_pool_ignored_by_eq_hash_repr(self):
+        s = RngStream(5).child("client", 1, 2)
+        t = RngStream(5).child("client", 1, 2)
+        generators([s], "shuffle", 0)
+        assert "_pool" in vars(s) and "_pool" not in vars(t)
+        assert s == t
+        assert hash(s) == hash(t)
+        assert repr(s) == repr(t)
+        assert "_pool" not in repr(s)
 
 
 class TestSoftmaxVjp:
