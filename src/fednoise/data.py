@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import RngStream, _frozen, _immutable
+from .numerics import RngStream, _check_int_fields, _frozen, _immutable
 
 __all__ = [
     "DataError",
@@ -87,6 +87,7 @@ class LabeledDataset:
     image_shape: "tuple[int, int, int] | None" = None
 
     def __post_init__(self) -> None:
+        _check_int_fields(self)
         feats = _immutable(self.features, np.float64)
         true = _immutable(self.true_labels, np.int64)
         obs = _immutable(self.observed_labels, np.int64)
@@ -134,6 +135,7 @@ class ClientShard:
     indices: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_int_fields(self)
         idx = _immutable(self.indices, np.int64)
         if idx.ndim != 1:
             raise PartitionError("shard indices must be a 1-D array")
@@ -161,6 +163,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_int_fields(self)
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"noise kind must be symmetric|pairwise|none, got {self.kind!r}")
         if not (np.isfinite(self.ratio) and 0.0 <= self.ratio < 1.0):

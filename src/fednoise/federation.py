@@ -11,10 +11,11 @@ cohort of K clients in lockstep. Their parameters are stacked as one
 costs one ``forward_vjp`` per view, one call of the method's loss and one
 ``sgd_step`` per network for the whole cohort. Each public
 ``local_train_*`` function trains one cohort with its method: it takes
-the global parameters, a list of equal-size shards and one RngStream per
-shard, builds the method's per-batch objective, and returns ((K, P)
-parameters per network, a (K,) array of each client's mean batch loss).
-A trainer that serves two methods takes its variant from ``cfg.method``.
+the tuple of global networks (one, or two for co-teaching), a list of
+equal-size shards and one RngStream per shard, builds the method's
+per-batch objective, and returns ((K, P) parameters per network, a (K,)
+array of each client's mean batch loss). A trainer that serves two
+methods takes its variant from ``cfg.method``.
 
 Clients in a cohort must walk the same batch sizes, so ``run_federation``
 groups the selected clients by shard size; both partitioners make equal
@@ -62,7 +63,7 @@ from .losses import (
     symmetric_ce_loss,
 )
 from .model import ModelParams, forward, forward_vjp, init_params, sgd_step
-from .numerics import RngStream, generators, sample_mix_weight
+from .numerics import RngStream, _check_int_fields, generators, sample_mix_weight
 
 __all__ = [
     "METHODS",
@@ -114,6 +115,7 @@ class FedConfig:
     workers: int = 1  # threads that split each cohort; never changes results
 
     def __post_init__(self) -> None:
+        _check_int_fields(self)
         if self.num_clients < 1:
             raise ValueError(f"num_clients must be positive, got {self.num_clients}")
         if not (1 <= self.clients_per_round <= self.num_clients):
@@ -159,6 +161,7 @@ class CoteachingConfig:
     schedule_unit: str = "round"
 
     def __post_init__(self) -> None:
+        _check_int_fields(self)
         if not (np.isfinite(self.noise_rate) and 0.0 <= self.noise_rate < 1.0):
             raise ValueError(f"noise_rate must lie in [0, 1), got {self.noise_rate}")
         if self.ramp_rounds < 1:
@@ -184,14 +187,13 @@ class RoundMetrics:
 class RunResult:
     """Round metrics plus the final global parameters.
 
-    final_params is a single ModelParams for single-network methods and a
-    (net_a, net_b) tuple for the two-network baseline. param_history is
-    filled only when requested: the global parameter vector after every
-    aggregation, in round order.
+    final_params is the tuple of global networks: one ModelParams, or
+    (net_a, net_b) for co-teaching. param_history is filled only when
+    requested: that tuple after every aggregation, in round order.
     """
 
     metrics: list
-    final_params: object
+    final_params: tuple
     param_history: "list | None" = field(default=None)
 
 
@@ -252,8 +254,9 @@ def _local_sgd(globals_: tuple, feats, labels, cfg: FedConfig, streams: list, ob
     ``streams`` its RngStream, whose shuffles it walks. Per batch,
     ``objective(nets, x, y, epoch, bi)`` gets the stacked (K, B, d) rows
     and (K, B) labels and gives the (K,) batch losses and one (K, P)
-    Gradients per net; each net then takes one SGD step, in tuple order.
-    Returns ((K, P) nets, (K,) mean batch loss of each client).
+    Gradients per net; each net then takes one SGD step, in tuple order
+    (ValueError if the counts differ). Returns ((K, P) nets, (K,) mean
+    batch loss of each client).
     """
     k = len(streams)
     nets = tuple(ModelParams(np.broadcast_to(g.flat, (k, g.flat.size)), g.shapes) for g in globals_)
@@ -262,7 +265,7 @@ def _local_sgd(globals_: tuple, feats, labels, cfg: FedConfig, streams: list, ob
     for epoch, bi, picks in _iter_batches(labels.shape[1], cfg, streams):
         rows = clients, picks
         loss, grads = objective(nets, feats[rows], labels[rows], epoch, bi)
-        nets = tuple(sgd_step(net, g, cfg.lr) for net, g in zip(nets, grads))
+        nets = tuple(sgd_step(net, g, cfg.lr) for net, g in zip(nets, grads, strict=True))
         losses.append(loss)
     if not losses:
         return nets, np.full(k, np.nan)
@@ -309,7 +312,7 @@ def _two_view(
 
 
 def local_train_ce(
-    global_params: ModelParams,
+    nets: tuple,
     dataset: LabeledDataset,
     shards: list,
     cfg: FedConfig,
@@ -317,11 +320,11 @@ def local_train_ce(
 ) -> tuple:
     """Plain cross-entropy SGD on each shard's observed labels."""
     objective = _single_view(ce_loss)
-    return _local_sgd((global_params,), *_shard_arrays(dataset, shards), cfg, streams, objective)
+    return _local_sgd(nets, *_shard_arrays(dataset, shards), cfg, streams, objective)
 
 
 def local_train_ce_aug(
-    global_params: ModelParams,
+    nets: tuple,
     dataset: LabeledDataset,
     shards: list,
     cfg: FedConfig,
@@ -339,11 +342,11 @@ def local_train_ce_aug(
     aug = apply_batch(policy, feats, streams, ("augment", "expand"), dataset.image_shape)
     feats = np.concatenate([feats, aug], axis=1)
     labels = np.concatenate([labels, labels], axis=1)
-    return _local_sgd((global_params,), feats, labels, cfg, streams, _single_view(ce_loss))
+    return _local_sgd(nets, feats, labels, cfg, streams, _single_view(ce_loss))
 
 
 def local_train_symce(
-    global_params: ModelParams,
+    nets: tuple,
     dataset: LabeledDataset,
     shards: list,
     cfg: FedConfig,
@@ -352,11 +355,11 @@ def local_train_symce(
 ) -> tuple:
     """Symmetric cross-entropy SGD on each shard's observed labels."""
     objective = _single_view(partial(symmetric_ce_loss, sp=sp))
-    return _local_sgd((global_params,), *_shard_arrays(dataset, shards), cfg, streams, objective)
+    return _local_sgd(nets, *_shard_arrays(dataset, shards), cfg, streams, objective)
 
 
 def local_train_lsr(
-    global_params: ModelParams,
+    nets: tuple,
     dataset: LabeledDataset,
     shards: list,
     cfg: FedConfig,
@@ -370,11 +373,11 @@ def local_train_lsr(
     when ``cfg.method`` is "lsr_plus")."""
     loss = lsr_plus_loss if cfg.method == "lsr_plus" else lsr_total_loss
     objective = _two_view(partial(loss, gamma_t=gamma_t, hp=hp), dataset, hp, policy, streams)
-    return _local_sgd((global_params,), *_shard_arrays(dataset, shards), cfg, streams, objective)
+    return _local_sgd(nets, *_shard_arrays(dataset, shards), cfg, streams, objective)
 
 
 def local_train_symce_lsr(
-    global_params: ModelParams,
+    nets: tuple,
     dataset: LabeledDataset,
     shards: list,
     cfg: FedConfig,
@@ -388,12 +391,11 @@ def local_train_symce_lsr(
     (:func:`~fednoise.losses.symce_lsr_loss`) over the two views."""
     loss_fn = partial(symce_lsr_loss, gamma_t=gamma_t, sp=sp, hp=hp)
     objective = _two_view(loss_fn, dataset, hp, policy, streams)
-    return _local_sgd((global_params,), *_shard_arrays(dataset, shards), cfg, streams, objective)
+    return _local_sgd(nets, *_shard_arrays(dataset, shards), cfg, streams, objective)
 
 
 def local_train_coteaching(
-    params_a: ModelParams,
-    params_b: ModelParams,
+    nets: tuple,
     dataset: LabeledDataset,
     shards: list,
     cfg: FedConfig,
@@ -415,6 +417,7 @@ def local_train_coteaching(
     if cfg.method == "coteaching_lsr":
         per_sample = partial(sharpened_ce_per_sample, hp=hp)
         loss_fn = partial(sharpened_ce_loss, hp=hp)
+    update = _single_view(loss_fn)
 
     def objective(nets, x, y, epoch, bi):
         per_a, per_b = (per_sample(forward(net, x), y) for net in nets)
@@ -423,17 +426,13 @@ def local_train_coteaching(
         picks_a = small_loss_select(per_a, keep)  # (K, ceil(keep * B)); A's picks train B
         picks_b = small_loss_select(per_b, keep)
         clients = np.arange(len(picks_a))[:, None]
-        scalars, grads = [], []
-        for net, picks in zip(nets, (picks_b, picks_a)):
-            logits, vjp = forward_vjp(net, x[clients, picks])
-            out = loss_fn(logits, y[clients, picks])
-            scalars.append(out.scalar)
-            grads.append(vjp(out.adjoint_o1))
-        return (scalars[0] + scalars[1]) / 2, grads
+        (loss_a, (grad_a,)), (loss_b, (grad_b,)) = (
+            update((net,), x[clients, picks], y[clients, picks], epoch, bi)
+            for net, picks in zip(nets, (picks_b, picks_a))
+        )
+        return (loss_a + loss_b) / 2, (grad_a, grad_b)
 
-    return _local_sgd(
-        (params_a, params_b), *_shard_arrays(dataset, shards), cfg, streams, objective
-    )
+    return _local_sgd(nets, *_shard_arrays(dataset, shards), cfg, streams, objective)
 
 
 def aggregate(models: ModelParams, sizes: list) -> ModelParams:
@@ -547,24 +546,20 @@ def run_federation(
             def train(ids: list):
                 # The trainers are looked up in this module at call time, so
                 # a wrapper patched over one (a tracer's span) is the one run.
-                net, chunk = globals_[0], [shards[c] for c in ids]
+                args = (globals_, train_set, [shards[c] for c in ids], cfg)
                 streams = [stream.child("client", c, t) for c in ids]
                 if cfg.method == "fedavg_ce":
-                    return local_train_ce(net, train_set, chunk, cfg, streams)
+                    return local_train_ce(*args, streams)
                 if cfg.method == "ce_aug":
-                    return local_train_ce_aug(net, train_set, chunk, cfg, policy, streams)
+                    return local_train_ce_aug(*args, policy, streams)
                 if cfg.method == "sym_ce":
-                    return local_train_symce(net, train_set, chunk, cfg, sp, streams)
+                    return local_train_symce(*args, sp, streams)
                 if cfg.method in ("lsr", "lsr_plus"):
-                    return local_train_lsr(net, train_set, chunk, cfg, hp, policy, streams, gamma_t)
+                    return local_train_lsr(*args, hp, policy, streams, gamma_t)
                 if cfg.method == "sym_ce_lsr":
-                    return local_train_symce_lsr(
-                        net, train_set, chunk, cfg, sp, hp, policy, streams, gamma_t
-                    )
+                    return local_train_symce_lsr(*args, sp, hp, policy, streams, gamma_t)
                 # FedConfig admits no method but the co-teaching pair here.
-                return local_train_coteaching(
-                    net, globals_[1], train_set, chunk, cfg, ct, hp, streams, t
-                )
+                return local_train_coteaching(*args, ct, hp, streams, t)
 
             chunk_nets, chunk_losses = zip(*run_chunks(train, chunks))
             order = [cid for ids in chunks for cid in ids]
@@ -592,7 +587,6 @@ def run_federation(
                 t, metrics[-1].test_accuracy, metrics[-1].mean_train_loss,
             )
             if history is not None:
-                history.append(globals_ if twin else globals_[0])
+                history.append(globals_)
 
-    final = globals_ if twin else globals_[0]
-    return RunResult(metrics=metrics, final_params=final, param_history=history)
+    return RunResult(metrics=metrics, final_params=globals_, param_history=history)

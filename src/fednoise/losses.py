@@ -12,7 +12,7 @@ Logits are ``(..., B, M)`` with labels ``(..., B)``: one batch passes
 weight is checked once and shaped to broadcast. A lone ``(M,)`` row or a 0-d
 label is rejected. Every reduction runs along the last axes, so each
 client's slice is computed exactly as the 2-D call on that slice would be.
-The scalar has shape ``(...)``, and is a Python float for a single batch.
+The scalar has shape ``(...)``; a single batch gives a numpy float64.
 
 The regularized classification loss works on probabilities rather than
 logits: the two softmax outputs are convexly mixed, the mixture is sharpened
@@ -173,11 +173,6 @@ def _mix_weight(lam, lead: tuple) -> np.ndarray:
     return arr[..., None, None]
 
 
-def _scalar(values: np.ndarray) -> "float | np.ndarray":
-    """A per-batch reduction: a Python float for one batch, else the array."""
-    return float(values) if values.ndim == 0 else values
-
-
 def _label_index(y: np.ndarray) -> tuple:
     """Index that picks a[..., b, y[..., b]] out of a (..., B, M) array a,
     giving shape (..., B); for one batch it is (arange(B), y)."""
@@ -204,7 +199,7 @@ def ce_loss(logits: np.ndarray, labels: np.ndarray) -> LossOutput:
     batch = o.shape[-2]
     at_y = _label_index(y)
     logp = _log_softmax(o)
-    scalar = _scalar(-logp[at_y].mean(axis=-1))
+    scalar = -logp[at_y].mean(axis=-1)
     adj = np.exp(logp)
     adj[at_y] -= 1.0
     adj /= batch
@@ -268,7 +263,7 @@ def lsr_cls_loss(
     p1 = softmax(o1)
     p2 = softmax(o2)
     rows, grad = _sharpened_nll(weight * p1 + (1.0 - weight) * p2, y, hp)
-    scalar, grad_p = _scalar(rows.mean(axis=-1)), grad()
+    scalar, grad_p = rows.mean(axis=-1), grad()
     adj1 = softmax_vjp(p1, weight * grad_p)
     adj2 = softmax_vjp(p2, (1.0 - weight) * grad_p)
     if plain:
@@ -284,7 +279,7 @@ def _distill_grads_js(c1, c2, batch):
     mid = 0.5 * (c1 + c2)
     kl1 = (c1 * np.log(c1 / mid)).sum(axis=-1)
     kl2 = (c2 * np.log(c2 / mid)).sum(axis=-1)
-    scalar = _scalar((0.5 * (kl1 + kl2)).mean(axis=-1))
+    scalar = (0.5 * (kl1 + kl2)).mean(axis=-1)
     # With mid = (c1 + c2) / 2 held exact, dJS/dc1 collapses to log(c1/mid)/2.
     g1 = 0.5 * np.log(c1 / mid) / batch
     g2 = 0.5 * np.log(c2 / mid) / batch
@@ -293,14 +288,14 @@ def _distill_grads_js(c1, c2, batch):
 
 def _distill_grads_l1(c1, c2, batch):
     diff = c1 - c2
-    scalar = _scalar(np.abs(diff).sum(axis=-1).mean(axis=-1))
+    scalar = np.abs(diff).sum(axis=-1).mean(axis=-1)
     g1 = np.sign(diff) / batch
     return scalar, g1, -g1
 
 
 def _distill_grads_l2(c1, c2, batch):
     diff = c1 - c2
-    scalar = _scalar((diff**2).sum(axis=-1).mean(axis=-1))
+    scalar = (diff**2).sum(axis=-1).mean(axis=-1)
     g1 = 2.0 * diff / batch
     return scalar, g1, -g1
 
@@ -310,7 +305,7 @@ def _distill_grads_cosine(c1, c2, batch):
     n2 = np.linalg.norm(c2, axis=-1, keepdims=True)
     dot = (c1 * c2).sum(axis=-1, keepdims=True)
     cos = dot / (n1 * n2)
-    scalar = _scalar((1.0 - cos)[..., 0].mean(axis=-1))
+    scalar = (1.0 - cos)[..., 0].mean(axis=-1)
     # Each half treats the other side as a stopped (detached) target, and
     # the two halves are averaged, hence the 0.5 factor.
     g1 = 0.5 * (cos * c1 / n1**2 - c2 / (n1 * n2)) / batch
@@ -407,7 +402,7 @@ def lsr_plus_loss(
     for o, base_adj in ((o1, out.adjoint_o1), (o2, out.adjoint_o2)):
         p = softmax(o)
         logp = np.log(np.maximum(p, 1e-300))
-        scalar = scalar + w * 0.5 * _scalar(-(p * logp).sum(axis=-1).mean(axis=-1))
+        scalar = scalar + w * 0.5 * -(p * logp).sum(axis=-1).mean(axis=-1)
         # dH/dp_i = -(log p_i + 1); entries with p_i = 0 are zeroed by the
         # p factor inside softmax_vjp.
         grad_p = w * 0.5 * (-(logp + 1.0)) / batch
@@ -430,7 +425,7 @@ def symmetric_ce_loss(logits: np.ndarray, labels: np.ndarray, sp: SymCeParams) -
 
     ce_rows = -logp[at_y]
     rce_rows = -sp.log_zero * (1.0 - p_y)
-    scalar = _scalar((sp.alpha * ce_rows + sp.beta * rce_rows).mean(axis=-1))
+    scalar = (sp.alpha * ce_rows + sp.beta * rce_rows).mean(axis=-1)
 
     adj = p.copy()
     adj[at_y] -= 1.0
@@ -477,7 +472,7 @@ def sharpened_ce_loss(logits: np.ndarray, labels: np.ndarray, hp: LsrHyperParams
         return ce_loss(o, y)
     p = softmax(o)
     rows, grad = _sharpened_nll(p, y, hp)
-    return LossOutput(_scalar(rows.mean(axis=-1)), softmax_vjp(p, grad()), np.zeros_like(o))
+    return LossOutput(rows.mean(axis=-1), softmax_vjp(p, grad()), np.zeros_like(o))
 
 
 def sharpened_ce_per_sample(

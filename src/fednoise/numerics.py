@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -150,6 +150,18 @@ def _immutable(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
+
+
+def _check_int_fields(obj) -> None:
+    """Raise ValueError naming the first ``int``-annotated field of the
+    dataclass ``obj`` that holds a bool or a non-integer; numpy integers
+    pass. Annotations are read as strings, as every module postpones them."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int" and (
+            isinstance(value, bool) or not isinstance(value, (int, np.integer))
+        ):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -371,8 +371,8 @@ def test_criterion_7_collapse_equivalence():
     )
     same = all(
         np.array_equal(a.flat, b.flat)
-        for a, b in zip(ce.param_history, collapsed.param_history)
-    ) and np.array_equal(ce.final_params.flat, collapsed.final_params.flat)
+        for (a,), (b,) in zip(ce.param_history, collapsed.param_history)
+    ) and np.array_equal(ce.final_params[0].flat, collapsed.final_params[0].flat)
     record_criterion(
         7,
         same,

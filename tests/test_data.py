@@ -244,6 +244,24 @@ class TestNoiseSpecValidation:
             NoiseSpec("symmetric", -0.1)
 
 
+# The int fields of the data records refuse a bool or a non-integer by name
+# and take a numpy integer.
+INT_FIELDS = {
+    "num_classes": lambda v: LabeledDataset(np.zeros((2, 3)), [0, 1], [0, 1], v),
+    "client_id": lambda v: ClientShard(v, [0, 1]),
+    "seed": lambda v: NoiseSpec(seed=v),
+}
+
+
+@pytest.mark.parametrize("name", INT_FIELDS)
+def test_int_fields_take_integers_only(name):
+    make = INT_FIELDS[name]
+    for value in (2.0, 2.5, True):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            make(value)
+    assert getattr(make(np.int64(3)), name) == 3
+
+
 class TestTransitionCounts:
     def test_clean_data_is_diagonal(self):
         ds = generate_synthetic(500, 5, 4, 0)

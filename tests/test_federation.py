@@ -26,6 +26,7 @@ from fednoise.federation import (
     evaluate,
     gamma_schedule,
     local_train_ce,
+    local_train_coteaching,
     run_federation,
     select_clients,
 )
@@ -107,6 +108,26 @@ class TestCoteachingConfig:
             CoteachingConfig(ramp_rounds=0)
         with pytest.raises(ValueError):
             CoteachingConfig(schedule_unit="step")
+
+
+# Every int field of the two configs refuses a bool or a non-integer by name,
+# before any bound is checked, and takes a numpy integer.
+INT_FIELDS = [
+    *((FedConfig, name) for name in (
+        "num_clients", "clients_per_round", "rounds", "local_epochs", "batch_size",
+        "warmup_rounds", "workers",
+    )),
+    (CoteachingConfig, "ramp_rounds"),
+]
+
+
+@pytest.mark.parametrize("cls,name", INT_FIELDS, ids=[name for _, name in INT_FIELDS])
+def test_int_fields_take_integers_only(cls, name):
+    for value in (2.0, 2.5, True):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            cls(**{name: value})
+    value = np.int64(getattr(cls(), name))
+    assert getattr(cls(**{name: value}), name) == value
 
 
 class TestSelectClients:
@@ -281,9 +302,8 @@ class TestRunFederationMechanics:
                 losses.append(float(np.mean([o.scalar for o in outs])))
             nets = [sgd_step(p, g, 0.15) for p, g in zip(nets, grads)]
 
-        final = result.final_params if twin else (result.final_params,)
-        assert len(final) == len(nets)
-        for got, want in zip(final, nets):
+        assert len(result.final_params) == len(nets)
+        for got, want in zip(result.final_params, nets):
             np.testing.assert_array_equal(got.flat, want.flat)
         assert result.metrics[0].mean_train_loss == float(np.mean(losses))
 
@@ -313,7 +333,7 @@ class TestRunFederationMechanics:
         result = run_federation(cfg, train, shards, test, seed=9)
         assert result.metrics == []
         expect = init_params([6, 5, 4], RngStream(9).child("init", 0))
-        np.testing.assert_array_equal(result.final_params.flat, expect.flat)
+        np.testing.assert_array_equal(result.final_params[0].flat, expect.flat)
 
     def test_zero_epochs_keeps_global_params(self):
         train, shards, test = small_world()
@@ -323,7 +343,7 @@ class TestRunFederationMechanics:
         )
         result = run_federation(cfg, train, shards, test, seed=2)
         expect = init_params([6, 5, 4], RngStream(2).child("init", 0))
-        np.testing.assert_array_equal(result.final_params.flat, expect.flat)
+        np.testing.assert_array_equal(result.final_params[0].flat, expect.flat)
         assert np.isnan(result.metrics[0].mean_train_loss)
 
     @pytest.mark.parametrize("method", METHODS)
@@ -345,11 +365,7 @@ class TestRunFederationMechanics:
         a = run_federation(FedConfig(**base, workers=1), train, shards, test, **kw)
         for workers in (2, 3, 4):
             b = run_federation(FedConfig(**base, workers=workers), train, shards, test, **kw)
-            nets_a, nets_b = (
-                r.final_params if isinstance(r.final_params, tuple) else (r.final_params,)
-                for r in (a, b)
-            )
-            for got, want in zip(nets_a, nets_b, strict=True):
+            for got, want in zip(a.final_params, b.final_params, strict=True):
                 np.testing.assert_array_equal(got.flat, want.flat, err_msg=f"workers={workers}")
             for field in ("test_accuracy", "mean_train_loss", "selected_clients"):
                 np.testing.assert_array_equal(
@@ -368,10 +384,10 @@ class TestRunFederationMechanics:
         shards = uneven_shards(train)
         calls = []
 
-        def spy(global_params, dataset, chunk, cfg, streams):
+        def spy(nets, dataset, chunk, cfg, streams):
             assert len(chunk) == len(streams)
             calls.append(tuple(shard.client_id for shard in chunk))
-            return local_train_ce(global_params, dataset, chunk, cfg, streams)
+            return local_train_ce(nets, dataset, chunk, cfg, streams)
 
         monkeypatch.setattr(fednoise.federation, "local_train_ce", spy)
         cfg = FedConfig(
@@ -414,12 +430,12 @@ class TestRunFederationMechanics:
         stream = RngStream(3)
         net = init_params([6, 5, 4], stream.child("init", 0))
         alone = [
-            local_train_ce(net, train, [shards[c]], cfg, [stream.child("client", c, 0)])
+            local_train_ce((net,), train, [shards[c]], cfg, [stream.child("client", c, 0)])
             for c in selected
         ]
         stacked = np.concatenate([nets[0].flat for nets, _ in alone])
         want = aggregate(ModelParams(stacked, net.shapes), sizes)
-        np.testing.assert_array_equal(result.final_params.flat, want.flat)
+        np.testing.assert_array_equal(result.final_params[0].flat, want.flat)
         losses = np.concatenate([loss for _, loss in alone])
         assert result.metrics[0].mean_train_loss == float(np.mean(losses))
 
@@ -431,7 +447,43 @@ class TestRunFederationMechanics:
         )
         result = run_federation(cfg, train, shards, test, seed=1, record_history=True)
         assert len(result.param_history) == 4
-        assert isinstance(result.param_history[0], ModelParams)
+        assert isinstance(result.param_history[0][0], ModelParams)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_global_networks_are_one_tuple(self, method):
+        # final_params and every history entry are the tuple of global
+        # networks: two for co-teaching, one for every other method.
+        train, shards, test = small_world(noise=0.3)
+        cfg = FedConfig(
+            num_clients=6, clients_per_round=2, rounds=2, local_epochs=1,
+            batch_size=10, method=method, warmup_rounds=0, hidden_layers=(5,),
+        )
+        result = run_federation(cfg, train, shards, test, seed=1, record_history=True)
+        count = 2 if method in ("coteaching", "coteaching_lsr") else 1
+        assert len(result.param_history) == 2
+        for nets in (result.final_params, *result.param_history):
+            assert isinstance(nets, tuple) and len(nets) == count
+            assert all(isinstance(net, ModelParams) for net in nets)
+
+    def test_trainer_rejects_a_wrong_network_count(self):
+        # A single-network trainer given two networks, or co-teaching given
+        # one, raises instead of training a subset of them.
+        train, shards, _ = small_world()
+        cfg = FedConfig(
+            num_clients=6, clients_per_round=1, rounds=1, local_epochs=1,
+            batch_size=10, method="fedavg_ce", warmup_rounds=0, hidden_layers=(5,),
+        )
+        co = dataclasses.replace(cfg, method="coteaching")
+        net = init_params([6, 5, 4], RngStream(0))
+        args = (train, shards[:1])
+        streams = [RngStream(0).child("client", 0, 0)]
+        ct, hp = CoteachingConfig(), LsrHyperParams()
+        assert len(local_train_ce((net,), *args, cfg, streams)[0]) == 1
+        assert len(local_train_coteaching((net, net), *args, co, ct, hp, streams, 0)[0]) == 2
+        with pytest.raises(ValueError):
+            local_train_ce((net, net), *args, cfg, streams)
+        with pytest.raises(ValueError):
+            local_train_coteaching((net,), *args, co, ct, hp, streams, 0)
 
     def test_shard_count_mismatch_rejected(self):
         train, shards, test = small_world()
@@ -459,7 +511,7 @@ class TestRunFederationMechanics:
         )
         params = init_params([6, 5, 4], RngStream(0))
         with pytest.raises(ValueError, match="client 0 has an empty shard"):
-            local_train_ce(params, train, [ClientShard(0, [])], cfg, [RngStream(0)])
+            local_train_ce((params,), train, [ClientShard(0, [])], cfg, [RngStream(0)])
 
     def test_batch_larger_than_shard_warns_and_trains(self):
         # One warning per run, located at the caller, however many clients
@@ -508,7 +560,7 @@ class TestMethodEquivalences:
             FedConfig(**base, method="lsr"), train, shards, test, seed=3,
             hp=hp, policy=AugmentPolicy(),
         )
-        np.testing.assert_array_equal(ce.final_params.flat, lsr.final_params.flat)
+        np.testing.assert_array_equal(ce.final_params[0].flat, lsr.final_params[0].flat)
         assert [m.test_accuracy for m in ce.metrics] == [m.test_accuracy for m in lsr.metrics]
         assert [m.mean_train_loss for m in ce.metrics] == [
             m.mean_train_loss for m in lsr.metrics
@@ -530,7 +582,7 @@ class TestMethodEquivalences:
                 cfg, train, shards, test, seed=3, policy=policy, record_history=True,
                 hp=LsrHyperParams(fix_lambda=fix_lambda, gamma=0.0),
             )
-            params = [p.flat.tobytes() for p in result.param_history]
+            params = [p.flat.tobytes() for (p,) in result.param_history]
             return params, [m.mean_train_loss for m in result.metrics]
 
         identity = run(1.0, AugmentPolicy())
@@ -550,7 +602,7 @@ class TestMethodEquivalences:
         co = run_federation(
             FedConfig(**base, method="coteaching"), train, shards, test, seed=6, ct=ct
         )
-        np.testing.assert_array_equal(co.final_params[0].flat, ce.final_params.flat)
+        np.testing.assert_array_equal(co.final_params[0].flat, ce.final_params[0].flat)
 
     def test_coteaching_lsr_at_temp_one_is_bitwise_coteaching(self):
         # At T = 1 the sharpened score and loss are plain CE's, so the two
@@ -607,4 +659,4 @@ class TestMethodEquivalences:
         )
         a = run_federation(cfg, train, shards, test, seed=1)
         b = run_federation(cfg, train, shards, test, seed=2)
-        assert not np.array_equal(a.final_params.flat, b.final_params.flat)
+        assert not np.array_equal(a.final_params[0].flat, b.final_params[0].flat)

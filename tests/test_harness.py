@@ -210,6 +210,9 @@ WRONG_TYPED = [
     ("federation.workers", {"federation": {"workers": "2"}}),
     ("federation.batch_size", {"federation": {"batch_size": 2.5}}),
     ("federation.local_epochs", {"federation": {"local_epochs": 1.5}}),
+    ("federation.rounds", {"federation": {"rounds": 2.0}}),
+    ("federation.clients_per_round", {"federation": {"clients_per_round": True}}),
+    ("noise.seed", {"noise": {"seed": 1.5}}),
     ("sym_ce.alpha", {"sym_ce": {"alpha": "x"}}),
     ("lsr.sharpen_temp", {"lsr": {"sharpen_temp": "x"}}),
     ("lsr.clamp_lo", {"lsr": {"clamp_lo": None}}),
@@ -309,6 +312,16 @@ class TestRunExperiment:
         np.testing.assert_allclose(stored["best_acc"], max(accs))
         assert stored == json.loads(json.dumps(summary))
         assert stored["config_echo"]["lsr"]["gamma"] == GAMMA_TABLE["symmetric"][0.3]
+        assert not [p for p in out.iterdir() if p.name.startswith(".tmp-")]
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        # metrics.csv is a non-empty directory, so the rename onto it fails
+        # and the temporary file written beside it must be removed.
+        out = tmp_path / "out"
+        (out / "metrics.csv").mkdir(parents=True)
+        (out / "metrics.csv" / "keep").write_text("x")
+        with pytest.raises(OSError):
+            run_experiment(config=tiny_config(out=str(out)))
         assert not [p for p in out.iterdir() if p.name.startswith(".tmp-")]
 
     def test_rerun_is_byte_identical(self, tmp_path):
