@@ -11,11 +11,12 @@ cohort of K clients in lockstep. Their parameters are stacked as one
 costs one ``forward_vjp`` per view, one call of the method's loss and one
 ``sgd_step`` per network for the whole cohort. Each public
 ``local_train_*`` function trains one cohort with its method: it takes
-the tuple of global networks (one, or two for co-teaching), a list of
-equal-size shards and one RngStream per shard, builds the method's
-per-batch objective, and returns ((K, P) parameters per network, a (K,)
-array of each client's mean batch loss). A trainer that serves two
-methods takes its variant from ``cfg.method``.
+the tuple of global networks (one, or two for co-teaching; any other
+count is a ValueError before any work), a list of equal-size shards and
+one RngStream per shard, builds the method's per-batch objective, and
+returns ((K, P) parameters per network, a (K,) array of each client's
+mean batch loss). A trainer that serves two methods takes its variant
+from ``cfg.method``.
 
 Clients in a cohort must walk the same batch sizes, so ``run_federation``
 groups the selected clients by shard size; both partitioners make equal
@@ -236,6 +237,13 @@ def _shard_arrays(dataset: LabeledDataset, shards: list):
     return dataset.features[rows], dataset.observed_labels[rows]
 
 
+def _check_nets(trainer: str, nets: tuple, count: int = 1) -> None:
+    """Raise ValueError unless ``trainer`` got the ``count`` networks it trains."""
+    if len(nets) != count:
+        noun = "network" if count == 1 else "networks"
+        raise ValueError(f"{trainer} trains {count} {noun}, got {len(nets)}")
+
+
 def _iter_batches(n: int, cfg: FedConfig, streams: list):
     """(epoch, batch_counter, (K, B) row indices) over a seeded shuffle per
     client and epoch: consecutive batches of at most n rows, the final
@@ -254,9 +262,8 @@ def _local_sgd(globals_: tuple, feats, labels, cfg: FedConfig, streams: list, ob
     ``streams`` its RngStream, whose shuffles it walks. Per batch,
     ``objective(nets, x, y, epoch, bi)`` gets the stacked (K, B, d) rows
     and (K, B) labels and gives the (K,) batch losses and one (K, P)
-    Gradients per net; each net then takes one SGD step, in tuple order
-    (ValueError if the counts differ). Returns ((K, P) nets, (K,) mean
-    batch loss of each client).
+    gradient array per net; each net then takes one SGD step, in tuple
+    order. Returns ((K, P) nets, (K,) mean batch loss of each client).
     """
     k = len(streams)
     nets = tuple(ModelParams(np.broadcast_to(g.flat, (k, g.flat.size)), g.shapes) for g in globals_)
@@ -265,7 +272,7 @@ def _local_sgd(globals_: tuple, feats, labels, cfg: FedConfig, streams: list, ob
     for epoch, bi, picks in _iter_batches(labels.shape[1], cfg, streams):
         rows = clients, picks
         loss, grads = objective(nets, feats[rows], labels[rows], epoch, bi)
-        nets = tuple(sgd_step(net, g, cfg.lr) for net, g in zip(nets, grads, strict=True))
+        nets = tuple(sgd_step(net, g, cfg.lr) for net, g in zip(nets, grads))
         losses.append(loss)
     if not losses:
         return nets, np.full(k, np.nan)
@@ -319,6 +326,7 @@ def local_train_ce(
     streams: list,
 ) -> tuple:
     """Plain cross-entropy SGD on each shard's observed labels."""
+    _check_nets("local_train_ce", nets)
     objective = _single_view(ce_loss)
     return _local_sgd(nets, *_shard_arrays(dataset, shards), cfg, streams, objective)
 
@@ -338,6 +346,7 @@ def local_train_ce_aug(
     prediction. The shard doubles before batching, so each epoch walks twice
     as many batches of the configured size.
     """
+    _check_nets("local_train_ce_aug", nets)
     feats, labels = _shard_arrays(dataset, shards)
     aug = apply_batch(policy, feats, streams, ("augment", "expand"), dataset.image_shape)
     feats = np.concatenate([feats, aug], axis=1)
@@ -354,6 +363,7 @@ def local_train_symce(
     streams: list,
 ) -> tuple:
     """Symmetric cross-entropy SGD on each shard's observed labels."""
+    _check_nets("local_train_symce", nets)
     objective = _single_view(partial(symmetric_ce_loss, sp=sp))
     return _local_sgd(nets, *_shard_arrays(dataset, shards), cfg, streams, objective)
 
@@ -371,6 +381,7 @@ def local_train_lsr(
     """Self-regularized local training: dual forward, mixed sharpened CE,
     plus the warm-up-weighted distillation term (and the entropy penalty
     when ``cfg.method`` is "lsr_plus")."""
+    _check_nets("local_train_lsr", nets)
     loss = lsr_plus_loss if cfg.method == "lsr_plus" else lsr_total_loss
     objective = _two_view(partial(loss, gamma_t=gamma_t, hp=hp), dataset, hp, policy, streams)
     return _local_sgd(nets, *_shard_arrays(dataset, shards), cfg, streams, objective)
@@ -389,6 +400,7 @@ def local_train_symce_lsr(
 ) -> tuple:
     """Symmetric CE on mixed logits plus the self-distillation term
     (:func:`~fednoise.losses.symce_lsr_loss`) over the two views."""
+    _check_nets("local_train_symce_lsr", nets)
     loss_fn = partial(symce_lsr_loss, gamma_t=gamma_t, sp=sp, hp=hp)
     objective = _two_view(loss_fn, dataset, hp, policy, streams)
     return _local_sgd(nets, *_shard_arrays(dataset, shards), cfg, streams, objective)
@@ -413,6 +425,7 @@ def local_train_coteaching(
     "coteaching_lsr", the score and the update loss use the prediction
     sharpened by ``hp``. Each batch's loss is the mean of the two updates'.
     """
+    _check_nets("local_train_coteaching", nets, 2)
     per_sample, loss_fn = ce_per_sample, ce_loss
     if cfg.method == "coteaching_lsr":
         per_sample = partial(sharpened_ce_per_sample, hp=hp)

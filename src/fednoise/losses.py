@@ -245,7 +245,7 @@ def lsr_cls_loss(
 
     Pipeline per sample: p = lam * softmax(o1) + (1 - lam) * softmax(o2),
     then loss = -log( p[y]^(1/T) / sum_j p[j]^(1/T) ), floored at clamp_lo
-    inside the log. Gradients flow into both heads through the mixture.
+    inside the log. The gradient flows into both heads through the mixture.
     """
     o1, o2 = _check_heads(o1, o2)
     o1, y = _check_logits_labels(o1, labels)

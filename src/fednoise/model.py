@@ -14,10 +14,11 @@ stacked ``np.matmul`` per layer, which computes every slice exactly as the
 same product on one network would. ``sgd_step`` is elementwise and so works
 on either layout. One network takes ``(B, d)`` inputs, never a ``(d,)`` row.
 
-Gradients are exact reverse-mode, written out by hand. :func:`forward_vjp`
-runs one forward pass and returns the logits with a ``vjp`` closure that
-maps an adjoint at the logits to the parameter gradient, reusing that
-pass's activations; any loss that can state dL/d(logits) composes with it.
+Parameter gradients are exact reverse-mode, written out by hand, and come
+as plain read-only float64 arrays of the parameters' shape, (P,) or (K, P).
+:func:`forward_vjp` runs one forward pass and returns the logits with a
+``vjp`` closure that maps an adjoint at the logits to that gradient, reusing
+that pass's activations; any loss that can state dL/d(logits) composes with it.
 Objectives that run the network on two views (clean and augmented input)
 call it once per view and add the two gradients. :func:`forward` and
 :func:`backward` are one-pass conveniences over it.
@@ -35,7 +36,6 @@ from .numerics import RngStream, _frozen, _immutable
 
 __all__ = [
     "ModelParams",
-    "Gradients",
     "param_count",
     "init_params",
     "forward",
@@ -101,26 +101,6 @@ class ModelParams:
         return self.shapes[-1][1]
 
 
-@dataclass(frozen=True)
-class Gradients:
-    """Flat gradient, (P,) or (K, P), aligned with ModelParams.flat."""
-
-    flat: np.ndarray
-
-    def __post_init__(self) -> None:
-        flat = _immutable(self.flat, np.float64)
-        if flat.ndim not in (1, 2):
-            raise ValueError(f"flat gradient must be (P,) or (K, P), got shape {flat.shape}")
-        object.__setattr__(self, "flat", flat)
-
-    def __add__(self, other: "Gradients") -> "Gradients":
-        if not isinstance(other, Gradients):
-            return NotImplemented
-        if self.flat.shape != other.flat.shape:
-            raise ValueError("gradient shapes differ")
-        return Gradients(_frozen(self.flat + other.flat))
-
-
 def _layer_views(flat: np.ndarray, shapes: tuple[tuple[int, int], ...]):
     """Yield (W, b) views into (P,) or (K, P) parameters, in layer order:
     W is (..., in_dim, out_dim) and b is (..., 1, out_dim)."""
@@ -165,9 +145,9 @@ def forward_vjp(params: ModelParams, x: np.ndarray):
 
     ``vjp(adjoint)`` maps dLoss/dLogits of this pass to the exact parameter
     gradient, (P,) or (K, P), reusing the pass's activations. It allocates
-    that one array and writes each layer's weight and bias gradients
-    straight into their views of it. Zero adjoints yield a zero gradient;
-    the map is linear in the adjoint.
+    that one float64 array, writes each layer's weight and bias gradients
+    straight into their views of it, and returns it read-only. Zero
+    adjoints yield a zero gradient; the map is linear in the adjoint.
     """
     arr = _check_input(params, x)
     layers = list(_layer_views(params.flat, params.shapes))
@@ -178,7 +158,7 @@ def forward_vjp(params: ModelParams, x: np.ndarray):
         acts.append(z if li == len(layers) - 1 else np.maximum(z, 0.0, out=z))
     out = acts[-1]
 
-    def vjp(adjoint: np.ndarray) -> Gradients:
+    def vjp(adjoint: np.ndarray) -> np.ndarray:
         dz = np.asarray(adjoint, dtype=np.float64)
         if dz.shape != out.shape:
             raise ValueError(
@@ -194,7 +174,7 @@ def forward_vjp(params: ModelParams, x: np.ndarray):
                 # acts[li] = relu(z), so acts[li] > 0 exactly where z > 0.
                 dz = dz @ np.swapaxes(layers[li][0], -1, -2)
                 dz *= acts[li] > 0.0
-        return Gradients(_frozen(grad))
+        return _frozen(grad)
 
     return out, vjp
 
@@ -205,7 +185,7 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return forward_vjp(params, x)[0]
 
 
-def backward(params: ModelParams, x: np.ndarray, adjoint: np.ndarray) -> Gradients:
+def backward(params: ModelParams, x: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
     """Exact parameter gradient given dLoss/dLogits for this batch.
 
     Runs its own forward pass; callers that also need the logits should
@@ -214,14 +194,14 @@ def backward(params: ModelParams, x: np.ndarray, adjoint: np.ndarray) -> Gradien
     return forward_vjp(params, x)[1](adjoint)
 
 
-def sgd_step(params: ModelParams, grads: Gradients, lr: float) -> ModelParams:
+def sgd_step(params: ModelParams, grads: np.ndarray, lr: float) -> ModelParams:
     """One plain gradient step, elementwise on (P,) or (K, P); returns new
     params, inputs untouched."""
     if not np.isfinite(lr) or lr < 0:
         raise ValueError(f"learning rate must be finite and non-negative, got {lr}")
-    if grads.flat.shape != params.flat.shape:
-        raise ValueError("gradient does not match parameter shape")
-    step = lr * grads.flat
+    if grads.shape != params.flat.shape:
+        raise ValueError(f"gradient shape {grads.shape} differs from parameters' {params.flat.shape}")
+    step = lr * grads
     return ModelParams(_frozen(np.subtract(params.flat, step, out=step)), params.shapes)
 
 

@@ -99,7 +99,7 @@ def _single_head_err(loss_fn, stream):
         if _relu_margin(params, x) < _RELU_MARGIN:
             continue
         out = loss_fn(forward(params, x), y)
-        analytic = backward(params, x, out.adjoint_o1).flat
+        analytic = backward(params, x, out.adjoint_o1)
         fd = _fd_param_grad(lambda p: loss_fn(forward(p, x), y).scalar, params)
         return _rel_err(analytic, fd)
     raise AssertionError("could not draw a crease-free instance")
@@ -127,8 +127,8 @@ def _pair_head_err(loss_fn, stream, scale=1.0, gap_temp=None):
             if np.abs(q1 - q2).min() < _PROB_GAP:
                 continue
         out = loss_fn(o1, o2, y)
-        g1 = backward(pa, x, out.adjoint_o1).flat
-        g2 = backward(pb, x, out.adjoint_o2).flat
+        g1 = backward(pa, x, out.adjoint_o1)
+        g2 = backward(pb, x, out.adjoint_o2)
         fd1 = _fd_param_grad(
             lambda p: scale * loss_fn(forward(p, x), o2, y).scalar, pa
         )

@@ -32,6 +32,7 @@ from fednoise.federation import (
 )
 from fednoise.losses import (
     LsrHyperParams,
+    SymCeParams,
     ce_loss,
     ce_per_sample,
     lsr_total_loss,
@@ -484,6 +485,44 @@ class TestRunFederationMechanics:
             local_train_ce((net, net), *args, cfg, streams)
         with pytest.raises(ValueError):
             local_train_coteaching((net,), *args, co, ct, hp, streams, 0)
+
+    @pytest.mark.parametrize("local_epochs", [0, 1])
+    @pytest.mark.parametrize(
+        "trainer, need",
+        [
+            ("local_train_ce", 1),
+            ("local_train_ce_aug", 1),
+            ("local_train_symce", 1),
+            ("local_train_lsr", 1),
+            ("local_train_symce_lsr", 1),
+            ("local_train_coteaching", 2),
+        ],
+    )
+    def test_trainer_names_the_network_count_it_needs(self, trainer, need, local_epochs):
+        # Every trainer checks the count before any work, so even a run of
+        # no epochs refuses it, and the error names the trainer, the count
+        # it trains and the count it got.
+        train, shards, _ = small_world()
+        cfg = FedConfig(
+            num_clients=6, clients_per_round=1, rounds=1, local_epochs=local_epochs,
+            batch_size=10, method="fedavg_ce", warmup_rounds=0, hidden_layers=(5,),
+        )
+        streams = [RngStream(0).child("client", 0, 0)]
+        sp, hp, ct = SymCeParams(), LsrHyperParams(), CoteachingConfig()
+        policy = AugmentPolicy((FeatureJitter(0.3),))
+        extra = {
+            "local_train_ce": (streams,),
+            "local_train_ce_aug": (policy, streams),
+            "local_train_symce": (sp, streams),
+            "local_train_lsr": (hp, policy, streams, 0.5),
+            "local_train_symce_lsr": (sp, hp, policy, streams, 0.5),
+            "local_train_coteaching": (ct, hp, streams, 0),
+        }[trainer]
+        net = init_params([6, 5, 4], RngStream(0))
+        given = 3 - need
+        noun = "network" if need == 1 else "networks"
+        with pytest.raises(ValueError, match=f"^{trainer} trains {need} {noun}, got {given}$"):
+            getattr(fednoise.federation, trainer)((net,) * given, train, shards[:1], cfg, *extra)
 
     def test_shard_count_mismatch_rejected(self):
         train, shards, test = small_world()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fednoise.model import (
-    Gradients,
     ModelParams,
     backward,
     forward,
@@ -167,7 +166,7 @@ class TestBackward:
         x = gen.normal(size=(4, 5))
         y = gen.integers(0, 3, size=4)
         out = ce_loss(forward(p, x), y)
-        g = backward(p, x, out.adjoint_o1).flat
+        g = backward(p, x, out.adjoint_o1)
         eps = 1e-5
         idx = gen.choice(p.flat.size, size=25, replace=False)
         for j in idx:
@@ -185,20 +184,35 @@ class TestBackward:
         x = gen.normal(size=(3, 5))
         a1 = gen.normal(size=(3, 3))
         a2 = gen.normal(size=(3, 3))
-        g1 = backward(p, x, a1).flat
-        g2 = backward(p, x, a2).flat
-        g12 = backward(p, x, 2.0 * a1 + a2).flat
+        g1 = backward(p, x, a1)
+        g2 = backward(p, x, a2)
+        g12 = backward(p, x, 2.0 * a1 + a2)
         np.testing.assert_allclose(g12, 2.0 * g1 + g2, atol=1e-10)
 
     def test_zero_adjoint_zero_gradient(self):
         p = tiny_net()
         g = backward(p, np.ones((2, 5)), np.zeros((2, 3)))
-        np.testing.assert_array_equal(g.flat, np.zeros(p.flat.size))
+        np.testing.assert_array_equal(g, np.zeros(p.flat.size))
 
     def test_adjoint_shape_checked(self):
         p = tiny_net()
         with pytest.raises(ValueError):
             backward(p, np.ones((2, 5)), np.zeros((3, 3)))
+
+    def test_gradient_is_a_read_only_float64_array_of_parameter_shape(self):
+        # vjp and backward give a plain ndarray shaped like the parameters,
+        # for one (P,) network on (B, d) rows and a (K, P) cohort on
+        # (K, B, d) rows alike, and no caller can write into it.
+        gen = np.random.default_rng(4)
+        net = tiny_net()
+        cohort = ModelParams(np.stack([tiny_net(0).flat, tiny_net(1).flat]), net.shapes)
+        for params, lead in ((net, ()), (cohort, (2,))):
+            x = gen.normal(size=(*lead, 3, 5))
+            adjoint = gen.normal(size=(*lead, 3, 3))
+            for g in (forward_vjp(params, x)[1](adjoint), backward(params, x, adjoint)):
+                assert type(g) is np.ndarray
+                assert g.dtype == np.float64 and g.shape == params.flat.shape
+                assert not g.flags.writeable
 
     def test_gradients_add(self):
         gen = np.random.default_rng(2)
@@ -206,13 +220,13 @@ class TestBackward:
         x = gen.normal(size=(2, 5))
         a = gen.normal(size=(2, 3))
         total = backward(p, x, a) + backward(p, x, a)
-        np.testing.assert_allclose(total.flat, 2.0 * backward(p, x, a).flat, atol=1e-12)
+        np.testing.assert_allclose(total, 2.0 * backward(p, x, a), atol=1e-12)
 
 
 class TestSgdStep:
     def test_plain_update_no_momentum(self):
         p = tiny_net()
-        g = Gradients(np.ones(p.flat.size))
+        g = np.ones(p.flat.size)
         q = sgd_step(p, g, 0.1)
         np.testing.assert_allclose(q.flat, p.flat - 0.1, atol=1e-15)
         # repeating the same step from q moves again by the same amount
@@ -222,20 +236,35 @@ class TestSgdStep:
     def test_inputs_untouched(self):
         p = tiny_net()
         before = p.flat.copy()
-        sgd_step(p, Gradients(np.ones(p.flat.size)), 0.5)
+        sgd_step(p, np.ones(p.flat.size), 0.5)
         np.testing.assert_array_equal(p.flat, before)
 
     def test_bad_lr_rejected(self):
         p = tiny_net()
-        g = Gradients(np.zeros(p.flat.size))
+        g = np.zeros(p.flat.size)
         with pytest.raises(ValueError):
             sgd_step(p, g, -0.1)
         with pytest.raises(ValueError):
             sgd_step(p, g, np.nan)
 
     def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            sgd_step(tiny_net(), Gradients(np.zeros(3)), 0.1)
+        # A gradient of another shape is refused and the parameters stay
+        # as they were: a (K, P) gradient against (P,) parameters, a (P,)
+        # one against a (K, P) cohort, or one of the wrong P.
+        net = tiny_net()
+        cohort = ModelParams(np.stack([tiny_net(0).flat, tiny_net(1).flat]), net.shapes)
+        size = net.flat.size
+        cases = [
+            (net, np.zeros((2, size))),
+            (net, np.zeros(size - 1)),
+            (cohort, np.zeros(size)),
+            (cohort, np.zeros((2, size + 1))),
+        ]
+        for params, grads in cases:
+            before = params.flat.copy()
+            with pytest.raises(ValueError, match="gradient shape"):
+                sgd_step(params, grads, 0.1)
+            np.testing.assert_array_equal(params.flat, before)
 
 
 class TestCohort:
@@ -250,12 +279,12 @@ class TestCohort:
         grads = vjp(adjoint)
         stepped = sgd_step(cohort, grads, 0.1)
         assert logits.shape == (4, batch, 3)
-        assert grads.flat.shape == stepped.flat.shape == cohort.flat.shape
+        assert grads.shape == stepped.flat.shape == cohort.flat.shape
         for k, net in enumerate(nets):
             alone, alone_vjp = forward_vjp(net, x[k])
             np.testing.assert_array_equal(logits[k], alone)
             g = alone_vjp(adjoint[k])
-            np.testing.assert_array_equal(grads.flat[k], g.flat)
+            np.testing.assert_array_equal(grads[k], g)
             np.testing.assert_array_equal(stepped.flat[k], sgd_step(net, g, 0.1).flat)
 
     def test_cohort_shapes_checked(self):
@@ -268,7 +297,7 @@ class TestCohort:
         with pytest.raises(ValueError):
             vjp(np.ones((3, 3)))
         with pytest.raises(ValueError):
-            sgd_step(cohort, Gradients(np.zeros(cohort.flat.shape[1])), 0.1)
+            sgd_step(cohort, np.zeros(cohort.flat.shape[1]), 0.1)
         with pytest.raises(ValueError):
             save_params(cohort, "unused.ckpt")
 
