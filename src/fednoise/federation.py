@@ -1,9 +1,11 @@
 """Federated averaging round loop and the per-method local trainers.
 
-One round: sample a client subset, train each selected client from the
-current global parameters on its own shard, then average the returned
-parameter vectors weighted by shard size, in selection order. Evaluation
-runs on the clean test set after every aggregation.
+One round, :func:`_round`: sample a client subset, train each selected
+client from the current global parameters on its own shard, then average
+the returned parameter vectors weighted by shard size, in selection order.
+Evaluation runs on the clean test set after every aggregation. Only the
+round index t and the global networks cross a round: every draw in round
+t comes from a stream path that names t, and nothing else is carried.
 
 Every method trains through one loop, :func:`_local_sgd`, which trains a
 cohort of K clients in lockstep. Their parameters are stacked as one
@@ -18,8 +20,8 @@ returns ((K, P) parameters per network, a (K,) array of each client's
 mean batch loss). A trainer that serves two methods takes its variant
 from ``cfg.method``.
 
-Clients in a cohort must walk the same batch sizes, so ``run_federation``
-groups the selected clients by shard size; both partitioners make equal
+Clients in a cohort must walk the same batch sizes, so each round groups
+the selected clients by shard size; both partitioners make equal
 shards, which gives one cohort per round. ``workers`` cuts each cohort
 into up to that many contiguous chunks, which run on a thread pool of
 that size made once per run; with one worker they run inline. Their
@@ -43,7 +45,7 @@ from __future__ import annotations
 import logging
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -189,13 +191,11 @@ class RunResult:
     """Round metrics plus the final global parameters.
 
     final_params is the tuple of global networks: one ModelParams, or
-    (net_a, net_b) for co-teaching. param_history is filled only when
-    requested: that tuple after every aggregation, in round order.
+    (net_a, net_b) for co-teaching.
     """
 
     metrics: list
     final_params: tuple
-    param_history: "list | None" = field(default=None)
 
 
 def select_clients(num_clients: int, k: int, rng: RngStream) -> np.ndarray:
@@ -490,6 +490,71 @@ def evaluate(params: ModelParams, test_set: LabeledDataset) -> float:
     return hits / test_set.n
 
 
+def _round(
+    t: int, globals_: tuple, run_chunks, cfg: FedConfig, train_set: LabeledDataset,
+    shards: list, test_set: LabeledDataset, stream: RngStream,
+    hp: LsrHyperParams, sp: SymCeParams, ct: CoteachingConfig, policy: AugmentPolicy,
+) -> tuple:
+    """Round t from the global networks: (new global networks, RoundMetrics).
+
+    ``run_chunks`` is ``map`` or the run's thread pool's ``map``."""
+    selected = select_clients(
+        cfg.num_clients, cfg.clients_per_round, stream.child("select", t)
+    ).tolist()
+    gamma_t = gamma_schedule(t, cfg.warmup_rounds, hp.gamma)
+
+    # One lockstep cohort per shard size, cut into contiguous chunks for
+    # the workers; aggregation still runs in selection order.
+    cohorts: dict = {}
+    for cid in selected:
+        cohorts.setdefault(shards[cid].n_k, []).append(cid)
+    chunks = [
+        chunk.tolist() for ids in cohorts.values()
+        for chunk in np.array_split(ids, min(cfg.workers, len(ids)))
+    ]
+
+    def train(ids: list):
+        # The trainers are looked up in this module at call time, so
+        # a wrapper patched over one (a tracer's span) is the one run.
+        args = (globals_, train_set, [shards[c] for c in ids], cfg)
+        streams = [stream.child("client", c, t) for c in ids]
+        try:
+            if cfg.method == "fedavg_ce":
+                return local_train_ce(*args, streams)
+            if cfg.method == "ce_aug":
+                return local_train_ce_aug(*args, policy, streams)
+            if cfg.method == "sym_ce":
+                return local_train_symce(*args, sp, streams)
+            if cfg.method in ("lsr", "lsr_plus"):
+                return local_train_lsr(*args, hp, policy, streams, gamma_t)
+            if cfg.method == "sym_ce_lsr":
+                return local_train_symce_lsr(*args, sp, hp, policy, streams, gamma_t)
+            # FedConfig admits no method but the co-teaching pair here.
+            return local_train_coteaching(*args, ct, hp, streams, t)
+        except ValueError as exc:
+            raise ValueError(
+                f"round {t}, clients {ids}, method {cfg.method}, lr {cfg.lr:g}: {exc}"
+            ) from exc
+
+    chunk_nets, chunk_losses = zip(*run_chunks(train, chunks))
+    order = [cid for ids in chunks for cid in ids]
+    rows = [order.index(cid) for cid in selected]  # cohort order -> selection order
+    sizes = [shards[cid].n_k for cid in selected]
+    globals_ = tuple(
+        aggregate(ModelParams(np.concatenate([c.flat for c in stacks])[rows], g.shapes), sizes)
+        for g, stacks in zip(globals_, zip(*chunk_nets))
+    )
+    losses = np.concatenate(chunk_losses)[rows]
+    acc = np.mean([evaluate(net, test_set) for net in globals_])
+    return globals_, RoundMetrics(
+        round=t,
+        test_accuracy=float(acc),
+        mean_train_loss=float(np.mean(losses)),
+        gamma_t=gamma_t,
+        selected_clients=tuple(selected),
+    )
+
+
 def run_federation(
     cfg: FedConfig,
     train_set: LabeledDataset,
@@ -500,16 +565,17 @@ def run_federation(
     sp: SymCeParams = SymCeParams(),
     ct: CoteachingConfig = CoteachingConfig(),
     policy: AugmentPolicy = AugmentPolicy(),
-    record_history: bool = False,
 ) -> RunResult:
     """Run the full federated protocol and return per-round metrics.
 
-    Every draw derives from the integer master ``seed``. The reported
-    mean_train_loss averages the selected clients' per-step batch losses;
-    gamma_t records the warm-up schedule value whether or not the method
-    consumes it. For the two-network method, test accuracy is the mean of
-    the two networks' accuracies and both networks are aggregated
-    separately across their client replicas.
+    Every draw derives from the integer master ``seed``. Each round is one
+    :func:`_round` call, and only (t, global networks) crosses a round. The
+    reported mean_train_loss averages the selected clients' per-step batch
+    losses; gamma_t records the warm-up schedule value whether or not the
+    method consumes it. For the two-network method, test accuracy is the
+    mean of the two networks' accuracies and both networks are aggregated
+    separately across their client replicas. A trainer's ValueError is
+    raised again naming the round, the chunk's clients, the method and lr.
     """
     if len(shards) != cfg.num_clients:
         raise ValueError(f"{len(shards)} shards for {cfg.num_clients} clients")
@@ -532,7 +598,6 @@ def run_federation(
     )
 
     metrics: list = []
-    history: "list | None" = [] if record_history else None
     executor = nullcontext()
     if cfg.workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # only a pooled run loads it
@@ -541,65 +606,10 @@ def run_federation(
     with executor as pool:
         run_chunks = map if pool is None else pool.map
         for t in range(cfg.rounds):
-            selected = select_clients(
-                cfg.num_clients, cfg.clients_per_round, stream.child("select", t)
-            ).tolist()
-            gamma_t = gamma_schedule(t, cfg.warmup_rounds, hp.gamma)
+            globals_, m = _round(t, globals_, run_chunks, cfg, train_set, shards, test_set,
+                                 stream, hp, sp, ct, policy)
+            metrics.append(m)
+            logger.info("round %d: accuracy %.4f, mean train loss %.4f",
+                        t, m.test_accuracy, m.mean_train_loss)
 
-            # One lockstep cohort per shard size, cut into contiguous chunks for
-            # the workers; aggregation still runs in selection order.
-            cohorts: dict = {}
-            for cid in selected:
-                cohorts.setdefault(shards[cid].n_k, []).append(cid)
-            chunks = [
-                chunk.tolist() for ids in cohorts.values()
-                for chunk in np.array_split(ids, min(cfg.workers, len(ids)))
-            ]
-
-            def train(ids: list):
-                # The trainers are looked up in this module at call time, so
-                # a wrapper patched over one (a tracer's span) is the one run.
-                args = (globals_, train_set, [shards[c] for c in ids], cfg)
-                streams = [stream.child("client", c, t) for c in ids]
-                if cfg.method == "fedavg_ce":
-                    return local_train_ce(*args, streams)
-                if cfg.method == "ce_aug":
-                    return local_train_ce_aug(*args, policy, streams)
-                if cfg.method == "sym_ce":
-                    return local_train_symce(*args, sp, streams)
-                if cfg.method in ("lsr", "lsr_plus"):
-                    return local_train_lsr(*args, hp, policy, streams, gamma_t)
-                if cfg.method == "sym_ce_lsr":
-                    return local_train_symce_lsr(*args, sp, hp, policy, streams, gamma_t)
-                # FedConfig admits no method but the co-teaching pair here.
-                return local_train_coteaching(*args, ct, hp, streams, t)
-
-            chunk_nets, chunk_losses = zip(*run_chunks(train, chunks))
-            order = [cid for ids in chunks for cid in ids]
-            rows = [order.index(cid) for cid in selected]  # cohort order -> selection order
-            sizes = [shards[cid].n_k for cid in selected]
-            globals_ = tuple(
-                aggregate(
-                    ModelParams(np.concatenate([c.flat for c in stacks])[rows], g.shapes), sizes
-                )
-                for g, stacks in zip(globals_, zip(*chunk_nets))
-            )
-            losses = np.concatenate(chunk_losses)[rows]
-            acc = np.mean([evaluate(net, test_set) for net in globals_])
-            metrics.append(
-                RoundMetrics(
-                    round=t,
-                    test_accuracy=float(acc),
-                    mean_train_loss=float(np.mean(losses)),
-                    gamma_t=gamma_t,
-                    selected_clients=tuple(selected),
-                )
-            )
-            logger.info(
-                "round %d: accuracy %.4f, mean train loss %.4f",
-                t, metrics[-1].test_accuracy, metrics[-1].mean_train_loss,
-            )
-            if history is not None:
-                history.append(globals_)
-
-    return RunResult(metrics=metrics, final_params=globals_, param_history=history)
+    return RunResult(metrics=metrics, final_params=globals_)

@@ -11,6 +11,7 @@ import copy
 import numpy as np
 import pytest
 
+from fednoise import federation
 from fednoise.harness import materialize_config, run_from_config
 
 ACCEPT_LINES = []
@@ -27,6 +28,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for number, passed, detail in sorted(ACCEPT_LINES):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"[ACCEPT] criterion {number}: {status} - {detail}")
+
+
+def run_with_history(*args, **kwargs):
+    """run_federation(*args, **kwargs) and the tuple of global networks after
+    each round, in round order, read off a spy patched over federation._round."""
+    history = []
+    real = federation._round
+
+    def spy(*round_args):
+        nets, metrics = real(*round_args)
+        history.append(nets)
+        return nets, metrics
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(federation, "_round", spy)
+        result = federation.run_federation(*args, **kwargs)
+    return result, history
 
 
 # Desk-scale reference setup shared by the behavioral acceptance checks:

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from conftest import record_criterion
+from conftest import record_criterion, run_with_history
 from fednoise.augment import AugmentPolicy
 from fednoise.data import (
     NoiseSpec,
@@ -360,18 +360,17 @@ def test_criterion_7_collapse_equivalence():
         num_clients=10, clients_per_round=3, rounds=8, local_epochs=2,
         batch_size=20, lr=0.15, warmup_rounds=0, hidden_layers=(16,),
     )
-    ce = run_federation(
+    ce, ce_history = run_with_history(
         FedConfig(**base, method="fedavg_ce"), train, shards, test, seed=4,
-        record_history=True,
     )
-    collapsed = run_federation(
+    collapsed, collapsed_history = run_with_history(
         FedConfig(**base, method="lsr"), train, shards, test, seed=4,
         hp=LsrHyperParams(sharpen_temp=1.0, fix_lambda=1.0, gamma=0.0),
-        policy=AugmentPolicy(), record_history=True,
+        policy=AugmentPolicy(),
     )
     same = all(
         np.array_equal(a.flat, b.flat)
-        for (a,), (b,) in zip(ce.param_history, collapsed.param_history)
+        for (a,), (b,) in zip(ce_history, collapsed_history)
     ) and np.array_equal(ce.final_params[0].flat, collapsed.final_params[0].flat)
     record_criterion(
         7,

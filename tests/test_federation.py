@@ -1,6 +1,7 @@
 """Round loop, client selection, aggregation, and method dispatch."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -8,12 +9,15 @@ import pytest
 
 import fednoise.federation
 
+from conftest import run_with_history
 from fednoise.data import (
     ClientShard,
     NoiseSpec,
     generate_synthetic,
     inject_symmetric_noise,
     partition_iid,
+    partition_noniid,
+    subset,
 )
 from fednoise.augment import AugmentPolicy, FeatureJitter
 from fednoise.federation import (
@@ -38,7 +42,9 @@ from fednoise.losses import (
     lsr_total_loss,
     small_loss_select,
 )
-from fednoise.model import ModelParams, backward, forward, init_params, sgd_step
+from fednoise.model import (
+    ModelParams, backward, forward, init_params, load_params, save_params, sgd_step,
+)
 from fednoise.numerics import RngStream
 
 
@@ -440,29 +446,84 @@ class TestRunFederationMechanics:
         losses = np.concatenate([loss for _, loss in alone])
         assert result.metrics[0].mean_train_loss == float(np.mean(losses))
 
-    def test_record_history_lengths(self):
-        train, shards, test = small_world()
+    @pytest.mark.parametrize(
+        "method, partition",
+        [("lsr", "iid"), ("fedavg_ce", "iid"), ("ce_aug", "iid"), ("sym_ce_lsr", "iid"),
+         ("coteaching_lsr", "noniid")],
+    )
+    def test_round_depends_only_on_t_and_networks(self, tmp_path, method, partition):
+        # Six rounds, the global networks through checkpoint files, then
+        # rounds 6-11 through _round from those networks alone: metrics and
+        # final networks must be an uninterrupted 12-round run's, bit for bit.
+        train, shards, test = small_world(noise=0.3)
+        if partition == "noniid":
+            shards = partition_noniid(train, 6, 2, seed=0)
         cfg = FedConfig(
-            num_clients=6, clients_per_round=2, rounds=4, local_epochs=1,
-            batch_size=10, method="fedavg_ce", warmup_rounds=0, hidden_layers=(5,),
+            num_clients=6, clients_per_round=3, rounds=12, local_epochs=2, batch_size=10,
+            method=method, warmup_rounds=4, hidden_layers=(6,),
         )
-        result = run_federation(cfg, train, shards, test, seed=1, record_history=True)
-        assert len(result.param_history) == 4
-        assert isinstance(result.param_history[0][0], ModelParams)
+        hp, sp = LsrHyperParams(), SymCeParams()
+        ct = CoteachingConfig(noise_rate=0.3, ramp_rounds=8)
+        policy = AugmentPolicy((FeatureJitter(0.3),))
+        kw = dict(hp=hp, sp=sp, ct=ct, policy=policy)
+        whole = run_federation(cfg, train, shards, test, seed=5, **kw)
+        head = run_federation(dataclasses.replace(cfg, rounds=6), train, shards, test, seed=5, **kw)
+
+        paths = [tmp_path / f"net{i}.ckpt" for i in range(len(head.final_params))]
+        for net, path in zip(head.final_params, paths):
+            save_params(net, path)
+        nets = tuple(load_params(path) for path in paths)
+        metrics = list(head.metrics)
+        for t in range(6, 12):
+            nets, m = fednoise.federation._round(
+                t, nets, map, cfg, train, shards, test, RngStream(5), hp, sp, ct, policy
+            )
+            metrics.append(m)
+        assert metrics == whole.metrics
+        assert len(nets) == len(whole.final_params)
+        for got, want in zip(nets, whole.final_params):
+            assert got.shapes == want.shapes
+            assert got.flat.tobytes() == want.flat.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method, lr", [("fedavg_ce", 1e12), ("lsr", 1e300)])
+    def test_training_error_names_round_clients_method_and_lr(self, method, lr, workers):
+        # A trainer's ValueError (here a diverged network's non-finite
+        # logits) reaches the caller naming where it happened.
+        total = generate_synthetic(700, 10, 16, seed=8)
+        train = inject_symmetric_noise(
+            subset(total, np.arange(600)), NoiseSpec("symmetric", 0.4, seed=8)
+        )
+        test = subset(total, np.arange(600, 700))
+        shards = partition_iid(train, 10, seed=8)
+        cfg = FedConfig(
+            num_clients=10, clients_per_round=3, rounds=4, local_epochs=2, batch_size=20,
+            method=method, warmup_rounds=0, hidden_layers=(16,), lr=lr, workers=workers,
+        )
+        with pytest.raises(ValueError, match=re.escape(f", method {method}, lr {lr:g}: ")) as info:
+            run_federation(cfg, train, shards, test, seed=4)
+        where = re.match(r"round (\d+), clients \[([\d, ]+)\], ", str(info.value))
+        assert where, str(info.value)
+        selected = select_clients(10, 3, RngStream(4).child("select", int(where[1])))
+        ids = [int(c) for c in where[2].split(", ")]
+        assert ids in [chunk.tolist() for chunk in np.array_split(selected, workers)]
+        assert isinstance(info.value.__cause__, ValueError)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_global_networks_are_one_tuple(self, method):
-        # final_params and every history entry are the tuple of global
-        # networks: two for co-teaching, one for every other method.
+        # final_params and the networks each round returns are the tuple of
+        # global networks: two for co-teaching, one for every other method.
         train, shards, test = small_world(noise=0.3)
         cfg = FedConfig(
             num_clients=6, clients_per_round=2, rounds=2, local_epochs=1,
             batch_size=10, method=method, warmup_rounds=0, hidden_layers=(5,),
         )
-        result = run_federation(cfg, train, shards, test, seed=1, record_history=True)
+        result, history = run_with_history(cfg, train, shards, test, seed=1)
         count = 2 if method in ("coteaching", "coteaching_lsr") else 1
-        assert len(result.param_history) == 2
-        for nets in (result.final_params, *result.param_history):
+        assert len(history) == 2
+        assert history[-1] is result.final_params
+        for nets in (result.final_params, *history):
             assert isinstance(nets, tuple) and len(nets) == count
             assert all(isinstance(net, ModelParams) for net in nets)
 
@@ -617,11 +678,11 @@ class TestMethodEquivalences:
         )
 
         def run(fix_lambda, policy):
-            result = run_federation(
-                cfg, train, shards, test, seed=3, policy=policy, record_history=True,
+            result, history = run_with_history(
+                cfg, train, shards, test, seed=3, policy=policy,
                 hp=LsrHyperParams(fix_lambda=fix_lambda, gamma=0.0),
             )
-            params = [p.flat.tobytes() for (p,) in result.param_history]
+            params = [p.flat.tobytes() for (p,) in history]
             return params, [m.mean_train_loss for m in result.metrics]
 
         identity = run(1.0, AugmentPolicy())
@@ -654,15 +715,14 @@ class TestMethodEquivalences:
         hp = LsrHyperParams(sharpen_temp=1.0)
         ct = CoteachingConfig(noise_rate=0.3, ramp_rounds=2)
         runs = [
-            run_federation(
+            run_with_history(
                 FedConfig(**base, method=m), train, shards, test, seed=4, hp=hp, ct=ct,
-                record_history=True,
             )
             for m in ("coteaching", "coteaching_lsr")
         ]
-        plain, sharp = ([[p.flat.tobytes() for p in nets] for nets in r.param_history] for r in runs)
+        plain, sharp = ([[p.flat.tobytes() for p in nets] for nets in h] for _, h in runs)
         assert plain == sharp
-        assert runs[0].metrics == runs[1].metrics
+        assert runs[0][0].metrics == runs[1][0].metrics
 
     def test_twin_accuracy_is_mean_of_both_nets(self):
         train, shards, test = small_world()
