@@ -11,7 +11,10 @@ Every method trains through one loop, :func:`_local_sgd`, which trains a
 cohort of K clients in lockstep. Their parameters are stacked as one
 ``(K, P)`` array per network (see :mod:`fednoise.model`), so each batch
 costs one ``forward_vjp`` per view, one call of the method's loss and one
-``sgd_step`` per network for the whole cohort. Each public
+``sgd_step`` per network for the whole cohort; each network's gradient is
+written into one (K, P) buffer that lives for the cohort's training, so
+the only (K, P) array a step allocates is ``sgd_step``'s new parameters.
+Each public
 ``local_train_*`` function trains one cohort with its method: it takes
 the tuple of global networks (one, or two for co-teaching; any other
 count is a ValueError before any work), a list of equal-size shards and
@@ -255,25 +258,58 @@ def _iter_batches(n: int, cfg: FedConfig, streams: list):
             yield epoch, bi, perm[:, start : start + batch]
 
 
+class _Diverged(ValueError):
+    """A cohort's ValueError at local step ``step`` (0-based), naming the
+    cohort rows that diverged there."""
+
+    def __init__(self, rows: list, step: int, cause: ValueError) -> None:
+        super().__init__(str(cause))
+        self.rows, self.step = rows, step
+
+
+def _diverged_rows(nets: tuple, x: np.ndarray, grads: "tuple | None", lr: float) -> list:
+    """After a failed step: the cohort rows whose logits on ``x`` are
+    non-finite under any network, or whose parameters after the step would
+    be, when the step's gradients ``grads`` are known."""
+    bad = np.zeros(len(x), dtype=bool)
+    with np.errstate(all="ignore"):
+        for i, net in enumerate(nets):
+            bad |= ~np.isfinite(forward(net, x)).all(axis=(1, 2))
+            if grads is not None:
+                bad |= ~np.isfinite(net.flat - lr * grads[i]).all(axis=1)
+    return np.flatnonzero(bad).tolist()
+
+
 def _local_sgd(globals_: tuple, feats, labels, cfg: FedConfig, streams: list, objective):
     """Train a cohort of K clients in lockstep from the global networks.
 
     ``feats`` (K, n, d) and ``labels`` (K, n) hold each client's shard and
     ``streams`` its RngStream, whose shuffles it walks. Per batch,
-    ``objective(nets, x, y, epoch, bi)`` gets the stacked (K, B, d) rows
-    and (K, B) labels and gives the (K,) batch losses and one (K, P)
-    gradient array per net; each net then takes one SGD step, in tuple
-    order. Returns ((K, P) nets, (K,) mean batch loss of each client).
+    ``objective(nets, x, y, epoch, bi, grads)`` gets the stacked (K, B, d)
+    rows and (K, B) labels, writes each net's (K, P) gradient into its
+    buffer in ``grads`` and gives the (K,) batch losses; each net then takes
+    one SGD step, in tuple order. The buffers live for this cohort's
+    training only. A step's ValueError is raised again as a ``_Diverged``
+    when some rows' logits or stepped parameters are non-finite. Returns
+    ((K, P) nets, (K,) mean batch loss of each client).
     """
     k = len(streams)
     nets = tuple(ModelParams(np.broadcast_to(g.flat, (k, g.flat.size)), g.shapes) for g in globals_)
+    grads = tuple(np.empty(net.flat.shape) for net in nets)
     clients = np.arange(k)[:, None]
     losses = []
-    for epoch, bi, picks in _iter_batches(labels.shape[1], cfg, streams):
-        rows = clients, picks
-        loss, grads = objective(nets, feats[rows], labels[rows], epoch, bi)
-        nets = tuple(sgd_step(net, g, cfg.lr) for net, g in zip(nets, grads))
-        losses.append(loss)
+    for step, (epoch, bi, picks) in enumerate(_iter_batches(labels.shape[1], cfg, streams)):
+        x = feats[clients, picks]
+        written = None  # the buffers, once this step's objective has filled them
+        try:
+            losses.append(objective(nets, x, labels[clients, picks], epoch, bi, grads))
+            written = grads
+            nets = tuple(sgd_step(net, g, cfg.lr) for net, g in zip(nets, grads))
+        except ValueError as exc:
+            rows = _diverged_rows(nets, x, written, cfg.lr)
+            if rows:
+                raise _Diverged(rows, step, exc) from exc
+            raise
     if not losses:
         return nets, np.full(k, np.nan)
     # Each client's steps lie contiguous, so its mean sums them as a 1-D
@@ -284,10 +320,11 @@ def _local_sgd(globals_: tuple, feats, labels, cfg: FedConfig, streams: list, ob
 def _single_view(loss_fn):
     """Objective scoring one network's logits on the batch as given."""
 
-    def objective(nets, x, y, epoch, bi):
+    def objective(nets, x, y, epoch, bi, grads):
         logits, vjp = forward_vjp(nets[0], x)
         out = loss_fn(logits, y)
-        return out.scalar, (vjp(out.adjoint_o1),)
+        vjp(out.adjoint_o1, out=grads[0])
+        return out.scalar
 
     return objective
 
@@ -301,10 +338,14 @@ def _two_view(
     stream, unless ``hp.fix_lambda`` pins every weight. A head whose adjoint
     is zero (identity augmentation, a weight pinned to 1) adds a gradient of
     signed zeros, which leaves every non-zero sum and parameter bit-identical,
-    so degenerate configurations still match the single-view trainers.
+    so degenerate configurations still match the single-view trainers. The
+    second view's gradient goes to a buffer made at the first step and is
+    added into the first view's in place.
     """
+    second = None
 
-    def objective(nets, x, y, epoch, bi):
+    def objective(nets, x, y, epoch, bi, grads):
+        nonlocal second
         x_aug = apply_batch(policy, x, streams, ("augment", epoch, bi), dataset.image_shape)
         o1, vjp1 = forward_vjp(nets[0], x)
         o2, vjp2 = forward_vjp(nets[0], x_aug)
@@ -313,7 +354,11 @@ def _two_view(
         else:
             lam = np.full(len(streams), float(hp.fix_lambda))
         out = loss_fn(o1, o2, y, lam)
-        return out.scalar, (vjp1(out.adjoint_o1) + vjp2(out.adjoint_o2),)
+        if second is None:
+            second = np.empty_like(grads[0])
+        grad = vjp1(out.adjoint_o1, out=grads[0])
+        grad += vjp2(out.adjoint_o2, out=second)
+        return out.scalar
 
     return objective
 
@@ -432,18 +477,18 @@ def local_train_coteaching(
         loss_fn = partial(sharpened_ce_loss, hp=hp)
     update = _single_view(loss_fn)
 
-    def objective(nets, x, y, epoch, bi):
+    def objective(nets, x, y, epoch, bi, grads):
         per_a, per_b = (per_sample(forward(net, x), y) for net in nets)
         step = round_idx if ct.schedule_unit == "round" else round_idx * cfg.local_epochs + epoch
         keep = coteach_keep_ratio(ct, step)
         picks_a = small_loss_select(per_a, keep)  # (K, ceil(keep * B)); A's picks train B
         picks_b = small_loss_select(per_b, keep)
         clients = np.arange(len(picks_a))[:, None]
-        (loss_a, (grad_a,)), (loss_b, (grad_b,)) = (
-            update((net,), x[clients, picks], y[clients, picks], epoch, bi)
-            for net, picks in zip(nets, (picks_b, picks_a))
+        loss_a, loss_b = (
+            update((net,), x[clients, picks], y[clients, picks], epoch, bi, (g,))
+            for net, picks, g in zip(nets, (picks_b, picks_a), grads)
         )
-        return (loss_a + loss_b) / 2, (grad_a, grad_b)
+        return (loss_a + loss_b) / 2
 
     return _local_sgd(nets, *_shard_arrays(dataset, shards), cfg, streams, objective)
 
@@ -532,11 +577,23 @@ def _round(
             # FedConfig admits no method but the co-teaching pair here.
             return local_train_coteaching(*args, ct, hp, streams, t)
         except ValueError as exc:
-            raise ValueError(
-                f"round {t}, clients {ids}, method {cfg.method}, lr {cfg.lr:g}: {exc}"
-            ) from exc
+            return exc  # raised below, once every chunk has run
 
-    chunk_nets, chunk_losses = zip(*run_chunks(train, chunks))
+    outcomes = list(run_chunks(train, chunks))
+    failed = [
+        (getattr(out, "step", np.inf), ids, out)
+        for ids, out in zip(chunks, outcomes) if isinstance(out, ValueError)
+    ]
+    if failed:
+        # One lockstep cohort stops at its earliest failing step, so name
+        # the clients that diverged there, whatever the chunking.
+        step, ids, exc = min(failed, key=lambda f: f[0])
+        diverged = [c[r] for s, c, e in failed if s == step for r in getattr(e, "rows", ())]
+        named = f"clients {diverged} diverged: " if diverged else ""
+        raise ValueError(
+            f"round {t}, clients {ids}, method {cfg.method}, lr {cfg.lr:g}: {named}{exc}"
+        ) from exc
+    chunk_nets, chunk_losses = zip(*outcomes)
     order = [cid for ids in chunks for cid in ids]
     rows = [order.index(cid) for cid in selected]  # cohort order -> selection order
     sizes = [shards[cid].n_k for cid in selected]
@@ -575,7 +632,9 @@ def run_federation(
     method consumes it. For the two-network method, test accuracy is the
     mean of the two networks' accuracies and both networks are aggregated
     separately across their client replicas. A trainer's ValueError is
-    raised again naming the round, the chunk's clients, the method and lr.
+    raised again naming the round, the chunk's clients, the method and lr,
+    and, when some clients' logits or parameters went non-finite, those
+    clients.
     """
     if len(shards) != cfg.num_clients:
         raise ValueError(f"{len(shards)} shards for {cfg.num_clients} clients")

@@ -27,6 +27,14 @@ the clean and augmented passes. Both outputs are floored at ``clamp_lo``
 divergences: ``js`` (Jensen-Shannon), ``l1``, ``l2``, and ``cosine``. The
 cosine variant matches each side against a detached copy of the other
 (gradients do not flow through the stopped side) and halves the sum.
+
+The two-head losses (:func:`lsr_total_loss`, and so :func:`lsr_plus_loss`,
+and :func:`symce_lsr_loss`) run as one pass over the heads stacked as one
+``(2, ..., B, M)`` array: logits and labels are checked once, each row's
+max is taken once and serves both the plain and the tempered softmax, and
+each softmax, floor and softmax vjp runs once for both heads. The public
+terms :func:`lsr_cls_loss` and :func:`self_distill_loss` are built from the
+same pieces, and the pass equals their separate composition bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import softmax, softmax_vjp, tempered_softmax
+from .numerics import _row_max, _softmax_at, softmax, softmax_vjp
 
 __all__ = [
     "LsrHyperParams",
@@ -133,13 +141,23 @@ class LossOutput:
     adjoint_o2: np.ndarray
 
 
-def _check_logits_labels(logits: np.ndarray, labels: np.ndarray):
+def _check_finite(o: np.ndarray) -> None:
+    if not np.all(np.isfinite(o)):
+        raise ValueError("logits must be finite")
+
+
+def _check_logits_labels(logits: np.ndarray, labels: np.ndarray, heads: int = 0):
+    """Logits as float64 (..., B, M) and labels as int64 (..., B), both
+    checked; the first ``heads`` axes of the logits stack heads that share
+    the labels."""
     o = np.asarray(logits, dtype=np.float64)
     if o.ndim < 2:
         raise ValueError(f"logits must be (..., B, M), got shape {o.shape}")
     y = np.asarray(labels)
-    if y.shape != o.shape[:-1]:
-        raise ValueError(f"labels shape {y.shape} does not match logits {o.shape[:-1]}")
+    if y.shape != o.shape[heads:-1]:
+        raise ValueError(
+            f"labels shape {y.shape} does not match logits {o.shape[heads:-1]}"
+        )
     if not np.issubdtype(y.dtype, np.integer):
         raise ValueError("labels must be integers")
     if o.shape[-2] == 0:
@@ -148,18 +166,18 @@ def _check_logits_labels(logits: np.ndarray, labels: np.ndarray):
         raise ValueError(
             f"labels must lie in [0, {o.shape[-1]}), got range [{y.min()}, {y.max()}]"
         )
-    if not np.all(np.isfinite(o)):
-        raise ValueError("logits must be finite")
+    _check_finite(o)
     return o, y.astype(np.int64)
 
 
-def _check_heads(o1: np.ndarray, o2: np.ndarray):
-    """Both logit heads as float64 (..., B, M) arrays of one shape."""
+def _stack_heads(o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
+    """Both logit heads, float64 (..., B, M) arrays of one shape, stacked
+    as one (2, ..., B, M) array."""
     o1 = np.asarray(o1, dtype=np.float64)
     o2 = np.asarray(o2, dtype=np.float64)
     if o1.shape != o2.shape or o1.ndim < 2:
         raise ValueError(f"logit heads must be (..., B, M) of one shape: {o1.shape} vs {o2.shape}")
-    return o1, o2
+    return np.stack((o1, o2))
 
 
 def _mix_weight(lam, lead: tuple) -> np.ndarray:
@@ -195,7 +213,11 @@ def ce_loss(logits: np.ndarray, labels: np.ndarray) -> LossOutput:
 
     adjoint_o1 = (softmax(o) - onehot(y)) / B, the classic closed form.
     """
-    o, y = _check_logits_labels(logits, labels)
+    return _ce(*_check_logits_labels(logits, labels))
+
+
+def _ce(o: np.ndarray, y: np.ndarray) -> LossOutput:
+    """:func:`ce_loss` of checked logits and labels."""
     batch = o.shape[-2]
     at_y = _label_index(y)
     logp = _log_softmax(o)
@@ -224,14 +246,49 @@ def _sharpened_nll(p: np.ndarray, y: np.ndarray, hp: LsrHyperParams):
     def grad():
         # d(-log sharp_y)/dp_i = u * (p_i^(u-1) / norm - [i == y] / p_y),
         # treating p as free variables; softmax_vjp absorbs the simplex
-        # constraint. Rows where the clamp is active contribute zero gradient.
+        # constraint. Rows where the clamp is active contribute zero
+        # gradient, so 1 / p_y is taken only where it is not: p_y may be 0
+        # there.
+        live = sharp_y > hp.clamp_lo
         grad_p = u * p ** (u - 1.0) / norm[..., None]
-        grad_p[at_y] -= u / p[at_y]
-        grad_p[sharp_y <= hp.clamp_lo] = 0.0
+        grad_p[at_y] -= np.divide(u, p[at_y], out=np.zeros_like(sharp_y), where=live)
+        grad_p[~live] = 0.0
         grad_p /= p.shape[-2]
         return grad_p
 
     return -np.log(np.maximum(sharp_y, hp.clamp_lo)), grad
+
+
+def _lsr_inputs(o1, o2, labels, lam):
+    """The heads stacked as one checked (2, ..., B, M) array, the int64
+    labels and the mixing weight shaped to broadcast over one head."""
+    o, y = _check_logits_labels(_stack_heads(o1, o2), labels, heads=1)
+    return o, y, _mix_weight(lam, o.shape[1:-2])
+
+
+def _lsr_cls(o, top, y, weight, hp: LsrHyperParams):
+    """(scalar, (2, ..., B, M) adjoint) of :func:`lsr_cls_loss` on the
+    checked stacked heads ``o`` with row maxima ``top``."""
+    # T = 1 with lam = 1 is plain cross-entropy on o1. Take the direct code
+    # path, per client of a cohort, so the degenerate configuration is
+    # arithmetic-for-arithmetic identical to ce_loss, not merely close.
+    plain = hp.sharpen_temp == 1.0 and np.any(weight == 1.0)
+    if plain:
+        base = _ce(o[0], y)
+        if np.all(weight == 1.0):
+            return base.scalar, np.stack((base.adjoint_o1, base.adjoint_o2))
+
+    p = _softmax_at(o, top)
+    rows, grad = _sharpened_nll(weight * p[0] + (1.0 - weight) * p[1], y, hp)
+    scalar, grad_p = rows.mean(axis=-1), grad()
+    adj = softmax_vjp(p, np.stack((weight * grad_p, (1.0 - weight) * grad_p)))
+    if plain:
+        # A cohort whose clients disagree: take plain CE where lam = 1.
+        pick = weight == 1.0
+        scalar = np.where(pick[..., 0, 0], base.scalar, scalar)
+        adj[0] = np.where(pick, base.adjoint_o1, adj[0])
+        adj[1] = np.where(pick, 0.0, adj[1])
+    return scalar, adj
 
 
 def lsr_cls_loss(
@@ -247,79 +304,63 @@ def lsr_cls_loss(
     then loss = -log( p[y]^(1/T) / sum_j p[j]^(1/T) ), floored at clamp_lo
     inside the log. The gradient flows into both heads through the mixture.
     """
-    o1, o2 = _check_heads(o1, o2)
-    o1, y = _check_logits_labels(o1, labels)
-    weight = _mix_weight(lam, o1.shape[:-2])
-
-    # T = 1 with lam = 1 is plain cross-entropy on o1. Take the direct code
-    # path, per client of a cohort, so the degenerate configuration is
-    # arithmetic-for-arithmetic identical to ce_loss, not merely close.
-    plain = hp.sharpen_temp == 1.0 and np.any(weight == 1.0)
-    if plain:
-        base = ce_loss(o1, y)
-        if np.all(weight == 1.0):
-            return LossOutput(base.scalar, base.adjoint_o1, np.zeros_like(o2))
-
-    p1 = softmax(o1)
-    p2 = softmax(o2)
-    rows, grad = _sharpened_nll(weight * p1 + (1.0 - weight) * p2, y, hp)
-    scalar, grad_p = rows.mean(axis=-1), grad()
-    adj1 = softmax_vjp(p1, weight * grad_p)
-    adj2 = softmax_vjp(p2, (1.0 - weight) * grad_p)
-    if plain:
-        # A cohort whose clients disagree: take plain CE where lam = 1.
-        pick = weight == 1.0
-        scalar = np.where(pick[..., 0, 0], base.scalar, scalar)
-        adj1 = np.where(pick, base.adjoint_o1, adj1)
-        adj2 = np.where(pick, 0.0, adj2)
-    return LossOutput(scalar, adj1, adj2)
+    o, y, weight = _lsr_inputs(o1, o2, labels, lam)
+    scalar, adj = _lsr_cls(o, _row_max(o), y, weight, hp)
+    return LossOutput(scalar, adj[0], adj[1])
 
 
-def _distill_grads_js(c1, c2, batch):
-    mid = 0.5 * (c1 + c2)
-    kl1 = (c1 * np.log(c1 / mid)).sum(axis=-1)
-    kl2 = (c2 * np.log(c2 / mid)).sum(axis=-1)
-    scalar = (0.5 * (kl1 + kl2)).mean(axis=-1)
+def _distill_grads_js(c, batch):
+    mid = 0.5 * (c[0] + c[1])
+    log_ratio = np.log(c / mid)
+    kl = (c * log_ratio).sum(axis=-1)
+    scalar = (0.5 * (kl[0] + kl[1])).mean(axis=-1)
     # With mid = (c1 + c2) / 2 held exact, dJS/dc1 collapses to log(c1/mid)/2.
-    g1 = 0.5 * np.log(c1 / mid) / batch
-    g2 = 0.5 * np.log(c2 / mid) / batch
-    return scalar, g1, g2
+    log_ratio *= 0.5
+    log_ratio /= batch
+    return scalar, log_ratio
 
 
-def _distill_grads_l1(c1, c2, batch):
-    diff = c1 - c2
+def _distill_grads_l1(c, batch):
+    diff = c[0] - c[1]
     scalar = np.abs(diff).sum(axis=-1).mean(axis=-1)
     g1 = np.sign(diff) / batch
-    return scalar, g1, -g1
+    return scalar, np.stack((g1, -g1))
 
 
-def _distill_grads_l2(c1, c2, batch):
-    diff = c1 - c2
+def _distill_grads_l2(c, batch):
+    diff = c[0] - c[1]
     scalar = (diff**2).sum(axis=-1).mean(axis=-1)
     g1 = 2.0 * diff / batch
-    return scalar, g1, -g1
+    return scalar, np.stack((g1, -g1))
 
 
-def _distill_grads_cosine(c1, c2, batch):
-    n1 = np.linalg.norm(c1, axis=-1, keepdims=True)
-    n2 = np.linalg.norm(c2, axis=-1, keepdims=True)
-    dot = (c1 * c2).sum(axis=-1, keepdims=True)
-    cos = dot / (n1 * n2)
+def _distill_grads_cosine(c, batch):
+    n = np.linalg.norm(c, axis=-1, keepdims=True)
+    cross = n[0] * n[1]
+    cos = (c[0] * c[1]).sum(axis=-1, keepdims=True) / cross
     scalar = (1.0 - cos)[..., 0].mean(axis=-1)
     # Each half treats the other side as a stopped (detached) target, and
     # the two halves are averaged, hence the 0.5 factor.
-    g1 = 0.5 * (cos * c1 / n1**2 - c2 / (n1 * n2)) / batch
-    g2 = 0.5 * (cos * c2 / n2**2 - c1 / (n1 * n2)) / batch
-    return scalar, g1, g2
+    return scalar, 0.5 * (cos * c / n**2 - c[::-1] / cross) / batch
 
 
-# Divergence name -> (scalar, dL/dc1, dL/dc2) on the floored tempered outputs.
+# Divergence name -> (scalar, stacked (dL/dc1, dL/dc2)) on the floored
+# tempered outputs c, stacked as (2, ..., B, M).
 _DISTILL_GRADS = {
     "js": _distill_grads_js,
     "l1": _distill_grads_l1,
     "l2": _distill_grads_l2,
     "cosine": _distill_grads_cosine,
 }
+
+
+def _distill(o, top, hp: LsrHyperParams):
+    """(scalar, (2, ..., B, M) adjoint) of :func:`self_distill_loss` on the
+    checked stacked heads ``o`` with row maxima ``top``."""
+    q = _softmax_at(o, top, hp.distill_temp)
+    scalar, g = _DISTILL_GRADS[hp.distill_kind](np.maximum(q, hp.clamp_lo), o.shape[-2])
+    g *= q > hp.clamp_lo
+    return scalar, softmax_vjp(q, g, hp.distill_temp)
 
 
 def self_distill_loss(o1: np.ndarray, o2: np.ndarray, hp: LsrHyperParams) -> LossOutput:
@@ -330,37 +371,27 @@ def self_distill_loss(o1: np.ndarray, o2: np.ndarray, hp: LsrHyperParams) -> Los
     scalar is the batch mean; identical heads give exactly zero for js, l1
     and l2, and zero for cosine as well since the compared vectors align.
     """
-    o1, o2 = _check_heads(o1, o2)
+    o = _stack_heads(o1, o2)
     if hp.distill_kind == "none":
         raise ValueError("self_distill_loss called with distill_kind='none'")
-    if o1.shape[-2] == 0:
+    if o.shape[-2] == 0:
         raise ValueError("empty batch")
-
-    batch = o1.shape[-2]
-    q1 = tempered_softmax(o1, hp.distill_temp)
-    q2 = tempered_softmax(o2, hp.distill_temp)
-    c1 = np.maximum(q1, hp.clamp_lo)
-    c2 = np.maximum(q2, hp.clamp_lo)
-    scalar, g1, g2 = _DISTILL_GRADS[hp.distill_kind](c1, c2, batch)
-    g1 = g1 * (q1 > hp.clamp_lo)
-    g2 = g2 * (q2 > hp.clamp_lo)
-    adj1 = softmax_vjp(q1, g1, hp.distill_temp)
-    adj2 = softmax_vjp(q2, g2, hp.distill_temp)
-    return LossOutput(scalar, adj1, adj2)
+    _check_finite(o)
+    scalar, adj = _distill(o, _row_max(o), hp)
+    return LossOutput(scalar, adj[0], adj[1])
 
 
-def _add_distill(out: LossOutput, o1, o2, gamma_t: float, hp: LsrHyperParams) -> LossOutput:
-    """``out`` plus gamma_t times the distillation term between the two heads."""
+def _add_distill(scalar, adj, o, top, gamma_t: float, hp: LsrHyperParams) -> LossOutput:
+    """(scalar, stacked adjoint) plus gamma_t times the distillation term
+    between the checked stacked heads ``o``, as a LossOutput."""
     if not (np.isfinite(gamma_t) and gamma_t >= 0):
         raise ValueError(f"gamma_t must be non-negative, got {gamma_t}")
-    if gamma_t == 0.0 or hp.distill_kind == "none":
-        return out
-    reg = self_distill_loss(o1, o2, hp)
-    return LossOutput(
-        out.scalar + gamma_t * reg.scalar,
-        out.adjoint_o1 + gamma_t * reg.adjoint_o1,
-        out.adjoint_o2 + gamma_t * reg.adjoint_o2,
-    )
+    if gamma_t != 0.0 and hp.distill_kind != "none":
+        reg, reg_adj = _distill(o, top, hp)
+        scalar = scalar + gamma_t * reg
+        reg_adj *= gamma_t
+        adj += reg_adj
+    return LossOutput(scalar, adj[0], adj[1])
 
 
 def lsr_total_loss(
@@ -371,8 +402,17 @@ def lsr_total_loss(
     gamma_t: float,
     hp: LsrHyperParams,
 ) -> LossOutput:
-    """Classification term plus gamma_t times the distillation term."""
-    return _add_distill(lsr_cls_loss(o1, o2, labels, lam, hp), o1, o2, gamma_t, hp)
+    """Classification term plus gamma_t times the distillation term.
+
+    One pass over the two heads stacked as one array: the logits and labels
+    are checked once, each row's max serves both the plain and the
+    tempered softmax, and each softmax and its vjp runs once for both
+    heads. Equal, bit for bit, to ``lsr_cls_loss`` plus gamma_t times
+    ``self_distill_loss``.
+    """
+    o, y, weight = _lsr_inputs(o1, o2, labels, lam)
+    top = _row_max(o)
+    return _add_distill(*_lsr_cls(o, top, y, weight, hp), o, top, gamma_t, hp)
 
 
 def lsr_plus_loss(
@@ -393,21 +433,20 @@ def lsr_plus_loss(
     out = lsr_total_loss(o1, o2, labels, lam, gamma_t, hp)
     if hp.entropy_weight == 0.0:
         return out
-    o1, o2 = _check_heads(o1, o2)
-    batch = o1.shape[-2]
+    o = _stack_heads(o1, o2)  # checked by lsr_total_loss
+    batch = o.shape[-2]
     w = hp.entropy_weight
 
-    scalar = out.scalar
-    adjs = []
-    for o, base_adj in ((o1, out.adjoint_o1), (o2, out.adjoint_o2)):
-        p = softmax(o)
-        logp = np.log(np.maximum(p, 1e-300))
-        scalar = scalar + w * 0.5 * -(p * logp).sum(axis=-1).mean(axis=-1)
-        # dH/dp_i = -(log p_i + 1); entries with p_i = 0 are zeroed by the
-        # p factor inside softmax_vjp.
-        grad_p = w * 0.5 * (-(logp + 1.0)) / batch
-        adjs.append(base_adj + softmax_vjp(p, grad_p))
-    return LossOutput(scalar, adjs[0], adjs[1])
+    p = _softmax_at(o, _row_max(o))
+    logp = np.log(np.maximum(p, 1e-300))
+    entropy = -(p * logp).sum(axis=-1).mean(axis=-1)
+    scalar = out.scalar + w * 0.5 * entropy[0] + w * 0.5 * entropy[1]
+    # dH/dp_i = -(log p_i + 1); entries with p_i = 0 are zeroed by the
+    # p factor inside softmax_vjp.
+    adj = softmax_vjp(p, w * 0.5 * (-(logp + 1.0)) / batch)
+    adj[0] += out.adjoint_o1
+    adj[1] += out.adjoint_o2
+    return LossOutput(scalar, adj[0], adj[1])
 
 
 def symmetric_ce_loss(logits: np.ndarray, labels: np.ndarray, sp: SymCeParams) -> LossOutput:
@@ -453,11 +492,13 @@ def symce_lsr_loss(
     form), so both heads receive gradient through the linear mix; the
     distillation term is the one :func:`lsr_total_loss` adds.
     """
-    o1, o2 = _check_heads(o1, o2)
-    lam = _mix_weight(lam, o1.shape[:-2])
-    sym = symmetric_ce_loss(lam * o1 + (1.0 - lam) * o2, labels, sp)
-    out = LossOutput(sym.scalar, lam * sym.adjoint_o1, (1.0 - lam) * sym.adjoint_o1)
-    return _add_distill(out, o1, o2, gamma_t, hp)
+    o = _stack_heads(o1, o2)
+    lam = _mix_weight(lam, o.shape[1:-2])
+    # A finite mix implies finite heads, so symmetric_ce_loss's check of it
+    # covers both.
+    sym = symmetric_ce_loss(lam * o[0] + (1.0 - lam) * o[1], labels, sp)
+    adj = np.stack((lam * sym.adjoint_o1, (1.0 - lam) * sym.adjoint_o1))
+    return _add_distill(sym.scalar, adj, o, _row_max(o), gamma_t, hp)
 
 
 def sharpened_ce_loss(logits: np.ndarray, labels: np.ndarray, hp: LsrHyperParams) -> LossOutput:

@@ -19,9 +19,12 @@ as plain read-only float64 arrays of the parameters' shape, (P,) or (K, P).
 :func:`forward_vjp` runs one forward pass and returns the logits with a
 ``vjp`` closure that maps an adjoint at the logits to that gradient, reusing
 that pass's activations; any loss that can state dL/d(logits) composes with it.
-Objectives that run the network on two views (clean and augmented input)
-call it once per view and add the two gradients. :func:`forward` and
-:func:`backward` are one-pass conveniences over it.
+``vjp(adjoint, out=buf)`` writes the gradient into the caller's writeable
+buffer instead and returns it, so a training loop can hold one gradient
+buffer per network for a cohort's whole local training. Objectives that
+run the network on two views (clean and augmented input) call it once per
+view and add the two gradients. :func:`forward` and :func:`backward` are
+one-pass conveniences over it.
 """
 
 from __future__ import annotations
@@ -143,11 +146,13 @@ def forward_vjp(params: ModelParams, x: np.ndarray):
     """One forward pass: (logits, vjp) for a batch (B, d), giving (B, M)
     logits, or for a (K, P) cohort on (K, B, d) inputs, giving (K, B, M).
 
-    ``vjp(adjoint)`` maps dLoss/dLogits of this pass to the exact parameter
-    gradient, (P,) or (K, P), reusing the pass's activations. It allocates
-    that one float64 array, writes each layer's weight and bias gradients
-    straight into their views of it, and returns it read-only. Zero
-    adjoints yield a zero gradient; the map is linear in the adjoint.
+    ``vjp(adjoint, out=None)`` maps dLoss/dLogits of this pass to the
+    exact parameter gradient, (P,) or (K, P), reusing the pass's
+    activations. It writes each layer's weight and bias gradients straight
+    into their views of one float64 array: ``out``, a writeable
+    C-contiguous float64 array of the parameters' shape, which it returns,
+    or else a fresh array, which it returns read-only. Zero adjoints yield
+    a zero gradient; the map is linear in the adjoint.
     """
     arr = _check_input(params, x)
     layers = list(_layer_views(params.flat, params.shapes))
@@ -156,15 +161,27 @@ def forward_vjp(params: ModelParams, x: np.ndarray):
         z = acts[-1] @ w
         z += b
         acts.append(z if li == len(layers) - 1 else np.maximum(z, 0.0, out=z))
-    out = acts[-1]
+    logits = acts[-1]
 
-    def vjp(adjoint: np.ndarray) -> np.ndarray:
+    def vjp(adjoint: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
         dz = np.asarray(adjoint, dtype=np.float64)
-        if dz.shape != out.shape:
+        if dz.shape != logits.shape:
             raise ValueError(
-                f"adjoint shape {dz.shape} does not match logits shape {out.shape}"
+                f"adjoint shape {dz.shape} does not match logits shape {logits.shape}"
             )
-        grad = np.empty(params.flat.shape)
+        if out is None:
+            grad = np.empty(params.flat.shape)
+        elif not (
+            isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == params.flat.shape
+            and out.flags.writeable and out.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"out must be a writeable C-contiguous float64 array of shape "
+                f"{params.flat.shape}"
+            )
+        else:
+            grad = out
         views = list(_layer_views(grad, params.shapes))
         for li in range(len(layers) - 1, -1, -1):
             gw, gb = views[li]
@@ -174,9 +191,9 @@ def forward_vjp(params: ModelParams, x: np.ndarray):
                 # acts[li] = relu(z), so acts[li] > 0 exactly where z > 0.
                 dz = dz @ np.swapaxes(layers[li][0], -1, -2)
                 dz *= acts[li] > 0.0
-        return _frozen(grad)
+        return _frozen(grad) if out is None else grad
 
-    return out, vjp
+    return logits, vjp
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -261,9 +261,30 @@ def softmax(logits: np.ndarray) -> np.ndarray:
         raise ValueError(f"softmax expects a (..., M) array, got shape {o.shape}")
     if not np.all(np.isfinite(o)):
         raise ValueError("softmax input must be finite")
-    shifted = o - o.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax_at(o, _row_max(o))
+
+
+def _row_max(o: np.ndarray) -> np.ndarray:
+    """``o.max(axis=-1, keepdims=True)`` of finite ``o``, for a softmax
+    shift. numpy reduces a short last axis one row at a time, several
+    times slower than the leading axis of a class-major copy, and a max
+    is exact in any order. Only the sign of a zero max may differ, which
+    exp maps to the same 1."""
+    return np.ascontiguousarray(np.moveaxis(o, -1, 0)).max(axis=0)[..., None]
+
+
+def _softmax_at(o: np.ndarray, top: np.ndarray, temp: float = 1.0) -> np.ndarray:
+    """``tempered_softmax(o, temp)`` of finite logits, unchecked, given
+    their row maxima ``top = _row_max(o)``. One max serves every
+    temperature: division by a positive constant is monotone, so
+    max(o / T) == max(o) / T exactly, and the output is bit for bit that
+    of ``tempered_softmax``."""
+    if temp != 1.0:
+        o, top = o / temp, top / temp
+    e = np.subtract(o, top)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def tempered_softmax(logits: np.ndarray, temp: float) -> np.ndarray:
@@ -310,4 +331,7 @@ def softmax_vjp(probs: np.ndarray, grad_out: np.ndarray, temp: float = 1.0) -> n
     q = np.asarray(probs, dtype=np.float64)
     v = np.asarray(grad_out, dtype=np.float64)
     inner = (v * q).sum(axis=-1, keepdims=True)
-    return q * (v - inner) / temp
+    out = q * (v - inner)
+    if temp != 1.0:
+        out /= temp
+    return out

@@ -510,6 +510,55 @@ class TestRunFederationMechanics:
         assert ids in [chunk.tolist() for chunk in np.array_split(selected, workers)]
         assert isinstance(info.value.__cause__, ValueError)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("method", ["fedavg_ce", "ce_aug"])
+    def test_training_error_names_the_diverged_client_at_any_workers(self, method):
+        # The error names the clients whose own logits went non-finite, not
+        # their chunk, and the same ones at workers 1 and 2. In the ce_aug
+        # run the first chunk diverges too, but at a later step than the
+        # client named, where one lockstep cohort would already have stopped.
+        total = generate_synthetic(700, 10, 16, seed=8)
+        train = inject_symmetric_noise(
+            subset(total, np.arange(600)), NoiseSpec("symmetric", 0.4, seed=8)
+        )
+        test = subset(total, np.arange(600, 700))
+        shards = partition_iid(train, 10, seed=8)
+        named = []
+        for workers in (1, 2):
+            cfg = FedConfig(
+                num_clients=10, clients_per_round=3, rounds=4, local_epochs=2, batch_size=20,
+                method=method, warmup_rounds=0, hidden_layers=(16,), lr=1e12, workers=workers,
+            )
+            with pytest.raises(ValueError) as info:
+                run_federation(cfg, train, shards, test, seed=4)
+            where = re.match(r"round \d+, clients \[([\d, ]+)\], .*: clients \[([\d, ]+)\] diverged: ",
+                             str(info.value))
+            assert where, str(info.value)
+            named.append([int(c) for c in where[2].split(", ")])
+            if workers == 1:
+                chunk = [int(c) for c in where[1].split(", ")]
+                assert set(named[0]) < set(chunk)
+        assert named[0] == named[1]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_a_step_that_overflows_the_parameters_names_its_rows(self):
+        # Finite logits but an SGD step past the float range: the rows
+        # whose stepped parameters would be non-finite are named.
+        net = init_params([3, 4, 2], RngStream(0))
+
+        def objective(nets, x, y, epoch, bi, grads):
+            grads[0][...] = 0.0
+            grads[0][1] = 1e308
+            return np.zeros(3)
+
+        cfg = FedConfig(num_clients=3, clients_per_round=3, local_epochs=1, batch_size=4, lr=10.0)
+        streams = [RngStream(0).child("client", c, 0) for c in range(3)]
+        with pytest.raises(fednoise.federation._Diverged, match="parameters must be finite") as info:
+            fednoise.federation._local_sgd(
+                (net,), np.zeros((3, 4, 3)), np.zeros((3, 4), dtype=int), cfg, streams, objective
+            )
+        assert (info.value.rows, info.value.step) == ([1], 0)
+
     @pytest.mark.parametrize("method", METHODS)
     def test_global_networks_are_one_tuple(self, method):
         # final_params and the networks each round returns are the tuple of

@@ -717,3 +717,206 @@ class TestStackedCohort:
             lsr_total_loss(o, o, y, np.array([0.5, 0.5, 0.5]), 0.1, hp)
         with pytest.raises(ValueError):
             ce_loss(o, np.zeros((3, 2), dtype=int))
+
+
+# The LSR family as separate calls, one head and one term at a time: a
+# reference for the one-pass implementation, which must match it bit for
+# bit. Each softmax takes its own row max, the tempered one of o / T.
+def _ref_softmax(o):
+    shifted = o - o.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _ref_softmax_vjp(q, v, temp=1.0):
+    inner = (v * q).sum(axis=-1, keepdims=True)
+    return q * (v - inner) / temp
+
+
+def _ref_at(y):
+    return (*np.indices(y.shape, sparse=True), y)
+
+
+def _ref_ce(o, y):
+    at_y = _ref_at(y)
+    shifted = o - o.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    adj = np.exp(logp)
+    adj[at_y] -= 1.0
+    adj /= o.shape[-2]
+    return -logp[at_y].mean(axis=-1), adj
+
+
+def _ref_cls(o1, o2, y, lam, hp):
+    weight = np.asarray(lam, dtype=np.float64)[..., None, None]
+    plain = hp.sharpen_temp == 1.0 and np.any(weight == 1.0)
+    if plain:
+        base_scalar, base_adj = _ref_ce(o1, y)
+        if np.all(weight == 1.0):
+            return base_scalar, base_adj, np.zeros_like(o2)
+    p1, p2 = _ref_softmax(o1), _ref_softmax(o2)
+    p = weight * p1 + (1.0 - weight) * p2
+    at_y = _ref_at(y)
+    u = 1.0 / hp.sharpen_temp
+    powered = p**u
+    norm = powered.sum(axis=-1)
+    sharp_y = powered[at_y] / norm
+    scalar = (-np.log(np.maximum(sharp_y, hp.clamp_lo))).mean(axis=-1)
+    grad_p = u * p ** (u - 1.0) / norm[..., None]
+    grad_p[at_y] -= u / p[at_y]
+    grad_p[sharp_y <= hp.clamp_lo] = 0.0
+    grad_p /= p.shape[-2]
+    adj1 = _ref_softmax_vjp(p1, weight * grad_p)
+    adj2 = _ref_softmax_vjp(p2, (1.0 - weight) * grad_p)
+    if plain:
+        pick = weight == 1.0
+        scalar = np.where(pick[..., 0, 0], base_scalar, scalar)
+        adj1 = np.where(pick, base_adj, adj1)
+        adj2 = np.where(pick, 0.0, adj2)
+    return scalar, adj1, adj2
+
+
+def _ref_distill(o1, o2, hp):
+    batch = o1.shape[-2]
+    q1 = _ref_softmax(o1 / hp.distill_temp)
+    q2 = _ref_softmax(o2 / hp.distill_temp)
+    c1, c2 = np.maximum(q1, hp.clamp_lo), np.maximum(q2, hp.clamp_lo)
+    if hp.distill_kind == "js":
+        mid = 0.5 * (c1 + c2)
+        kl1 = (c1 * np.log(c1 / mid)).sum(axis=-1)
+        kl2 = (c2 * np.log(c2 / mid)).sum(axis=-1)
+        scalar = (0.5 * (kl1 + kl2)).mean(axis=-1)
+        g1 = 0.5 * np.log(c1 / mid) / batch
+        g2 = 0.5 * np.log(c2 / mid) / batch
+    elif hp.distill_kind == "l1":
+        scalar = np.abs(c1 - c2).sum(axis=-1).mean(axis=-1)
+        g1 = np.sign(c1 - c2) / batch
+        g2 = -g1
+    elif hp.distill_kind == "l2":
+        scalar = ((c1 - c2) ** 2).sum(axis=-1).mean(axis=-1)
+        g1 = 2.0 * (c1 - c2) / batch
+        g2 = -g1
+    else:
+        n1 = np.linalg.norm(c1, axis=-1, keepdims=True)
+        n2 = np.linalg.norm(c2, axis=-1, keepdims=True)
+        cos = (c1 * c2).sum(axis=-1, keepdims=True) / (n1 * n2)
+        scalar = (1.0 - cos)[..., 0].mean(axis=-1)
+        g1 = 0.5 * (cos * c1 / n1**2 - c2 / (n1 * n2)) / batch
+        g2 = 0.5 * (cos * c2 / n2**2 - c1 / (n1 * n2)) / batch
+    adj1 = _ref_softmax_vjp(q1, g1 * (q1 > hp.clamp_lo), hp.distill_temp)
+    adj2 = _ref_softmax_vjp(q2, g2 * (q2 > hp.clamp_lo), hp.distill_temp)
+    return scalar, adj1, adj2
+
+
+def _ref_add_distill(out, o1, o2, gamma_t, hp):
+    if gamma_t == 0.0 or hp.distill_kind == "none":
+        return out
+    reg = _ref_distill(o1, o2, hp)
+    return tuple(a + gamma_t * r for a, r in zip(out, reg))
+
+
+def _ref_loss(name, o1, o2, y, lam, gamma_t, hp):
+    """(scalar, adjoint_o1, adjoint_o2) of the named loss, composed term by term."""
+    if name == "symce_lsr_loss":
+        sp = SymCeParams(alpha=0.3, beta=0.8)
+        weight = np.asarray(lam, dtype=np.float64)[..., None, None]
+        mixed = weight * o1 + (1.0 - weight) * o2
+        at_y = _ref_at(y)
+        shifted = mixed - mixed.max(axis=-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        p = np.exp(logp)
+        scalar = (sp.alpha * -logp[at_y] + sp.beta * -sp.log_zero * (1.0 - p[at_y])).mean(axis=-1)
+        adj = p.copy()
+        adj[at_y] -= 1.0
+        adj *= sp.alpha
+        onehot_grad = np.zeros_like(p)
+        onehot_grad[at_y] = sp.log_zero
+        adj += sp.beta * _ref_softmax_vjp(p, onehot_grad)
+        adj /= o1.shape[-2]
+        return _ref_add_distill((scalar, weight * adj, (1.0 - weight) * adj), o1, o2, gamma_t, hp)
+    out = _ref_add_distill(_ref_cls(o1, o2, y, lam, hp), o1, o2, gamma_t, hp)
+    if name == "lsr_total_loss" or hp.entropy_weight == 0.0:
+        return out
+    w, scalar, adjs = hp.entropy_weight, out[0], []
+    for o, base_adj in ((o1, out[1]), (o2, out[2])):
+        p = _ref_softmax(o)
+        logp = np.log(np.maximum(p, 1e-300))
+        scalar = scalar + w * 0.5 * -(p * logp).sum(axis=-1).mean(axis=-1)
+        adjs.append(base_adj + _ref_softmax_vjp(p, w * 0.5 * (-(logp + 1.0)) / o.shape[-2]))
+    return scalar, adjs[0], adjs[1]
+
+
+_FUSED = {
+    "lsr_total_loss": lambda o1, o2, y, lam, g, hp: lsr_total_loss(o1, o2, y, lam, g, hp),
+    "lsr_plus_loss": lambda o1, o2, y, lam, g, hp: lsr_plus_loss(o1, o2, y, lam, g, hp),
+    "symce_lsr_loss": lambda o1, o2, y, lam, g, hp: symce_lsr_loss(
+        o1, o2, y, lam, g, SymCeParams(alpha=0.3, beta=0.8), hp),
+}
+
+
+class TestOnePassMatchesComposition:
+    @pytest.mark.parametrize("gamma_t", [0.0, 0.2])
+    @pytest.mark.parametrize("weights", ["zero", "one", "drawn", "mixed"])
+    @pytest.mark.parametrize("temp", [0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["js", "l1", "l2", "cosine", "none"])
+    @pytest.mark.parametrize("name, entropy_weight", [
+        ("lsr_total_loss", 0.0), ("lsr_plus_loss", 0.0), ("lsr_plus_loss", 0.1),
+        ("symce_lsr_loss", 0.0),
+    ])
+    def test_bitwise_equal(self, name, entropy_weight, kind, temp, weights, gamma_t):
+        # Every distill kind, the T = 1 plain-CE path (all, none or some of
+        # a cohort's clients at lam = 1), and the warm-up's gamma_t = 0.
+        gen = np.random.default_rng(22)
+        k, b, m = 3, 7, 5
+        o1 = gen.normal(scale=3.0, size=(k, b, m))
+        o2 = gen.normal(scale=3.0, size=(k, b, m))
+        y = gen.integers(0, m, size=(k, b))
+        lam = {"zero": np.zeros(k), "one": np.ones(k), "drawn": gen.uniform(size=k),
+               "mixed": np.array([1.0, *gen.uniform(size=k - 1)])}[weights]
+        hp = LsrHyperParams(sharpen_temp=temp, distill_kind=kind, entropy_weight=entropy_weight)
+        want = _ref_loss(name, o1, o2, y, lam, gamma_t, hp)
+        for lead in (slice(None), 0):  # a cohort, and one batch with a scalar weight
+            lam_in = lam[lead] if lead == 0 else lam
+            got = _FUSED[name](o1[lead], o2[lead], y[lead], lam_in, gamma_t, hp)
+            for a, w in zip((got.scalar, got.adjoint_o1, got.adjoint_o2), want):
+                assert np.array_equal(a, w[lead]), (lead, a, w[lead])
+
+    @pytest.mark.parametrize("temp", [0.5, 1.0])
+    @pytest.mark.parametrize("weights", ["zero", "one", "drawn", "mixed"])
+    def test_cls_term_alone_bitwise_equal(self, temp, weights):
+        gen = np.random.default_rng(23)
+        o1, o2 = gen.normal(scale=3.0, size=(2, 3, 7, 5))
+        y = gen.integers(0, 5, size=(3, 7))
+        lam = {"zero": np.zeros(3), "one": np.ones(3), "drawn": gen.uniform(size=3),
+               "mixed": np.array([1.0, 0.3, 0.6])}[weights]
+        hp = LsrHyperParams(sharpen_temp=temp)
+        got = lsr_cls_loss(o1, o2, y, lam, hp)
+        for a, w in zip((got.scalar, got.adjoint_o1, got.adjoint_o2), _ref_cls(o1, o2, y, lam, hp)):
+            assert np.array_equal(a, w)
+
+    @pytest.mark.parametrize("kind", ["js", "l1", "l2", "cosine"])
+    def test_distill_term_alone_bitwise_equal(self, kind):
+        gen = np.random.default_rng(24)
+        o1, o2 = gen.normal(scale=3.0, size=(2, 3, 7, 5))
+        hp = LsrHyperParams(distill_kind=kind)
+        got = self_distill_loss(o1, o2, hp)
+        for a, w in zip((got.scalar, got.adjoint_o1, got.adjoint_o2), _ref_distill(o1, o2, hp)):
+            assert np.array_equal(a, w)
+
+
+class TestSaturatedLabelMass:
+    def test_no_warning_when_p_y_underflows_to_zero(self):
+        # softmax gives the label class exactly 0 in the first row; the
+        # clamp zeroes that row's gradient, so no 1 / p_y may be taken.
+        o = np.array([[0.0, 800.0, 0.0], [0.5, 0.1, -0.2]])
+        y = np.array([0, 1])
+        assert softmax(o)[0, 0] == 0.0
+        hp = LsrHyperParams()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = sharpened_ce_loss(o, y, hp)
+            total = lsr_total_loss(o, o, y, 0.3, 0.2, hp)
+        for out in (single, total):
+            assert np.isfinite(out.scalar)
+            assert np.all(np.isfinite(out.adjoint_o1)) and np.all(np.isfinite(out.adjoint_o2))
+        np.testing.assert_array_equal(single.adjoint_o1[0], 0.0)

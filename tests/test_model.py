@@ -214,6 +214,37 @@ class TestBackward:
                 assert g.dtype == np.float64 and g.shape == params.flat.shape
                 assert not g.flags.writeable
 
+    def test_vjp_writes_into_a_given_buffer(self):
+        # vjp(adjoint, out=buf) fills the caller's buffer with the bits
+        # vjp(adjoint) gives and returns that buffer, writeable as it was;
+        # the form without out still returns a fresh read-only array.
+        gen = np.random.default_rng(5)
+        net = tiny_net()
+        cohort = ModelParams(np.stack([tiny_net(0).flat, tiny_net(1).flat]), net.shapes)
+        for params, lead in ((net, ()), (cohort, (2,))):
+            x = gen.normal(size=(*lead, 3, 5))
+            adjoint = gen.normal(size=(*lead, 3, 3))
+            _, vjp = forward_vjp(params, x)
+            buf = np.full(params.flat.shape, np.nan)
+            got = vjp(adjoint, out=buf)
+            fresh = vjp(adjoint)
+            assert got is buf and buf.flags.writeable
+            assert np.array_equal(buf, fresh)
+            assert not fresh.flags.writeable
+            assert fresh is not vjp(adjoint)
+
+    def test_vjp_rejects_an_unfit_buffer(self):
+        net = tiny_net()
+        _, vjp = forward_vjp(net, np.ones((2, 5)))
+        adjoint = np.ones((2, 3))
+        size = net.flat.size
+        frozen = np.zeros(size)
+        frozen.setflags(write=False)
+        for bad in (np.zeros(size + 1), np.zeros(size, dtype=np.float32), frozen,
+                    np.zeros(2 * size)[::2], np.zeros((1, size))):
+            with pytest.raises(ValueError, match="out must be"):
+                vjp(adjoint, out=bad)
+
     def test_gradients_add(self):
         gen = np.random.default_rng(2)
         p = tiny_net()

@@ -82,6 +82,23 @@ class TestSoftmax:
             np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(p >= 0)
 
+    @pytest.mark.parametrize("temp", [1.0, 1.0 / 3.0, 2.0])
+    def test_bitwise_equal_to_the_row_by_row_formula(self, temp):
+        # The shift by each row's max, taken here row by row along the last
+        # axis of o / temp, including rows whose max is a zero of either
+        # sign, and single rows.
+        gen = np.random.default_rng(9)
+        o = gen.normal(scale=4.0, size=(3, 7, 10))
+        o[0, 0] = [-0.0, 0.0, -1.0, -2.0, -0.0, -3.0, -1.0, -5.0, -0.0, -4.0]
+        o[0, 1] = [0.0, -0.0, -1.0, -2.0, 0.0, -3.0, -1.0, -5.0, -0.0, -4.0]
+        for arr in (o, o[1], o[2, 3]):
+            shifted = arr / temp - (arr / temp).max(axis=-1, keepdims=True)
+            e = np.exp(shifted)
+            want = e / e.sum(axis=-1, keepdims=True)
+            got = softmax(arr) if temp == 1.0 else tempered_softmax(arr, temp)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_shift_invariance(self):
         gen = np.random.default_rng(1)
         o = gen.normal(size=(4, 5))
