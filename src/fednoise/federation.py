@@ -8,20 +8,18 @@ round index t and the global networks cross a round: every draw in round
 t comes from a stream path that names t, and nothing else is carried.
 
 Every method trains through one loop, :func:`_local_sgd`, which trains a
-cohort of K clients in lockstep. Their parameters are stacked as one
-``(K, P)`` array per network (see :mod:`fednoise.model`), so each batch
-costs one ``forward_vjp`` per view, one call of the method's loss and one
-``sgd_step`` per network for the whole cohort; each network's gradient is
-written into one (K, P) buffer that lives for the cohort's training, so
-the only (K, P) array a step allocates is ``sgd_step``'s new parameters.
-Each public
-``local_train_*`` function trains one cohort with its method: it takes
-the tuple of global networks (one, or two for co-teaching; any other
-count is a ValueError before any work), a list of equal-size shards and
-one RngStream per shard, builds the method's per-batch objective, and
-returns ((K, P) parameters per network, a (K,) array of each client's
-mean batch loss). A trainer that serves two methods takes its variant
-from ``cfg.method``.
+cohort of K clients in lockstep as one network-major parameter stack (see
+:mod:`fednoise.model`): rows [0, K) hold the first network's K copies and,
+for co-teaching, rows [K, 2K) the second's. Each batch costs one call of
+the method's loss, one ``forward_vjp`` per view and one ``sgd_step`` for
+the whole stack, whose gradient goes into one buffer that lives for the
+cohort's training. Each public ``local_train_*`` function trains one
+cohort with its method: it takes the tuple of global networks (one, or
+two for co-teaching; any other count is a ValueError before any work), a
+list of equal-size shards and one RngStream per shard, builds the
+method's per-batch objective, and returns ((K, P) parameters per network,
+a (K,) array of each client's mean batch loss). A trainer that serves two
+methods takes its variant from ``cfg.method``.
 
 Clients in a cohort must walk the same batch sizes, so each round groups
 the selected clients by shard size; both partitioners make equal
@@ -69,7 +67,7 @@ from .losses import (
     symmetric_ce_loss,
 )
 from .model import ModelParams, forward, forward_vjp, init_params, sgd_step
-from .numerics import RngStream, _check_int_fields, generators, sample_mix_weight
+from .numerics import RngStream, _check_int_fields, _frozen, generators, sample_mix_weight
 
 __all__ = [
     "METHODS",
@@ -260,56 +258,60 @@ def _iter_batches(n: int, cfg: FedConfig, streams: list):
 
 class _Diverged(ValueError):
     """A cohort's ValueError at local step ``step`` (0-based), naming the
-    cohort rows that diverged there."""
+    clients, by cohort index, that diverged there."""
 
     def __init__(self, rows: list, step: int, cause: ValueError) -> None:
         super().__init__(str(cause))
         self.rows, self.step = rows, step
 
 
-def _diverged_rows(nets: tuple, x: np.ndarray, grads: "tuple | None", lr: float) -> list:
-    """After a failed step: the cohort rows whose logits on ``x`` are
-    non-finite under any network, or whose parameters after the step would
-    be, when the step's gradients ``grads`` are known."""
-    bad = np.zeros(len(x), dtype=bool)
+def _diverged_rows(net: ModelParams, x: np.ndarray, grad: "np.ndarray | None", lr: float) -> list:
+    """After a failed step: the clients whose logits on ``x`` are non-finite
+    under any network of the stack, or whose parameters after the step
+    would be, when the step's gradient ``grad`` is known. Stack row r holds
+    client r mod K."""
+    k = len(x)
     with np.errstate(all="ignore"):
-        for i, net in enumerate(nets):
-            bad |= ~np.isfinite(forward(net, x)).all(axis=(1, 2))
-            if grads is not None:
-                bad |= ~np.isfinite(net.flat - lr * grads[i]).all(axis=1)
-    return np.flatnonzero(bad).tolist()
+        logits = forward(net, np.concatenate([x] * (len(net.flat) // k)))
+        bad = ~np.isfinite(logits).all(axis=(1, 2))
+        if grad is not None:
+            bad |= ~np.isfinite(net.flat - lr * grad).all(axis=1)
+    return np.unique(np.flatnonzero(bad) % k).tolist()
 
 
 def _local_sgd(globals_: tuple, feats, labels, cfg: FedConfig, streams: list, objective):
     """Train a cohort of K clients in lockstep from the global networks.
 
     ``feats`` (K, n, d) and ``labels`` (K, n) hold each client's shard and
-    ``streams`` its RngStream, whose shuffles it walks. Per batch,
-    ``objective(nets, x, y, epoch, bi, grads)`` gets the stacked (K, B, d)
-    rows and (K, B) labels, writes each net's (K, P) gradient into its
-    buffer in ``grads`` and gives the (K,) batch losses; each net then takes
-    one SGD step, in tuple order. The buffers live for this cohort's
-    training only. A step's ValueError is raised again as a ``_Diverged``
-    when some rows' logits or stepped parameters are non-finite. Returns
-    ((K, P) nets, (K,) mean batch loss of each client).
+    ``streams`` its RngStream, whose shuffles it walks. The networks train
+    as one stack whose rows [i*K, (i+1)*K) are network i's K copies. Per
+    batch, ``objective(net, x, y, epoch, bi, grad)`` gets that stack, the
+    (K, B, d) rows and (K, B) labels, writes the stack's gradient into the
+    buffer ``grad``, which lives for this cohort's training only, and gives
+    the (K,) batch losses; the stack then takes one SGD step. A step's
+    ValueError is raised again as a ``_Diverged`` when some clients' logits
+    or stepped parameters are non-finite. Returns ((K, P) nets, (K,) mean
+    batch loss of each client).
     """
-    k = len(streams)
-    nets = tuple(ModelParams(np.broadcast_to(g.flat, (k, g.flat.size)), g.shapes) for g in globals_)
-    grads = tuple(np.empty(net.flat.shape) for net in nets)
+    k, shapes = len(streams), globals_[0].shapes
+    net = ModelParams(_frozen(np.repeat(np.stack([g.flat for g in globals_]), k, axis=0)), shapes)
+    grad = np.empty(net.flat.shape)
     clients = np.arange(k)[:, None]
     losses = []
     for step, (epoch, bi, picks) in enumerate(_iter_batches(labels.shape[1], cfg, streams)):
         x = feats[clients, picks]
-        written = None  # the buffers, once this step's objective has filled them
+        written = None  # the buffer, once this step's objective has filled it
         try:
-            losses.append(objective(nets, x, labels[clients, picks], epoch, bi, grads))
-            written = grads
-            nets = tuple(sgd_step(net, g, cfg.lr) for net, g in zip(nets, grads))
+            losses.append(objective(net, x, labels[clients, picks], epoch, bi, grad))
+            written = grad
+            net = sgd_step(net, grad, cfg.lr)
         except ValueError as exc:
-            rows = _diverged_rows(nets, x, written, cfg.lr)
+            rows = _diverged_rows(net, x, written, cfg.lr)
             if rows:
                 raise _Diverged(rows, step, exc) from exc
             raise
+    parts = np.split(net.flat, len(globals_))
+    nets = (net,) if len(parts) == 1 else tuple(ModelParams(p, shapes) for p in parts)
     if not losses:
         return nets, np.full(k, np.nan)
     # Each client's steps lie contiguous, so its mean sums them as a 1-D
@@ -318,12 +320,12 @@ def _local_sgd(globals_: tuple, feats, labels, cfg: FedConfig, streams: list, ob
 
 
 def _single_view(loss_fn):
-    """Objective scoring one network's logits on the batch as given."""
+    """Objective scoring the stack's logits on the batch as given."""
 
-    def objective(nets, x, y, epoch, bi, grads):
-        logits, vjp = forward_vjp(nets[0], x)
+    def objective(net, x, y, epoch, bi, grad):
+        logits, vjp = forward_vjp(net, x)
         out = loss_fn(logits, y)
-        vjp(out.adjoint_o1, out=grads[0])
+        vjp(out.adjoint_o1, out=grad)
         return out.scalar
 
     return objective
@@ -344,19 +346,19 @@ def _two_view(
     """
     second = None
 
-    def objective(nets, x, y, epoch, bi, grads):
+    def objective(net, x, y, epoch, bi, grad):
         nonlocal second
         x_aug = apply_batch(policy, x, streams, ("augment", epoch, bi), dataset.image_shape)
-        o1, vjp1 = forward_vjp(nets[0], x)
-        o2, vjp2 = forward_vjp(nets[0], x_aug)
+        o1, vjp1 = forward_vjp(net, x)
+        o2, vjp2 = forward_vjp(net, x_aug)
         if hp.fix_lambda is None:
             lam = sample_mix_weight(streams, "mixweight", epoch, bi)
         else:
             lam = np.full(len(streams), float(hp.fix_lambda))
         out = loss_fn(o1, o2, y, lam)
         if second is None:
-            second = np.empty_like(grads[0])
-        grad = vjp1(out.adjoint_o1, out=grads[0])
+            second = np.empty_like(grad)
+        vjp1(out.adjoint_o1, out=grad)
         grad += vjp2(out.adjoint_o2, out=second)
         return out.scalar
 
@@ -469,6 +471,8 @@ def local_train_coteaching(
     ramps from 1 down to 1 - ``ct.noise_rate``. When ``cfg.method`` is
     "coteaching_lsr", the score and the update loss use the prediction
     sharpened by ``hp``. Each batch's loss is the mean of the two updates'.
+    Both networks train as one (2K, P) stack, A's rows first, so a batch
+    costs one scoring forward, one selection and one update.
     """
     _check_nets("local_train_coteaching", nets, 2)
     per_sample, loss_fn = ce_per_sample, ce_loss
@@ -477,18 +481,14 @@ def local_train_coteaching(
         loss_fn = partial(sharpened_ce_loss, hp=hp)
     update = _single_view(loss_fn)
 
-    def objective(nets, x, y, epoch, bi, grads):
-        per_a, per_b = (per_sample(forward(net, x), y) for net in nets)
+    def objective(net, x, y, epoch, bi, grad):
+        k, x, y = len(x), np.concatenate((x, x)), np.concatenate((y, y))
         step = round_idx if ct.schedule_unit == "round" else round_idx * cfg.local_epochs + epoch
-        keep = coteach_keep_ratio(ct, step)
-        picks_a = small_loss_select(per_a, keep)  # (K, ceil(keep * B)); A's picks train B
-        picks_b = small_loss_select(per_b, keep)
-        clients = np.arange(len(picks_a))[:, None]
-        loss_a, loss_b = (
-            update((net,), x[clients, picks], y[clients, picks], epoch, bi, (g,))
-            for net, picks, g in zip(nets, (picks_b, picks_a), grads)
-        )
-        return (loss_a + loss_b) / 2
+        picks = small_loss_select(per_sample(forward(net, x), y), coteach_keep_ratio(ct, step))
+        picks = np.concatenate((picks[k:], picks[:k]))  # A's picks train B and vice versa
+        rows = np.arange(2 * k)[:, None]
+        loss = update(net, x[rows, picks], y[rows, picks], epoch, bi, grad)
+        return (loss[:k] + loss[k:]) / 2
 
     return _local_sgd(nets, *_shard_arrays(dataset, shards), cfg, streams, objective)
 

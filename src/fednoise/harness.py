@@ -620,7 +620,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # a run that diverged, or a file it could not use
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

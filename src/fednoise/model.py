@@ -21,7 +21,7 @@ as plain read-only float64 arrays of the parameters' shape, (P,) or (K, P).
 that pass's activations; any loss that can state dL/d(logits) composes with it.
 ``vjp(adjoint, out=buf)`` writes the gradient into the caller's writeable
 buffer instead and returns it, so a training loop can hold one gradient
-buffer per network for a cohort's whole local training. Objectives that
+buffer for a cohort's whole local training. Objectives that
 run the network on two views (clean and augmented input) call it once per
 view and add the two gradients. :func:`forward` and :func:`backward` are
 one-pass conveniences over it.

@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -40,6 +41,8 @@ from fednoise.losses import (
     ce_loss,
     ce_per_sample,
     lsr_total_loss,
+    sharpened_ce_loss,
+    sharpened_ce_per_sample,
     small_loss_select,
 )
 from fednoise.model import (
@@ -511,23 +514,26 @@ class TestRunFederationMechanics:
         assert isinstance(info.value.__cause__, ValueError)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-    @pytest.mark.parametrize("method", ["fedavg_ce", "ce_aug"])
+    @pytest.mark.parametrize("method", ["fedavg_ce", "ce_aug", "coteaching_lsr"])
     def test_training_error_names_the_diverged_client_at_any_workers(self, method):
         # The error names the clients whose own logits went non-finite, not
-        # their chunk, and the same ones at workers 1 and 2. In the ce_aug
+        # their chunk, and the same ones at workers 1, 2 and 3. In the ce_aug
         # run the first chunk diverges too, but at a later step than the
         # client named, where one lockstep cohort would already have stopped.
+        # At lr 1e200 every co-teaching client diverges in round 0, and the
+        # clients of all chunks that failed at that step are named.
         total = generate_synthetic(700, 10, 16, seed=8)
         train = inject_symmetric_noise(
             subset(total, np.arange(600)), NoiseSpec("symmetric", 0.4, seed=8)
         )
         test = subset(total, np.arange(600, 700))
         shards = partition_iid(train, 10, seed=8)
+        lr = 1e200 if method == "coteaching_lsr" else 1e12
         named = []
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             cfg = FedConfig(
                 num_clients=10, clients_per_round=3, rounds=4, local_epochs=2, batch_size=20,
-                method=method, warmup_rounds=0, hidden_layers=(16,), lr=1e12, workers=workers,
+                method=method, warmup_rounds=0, hidden_layers=(16,), lr=lr, workers=workers,
             )
             with pytest.raises(ValueError) as info:
                 run_federation(cfg, train, shards, test, seed=4)
@@ -537,27 +543,41 @@ class TestRunFederationMechanics:
             named.append([int(c) for c in where[2].split(", ")])
             if workers == 1:
                 chunk = [int(c) for c in where[1].split(", ")]
-                assert set(named[0]) < set(chunk)
-        assert named[0] == named[1]
+                assert set(named[0]) <= set(chunk)
+        assert named[0] == named[1] == named[2]
+        assert named[0] == {"fedavg_ce": [9], "ce_aug": [2], "coteaching_lsr": [6, 8, 2]}[method]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_a_step_that_overflows_the_parameters_names_its_rows(self):
-        # Finite logits but an SGD step past the float range: the rows
-        # whose stepped parameters would be non-finite are named.
-        net = init_params([3, 4, 2], RngStream(0))
+    @staticmethod
+    def overflow_stack_row(nets, row):
+        """_Diverged (rows, step) of a 3-client cohort whose first step sends
+        stack row ``row`` past the float range."""
 
-        def objective(nets, x, y, epoch, bi, grads):
-            grads[0][...] = 0.0
-            grads[0][1] = 1e308
+        def objective(net, x, y, epoch, bi, grad):
+            grad[...] = 0.0
+            grad[row] = 1e308
             return np.zeros(3)
 
         cfg = FedConfig(num_clients=3, clients_per_round=3, local_epochs=1, batch_size=4, lr=10.0)
         streams = [RngStream(0).child("client", c, 0) for c in range(3)]
         with pytest.raises(fednoise.federation._Diverged, match="parameters must be finite") as info:
             fednoise.federation._local_sgd(
-                (net,), np.zeros((3, 4, 3)), np.zeros((3, 4), dtype=int), cfg, streams, objective
+                nets, np.zeros((3, 4, 3)), np.zeros((3, 4), dtype=int), cfg, streams, objective
             )
-        assert (info.value.rows, info.value.step) == ([1], 0)
+        return info.value.rows, info.value.step
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_a_step_that_overflows_the_parameters_names_its_rows(self):
+        # Finite logits but an SGD step past the float range: the rows
+        # whose stepped parameters would be non-finite are named.
+        net = init_params([3, 4, 2], RngStream(0))
+        assert self.overflow_stack_row((net,), 1) == ([1], 0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_an_overflow_in_the_second_network_names_its_client(self):
+        # Two networks train as one (2K, P) stack whose row r holds client
+        # r mod K: row K + 1 is client 1's copy of the second network.
+        nets = tuple(init_params([3, 4, 2], RngStream(0).child("init", i)) for i in range(2))
+        assert self.overflow_stack_row(nets, 3 + 1) == ([1], 0)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_global_networks_are_one_tuple(self, method):
@@ -772,6 +792,77 @@ class TestMethodEquivalences:
         plain, sharp = ([[p.flat.tobytes() for p in nets] for nets in h] for _, h in runs)
         assert plain == sharp
         assert runs[0][0].metrics == runs[1][0].metrics
+
+    @pytest.mark.parametrize("method", ["coteaching", "coteaching_lsr"])
+    def test_coteaching_stack_equals_two_separate_cohorts(self, method):
+        # The (2K, P) stack must train each network bit for bit as a (K, P)
+        # cohort of its own would, on its peer's picks. The per-epoch
+        # schedule keeps every row in epoch 0 and 7 of 10 in epoch 1.
+        train, shards, _ = small_world(noise=0.3)
+        cfg = FedConfig(
+            num_clients=6, clients_per_round=3, rounds=1, local_epochs=2,
+            batch_size=10, method=method, warmup_rounds=0, hidden_layers=(6,),
+        )
+        ct = CoteachingConfig(noise_rate=0.3, ramp_rounds=1, schedule_unit="epoch")
+        hp = LsrHyperParams()
+        stream = RngStream(2)
+        nets = tuple(init_params([6, 6, 4], stream.child("init", i)) for i in range(2))
+        ids = [1, 4, 2]
+        streams = [stream.child("client", c, 0) for c in ids]
+        got, got_loss = local_train_coteaching(
+            nets, train, [shards[c] for c in ids], cfg, ct, hp, streams, 0
+        )
+
+        per_sample, loss_fn = ce_per_sample, ce_loss
+        if method == "coteaching_lsr":
+            per_sample = partial(sharpened_ce_per_sample, hp=hp)
+            loss_fn = partial(sharpened_ce_loss, hp=hp)
+        k, clients = len(ids), np.arange(len(ids))[:, None]
+        cohorts = [ModelParams(np.stack([net.flat] * k), net.shapes) for net in nets]
+        feats = np.stack([train.features[shards[c].indices] for c in ids])
+        labels = np.stack([train.observed_labels[shards[c].indices] for c in ids])
+        losses = []
+        for epoch in range(2):
+            shuffles = [s.child("shuffle", epoch).generator() for s in streams]
+            perm = np.stack([gen.permutation(20) for gen in shuffles])
+            for start in (0, 10):
+                rows = perm[:, start : start + 10]
+                x, y = feats[clients, rows], labels[clients, rows]
+                keep = coteach_keep_ratio(ct, epoch)
+                picks = [small_loss_select(per_sample(forward(p, x), y), keep) for p in cohorts]
+                assert picks[0].shape == (k, 10 if epoch == 0 else 7)
+                assert epoch == 0 or not np.array_equal(picks[0], picks[1])
+                outs, grads = [], []
+                for p, q in zip(cohorts, picks[::-1]):  # each network trains on its peer's picks
+                    out = loss_fn(forward(p, x[clients, q]), y[clients, q])
+                    outs.append(out.scalar)
+                    grads.append(backward(p, x[clients, q], out.adjoint_o1))
+                losses.append((outs[0] + outs[1]) / 2)
+                cohorts = [sgd_step(p, g, cfg.lr) for p, g in zip(cohorts, grads)]
+
+        assert [net.flat.tobytes() for net in got] == [p.flat.tobytes() for p in cohorts]
+        assert got_loss.tobytes() == np.stack(losses, axis=-1).mean(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("method", ["coteaching", "coteaching_lsr"])
+    def test_coteaching_stack_is_the_same_at_any_workers(self, method):
+        # K = 5 trains as one (10, P) stack at workers=1, and as stacks of
+        # 3 + 2 and 2 + 2 + 1 clients at workers 2 and 3: metrics and both
+        # final networks must agree byte for byte.
+        train, shards, test = small_world(noise=0.3)
+        base = dict(
+            num_clients=6, clients_per_round=5, rounds=3, local_epochs=2,
+            batch_size=10, method=method, warmup_rounds=0, hidden_layers=(6,),
+        )
+        ct = CoteachingConfig(noise_rate=0.3, ramp_rounds=2)
+        runs = [
+            run_federation(FedConfig(**base, workers=w), train, shards, test, seed=8, ct=ct)
+            for w in (1, 2, 3)
+        ]
+        for run in runs[1:]:
+            assert run.metrics == runs[0].metrics
+            assert [n.flat.tobytes() for n in run.final_params] == [
+                n.flat.tobytes() for n in runs[0].final_params
+            ]
 
     def test_twin_accuracy_is_mean_of_both_nets(self):
         train, shards, test = small_world()

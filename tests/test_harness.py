@@ -593,6 +593,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error") and "JSON" in err
 
+    @pytest.mark.parametrize("cmd", ["run", "compare"])
+    def test_a_diverged_run_exits_1_with_one_error_line(self, tmp_path, cmd):
+        # Training that diverges raises ValueError; the console script
+        # reports it on one stderr line, not as a traceback. A config error,
+        # a ValueError too, still exits 2.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""),
+               "PYTHONWARNINGS": "ignore::RuntimeWarning"}
+        script = "import sys; from fednoise.harness import main; sys.exit(main(sys.argv[1:]))"
+        args = {"run": [], "compare": ["--methods", "lsr", "--seeds", "0"]}[cmd]
+        for federation, code, start in (({"lr": 1e200}, 1, "error: round 0, clients ["),
+                                        ({"lr": -1.0}, 2, "config error: federation: lr ")):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(tiny_config(
+                out=str(tmp_path / "out"),
+                federation={**tiny_config()["federation"], **federation},
+            )))
+            proc = subprocess.run(
+                [sys.executable, "-c", script, cmd, "--config", str(config), *args],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == code, proc.stderr
+            assert proc.stderr.startswith(start), proc.stderr
+            assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
     def test_compare_rejects_non_integer_seeds(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
         code = main([
