@@ -5,7 +5,12 @@ client from the current global parameters on its own shard, then average
 the returned parameter vectors weighted by shard size, in selection order.
 Evaluation runs on the clean test set after every aggregation. Only the
 round index t and the global networks cross a round: every draw in round
-t comes from a stream path that names t, and nothing else is carried.
+t comes from a stream path that names t, and nothing else is carried. A
+round that fails says where: its ValueError is raised again naming t,
+the method, the lr and the selected clients whose training fails when
+each trains alone. A round runs with numpy's overflow and invalid-value
+warnings off: the non-finite logits and parameters they would warn of
+raise ValueError instead.
 
 Every method trains through one loop, :func:`_local_sgd`, which trains a
 cohort of K clients in lockstep as one network-major parameter stack (see
@@ -256,29 +261,6 @@ def _iter_batches(n: int, cfg: FedConfig, streams: list):
             yield epoch, bi, perm[:, start : start + batch]
 
 
-class _Diverged(ValueError):
-    """A cohort's ValueError at local step ``step`` (0-based), naming the
-    clients, by cohort index, that diverged there."""
-
-    def __init__(self, rows: list, step: int, cause: ValueError) -> None:
-        super().__init__(str(cause))
-        self.rows, self.step = rows, step
-
-
-def _diverged_rows(net: ModelParams, x: np.ndarray, grad: "np.ndarray | None", lr: float) -> list:
-    """After a failed step: the clients whose logits on ``x`` are non-finite
-    under any network of the stack, or whose parameters after the step
-    would be, when the step's gradient ``grad`` is known. Stack row r holds
-    client r mod K."""
-    k = len(x)
-    with np.errstate(all="ignore"):
-        logits = forward(net, np.concatenate([x] * (len(net.flat) // k)))
-        bad = ~np.isfinite(logits).all(axis=(1, 2))
-        if grad is not None:
-            bad |= ~np.isfinite(net.flat - lr * grad).all(axis=1)
-    return np.unique(np.flatnonzero(bad) % k).tolist()
-
-
 def _local_sgd(globals_: tuple, feats, labels, cfg: FedConfig, streams: list, objective):
     """Train a cohort of K clients in lockstep from the global networks.
 
@@ -288,28 +270,18 @@ def _local_sgd(globals_: tuple, feats, labels, cfg: FedConfig, streams: list, ob
     batch, ``objective(net, x, y, epoch, bi, grad)`` gets that stack, the
     (K, B, d) rows and (K, B) labels, writes the stack's gradient into the
     buffer ``grad``, which lives for this cohort's training only, and gives
-    the (K,) batch losses; the stack then takes one SGD step. A step's
-    ValueError is raised again as a ``_Diverged`` when some clients' logits
-    or stepped parameters are non-finite. Returns ((K, P) nets, (K,) mean
-    batch loss of each client).
+    the (K,) batch losses; the stack then takes one SGD step. Returns
+    ((K, P) nets, (K,) mean batch loss of each client).
     """
     k, shapes = len(streams), globals_[0].shapes
     net = ModelParams(_frozen(np.repeat(np.stack([g.flat for g in globals_]), k, axis=0)), shapes)
     grad = np.empty(net.flat.shape)
     clients = np.arange(k)[:, None]
     losses = []
-    for step, (epoch, bi, picks) in enumerate(_iter_batches(labels.shape[1], cfg, streams)):
-        x = feats[clients, picks]
-        written = None  # the buffer, once this step's objective has filled it
-        try:
-            losses.append(objective(net, x, labels[clients, picks], epoch, bi, grad))
-            written = grad
-            net = sgd_step(net, grad, cfg.lr)
-        except ValueError as exc:
-            rows = _diverged_rows(net, x, written, cfg.lr)
-            if rows:
-                raise _Diverged(rows, step, exc) from exc
-            raise
+    for epoch, bi, picks in _iter_batches(labels.shape[1], cfg, streams):
+        x, y = feats[clients, picks], labels[clients, picks]
+        losses.append(objective(net, x, y, epoch, bi, grad))
+        net = sgd_step(net, grad, cfg.lr)
     parts = np.split(net.flat, len(globals_))
     nets = (net,) if len(parts) == 1 else tuple(ModelParams(p, shapes) for p in parts)
     if not losses:
@@ -524,17 +496,27 @@ def evaluate(params: ModelParams, test_set: LabeledDataset) -> float:
 
     The test rows go through the network in blocks of ``_EVAL_CHUNK``, so
     the activations held at once stay small whatever the test set's size.
+    A network whose logits are non-finite on any test row is a ValueError,
+    not a score.
     """
     if test_set.n == 0:
         raise ValueError("cannot evaluate on an empty test set")
     hits = 0
     for start in range(0, test_set.n, _EVAL_CHUNK):
-        block = test_set.features[start : start + _EVAL_CHUNK]
-        preds = np.argmax(forward(params, block), axis=1)
+        logits = forward(params, test_set.features[start : start + _EVAL_CHUNK])
+        if not np.isfinite(logits).all():
+            raise ValueError("test-set logits must be finite")
+        preds = np.argmax(logits, axis=1)
         hits += int((preds == test_set.true_labels[start : start + _EVAL_CHUNK]).sum())
     return hits / test_set.n
 
 
+# Overflow and invalid-value warnings are off while a round runs: a
+# non-finite value is a ValueError where it is checked instead.
+_quiet = partial(np.errstate, over="ignore", invalid="ignore")
+
+
+@_quiet()
 def _round(
     t: int, globals_: tuple, run_chunks, cfg: FedConfig, train_set: LabeledDataset,
     shards: list, test_set: LabeledDataset, stream: RngStream,
@@ -542,7 +524,14 @@ def _round(
 ) -> tuple:
     """Round t from the global networks: (new global networks, RoundMetrics).
 
-    ``run_chunks`` is ``map`` or the run's thread pool's ``map``."""
+    ``run_chunks`` is ``map`` or the run's thread pool's ``map``. A
+    ValueError in the round is raised again as ``round t, method m, lr x:
+    clients [...] failed: cause``, naming in selection order the clients
+    that fail when each is trained alone, the first one's error as cause.
+    A client's slice of a cohort is computed as it alone would be, so the
+    message is the same at any ``workers``. When no client fails alone (an
+    aggregation or evaluation error), it names none and gives the round's.
+    """
     selected = select_clients(
         cfg.num_clients, cfg.clients_per_round, stream.child("select", t)
     ).tolist()
@@ -558,55 +547,50 @@ def _round(
         for chunk in np.array_split(ids, min(cfg.workers, len(ids)))
     ]
 
+    @_quiet()  # numpy's error state is per thread, and a pool thread runs this
     def train(ids: list):
         # The trainers are looked up in this module at call time, so
         # a wrapper patched over one (a tracer's span) is the one run.
         args = (globals_, train_set, [shards[c] for c in ids], cfg)
         streams = [stream.child("client", c, t) for c in ids]
-        try:
-            if cfg.method == "fedavg_ce":
-                return local_train_ce(*args, streams)
-            if cfg.method == "ce_aug":
-                return local_train_ce_aug(*args, policy, streams)
-            if cfg.method == "sym_ce":
-                return local_train_symce(*args, sp, streams)
-            if cfg.method in ("lsr", "lsr_plus"):
-                return local_train_lsr(*args, hp, policy, streams, gamma_t)
-            if cfg.method == "sym_ce_lsr":
-                return local_train_symce_lsr(*args, sp, hp, policy, streams, gamma_t)
-            # FedConfig admits no method but the co-teaching pair here.
-            return local_train_coteaching(*args, ct, hp, streams, t)
-        except ValueError as exc:
-            return exc  # raised below, once every chunk has run
+        if cfg.method == "fedavg_ce":
+            return local_train_ce(*args, streams)
+        if cfg.method == "ce_aug":
+            return local_train_ce_aug(*args, policy, streams)
+        if cfg.method == "sym_ce":
+            return local_train_symce(*args, sp, streams)
+        if cfg.method in ("lsr", "lsr_plus"):
+            return local_train_lsr(*args, hp, policy, streams, gamma_t)
+        if cfg.method == "sym_ce_lsr":
+            return local_train_symce_lsr(*args, sp, hp, policy, streams, gamma_t)
+        # FedConfig admits no method but the co-teaching pair here.
+        return local_train_coteaching(*args, ct, hp, streams, t)
 
-    outcomes = list(run_chunks(train, chunks))
-    failed = [
-        (getattr(out, "step", np.inf), ids, out)
-        for ids, out in zip(chunks, outcomes) if isinstance(out, ValueError)
-    ]
-    if failed:
-        # One lockstep cohort stops at its earliest failing step, so name
-        # the clients that diverged there, whatever the chunking.
-        step, ids, exc = min(failed, key=lambda f: f[0])
-        diverged = [c[r] for s, c, e in failed if s == step for r in getattr(e, "rows", ())]
-        named = f"clients {diverged} diverged: " if diverged else ""
-        raise ValueError(
-            f"round {t}, clients {ids}, method {cfg.method}, lr {cfg.lr:g}: {named}{exc}"
-        ) from exc
-    chunk_nets, chunk_losses = zip(*outcomes)
     order = [cid for ids in chunks for cid in ids]
     rows = [order.index(cid) for cid in selected]  # cohort order -> selection order
     sizes = [shards[cid].n_k for cid in selected]
-    globals_ = tuple(
-        aggregate(ModelParams(np.concatenate([c.flat for c in stacks])[rows], g.shapes), sizes)
-        for g, stacks in zip(globals_, zip(*chunk_nets))
-    )
-    losses = np.concatenate(chunk_losses)[rows]
-    acc = np.mean([evaluate(net, test_set) for net in globals_])
-    return globals_, RoundMetrics(
+    try:
+        chunk_nets, chunk_losses = zip(*run_chunks(train, chunks))
+        nets = tuple(
+            aggregate(ModelParams(np.concatenate([c.flat for c in stacks])[rows], g.shapes), sizes)
+            for g, stacks in zip(globals_, zip(*chunk_nets))
+        )
+        acc = np.mean([evaluate(net, test_set) for net in nets])
+    except ValueError as exc:
+        failed = {}
+        for cid in selected:
+            try:
+                train([cid])
+            except ValueError as own:
+                failed[cid] = own
+        cause = next(iter(failed.values()), exc)
+        named = f"clients {list(failed)} failed: " if failed else ""
+        where = f"round {t}, method {cfg.method}, lr {cfg.lr:g}"
+        raise ValueError(f"{where}: {named}{cause}") from cause
+    return nets, RoundMetrics(
         round=t,
         test_accuracy=float(acc),
-        mean_train_loss=float(np.mean(losses)),
+        mean_train_loss=float(np.mean(np.concatenate(chunk_losses)[rows])),
         gamma_t=gamma_t,
         selected_clients=tuple(selected),
     )
@@ -631,10 +615,9 @@ def run_federation(
     losses; gamma_t records the warm-up schedule value whether or not the
     method consumes it. For the two-network method, test accuracy is the
     mean of the two networks' accuracies and both networks are aggregated
-    separately across their client replicas. A trainer's ValueError is
-    raised again naming the round, the chunk's clients, the method and lr,
-    and, when some clients' logits or parameters went non-finite, those
-    clients.
+    separately across their client replicas. A round's ValueError is
+    raised again naming the round, the method, the lr and the clients
+    whose training fails alone (see :func:`_round`).
     """
     if len(shards) != cfg.num_clients:
         raise ValueError(f"{len(shards)} shards for {cfg.num_clients} clients")

@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -238,6 +239,16 @@ class TestAggregate:
             aggregate([p], [1])
 
 
+def diverging_world():
+    """700 synthetic rows: 600 training rows under symmetric 0.4 noise,
+    iid over 10 clients, and 100 test rows."""
+    total = generate_synthetic(700, 10, 16, seed=8)
+    train = inject_symmetric_noise(
+        subset(total, np.arange(600)), NoiseSpec("symmetric", 0.4, seed=8)
+    )
+    return train, partition_iid(train, 10, seed=8), subset(total, np.arange(600, 700))
+
+
 class TestEvaluate:
     def test_matches_direct_argmax_across_chunks(self, monkeypatch):
         train, _, test = small_world()
@@ -248,6 +259,16 @@ class TestEvaluate:
         assert evaluate(p, test) == direct
         monkeypatch.setattr(fednoise.federation, "_EVAL_CHUNK", 7)
         assert evaluate(p, test) == direct
+
+    def test_non_finite_logits_raise_instead_of_scoring(self):
+        # Finite parameters whose logits overflow on some test row: argmax
+        # would still score them, so evaluate refuses the network instead.
+        _, _, test = small_world()
+        p = init_params([6, 8, 4], RngStream(3))
+        huge = ModelParams(p.flat * 1e200, p.shapes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="test-set logits must be finite"):
+                evaluate(huge, test)
 
     def test_empty_test_set_rejected(self):
         from fednoise.data import LabeledDataset
@@ -488,96 +509,125 @@ class TestRunFederationMechanics:
             assert got.shapes == want.shapes
             assert got.flat.tobytes() == want.flat.tobytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("method, lr", [("fedavg_ce", 1e12), ("lsr", 1e300)])
     def test_training_error_names_round_clients_method_and_lr(self, method, lr, workers):
         # A trainer's ValueError (here a diverged network's non-finite
-        # logits) reaches the caller naming where it happened.
-        total = generate_synthetic(700, 10, 16, seed=8)
-        train = inject_symmetric_noise(
-            subset(total, np.arange(600)), NoiseSpec("symmetric", 0.4, seed=8)
-        )
-        test = subset(total, np.arange(600, 700))
-        shards = partition_iid(train, 10, seed=8)
+        # logits) reaches the caller naming where it happened, without a
+        # numpy warning on the way.
+        train, shards, test = diverging_world()
         cfg = FedConfig(
             num_clients=10, clients_per_round=3, rounds=4, local_epochs=2, batch_size=20,
             method=method, warmup_rounds=0, hidden_layers=(16,), lr=lr, workers=workers,
         )
-        with pytest.raises(ValueError, match=re.escape(f", method {method}, lr {lr:g}: ")) as info:
+        with pytest.raises(ValueError) as info:
             run_federation(cfg, train, shards, test, seed=4)
-        where = re.match(r"round (\d+), clients \[([\d, ]+)\], ", str(info.value))
+        head = re.escape(f", method {method}, lr {lr:g}: clients [")
+        where = re.match(rf"round (\d+){head}([\d, ]+)\] failed: ", str(info.value))
         assert where, str(info.value)
         selected = select_clients(10, 3, RngStream(4).child("select", int(where[1])))
         ids = [int(c) for c in where[2].split(", ")]
-        assert ids in [chunk.tolist() for chunk in np.array_split(selected, workers)]
+        assert set(ids) <= set(selected.tolist())
         assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value).endswith(f"failed: {info.value.__cause__}")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("method", ["fedavg_ce", "ce_aug", "coteaching_lsr"])
-    def test_training_error_names_the_diverged_client_at_any_workers(self, method):
-        # The error names the clients whose own logits went non-finite, not
-        # their chunk, and the same ones at workers 1, 2 and 3. In the ce_aug
-        # run the first chunk diverges too, but at a later step than the
-        # client named, where one lockstep cohort would already have stopped.
-        # At lr 1e200 every co-teaching client diverges in round 0, and the
-        # clients of all chunks that failed at that step are named.
-        total = generate_synthetic(700, 10, 16, seed=8)
-        train = inject_symmetric_noise(
-            subset(total, np.arange(600)), NoiseSpec("symmetric", 0.4, seed=8)
-        )
-        test = subset(total, np.arange(600, 700))
-        shards = partition_iid(train, 10, seed=8)
+    def test_training_error_names_the_diverged_client_at_any_workers(self, method, monkeypatch):
+        # The error names the selected clients whose training fails alone,
+        # and the whole message is the same at workers 1, 2 and 3. At lr
+        # 1e200 every co-teaching client fails in round 0, through both
+        # networks. The ce_aug run's global network overflows on a test row
+        # in round 1, which evaluation refuses before any client fails;
+        # unscored, its round 2 names all three clients, although one
+        # lockstep cohort stops at client 2's first failing step.
+        train, shards, test = diverging_world()
         lr = 1e200 if method == "coteaching_lsr" else 1e12
-        named = []
-        for workers in (1, 2, 3):
-            cfg = FedConfig(
-                num_clients=10, clients_per_round=3, rounds=4, local_epochs=2, batch_size=20,
-                method=method, warmup_rounds=0, hidden_layers=(16,), lr=lr, workers=workers,
+
+        def messages():
+            out = []
+            for workers in (1, 2, 3):
+                cfg = FedConfig(
+                    num_clients=10, clients_per_round=3, rounds=4, local_epochs=2,
+                    batch_size=20, method=method, warmup_rounds=0, hidden_layers=(16,),
+                    lr=lr, workers=workers,
+                )
+                with pytest.raises(ValueError) as info:
+                    run_federation(cfg, train, shards, test, seed=4)
+                out.append(str(info.value))
+            assert out[0] == out[1] == out[2]
+            return out[0]
+
+        where, why = {
+            "fedavg_ce": ("round 3", "clients [9] failed: logits"),
+            "ce_aug": ("round 1", "test-set logits"),
+            "coteaching_lsr": ("round 0", "clients [6, 8, 2] failed: logits"),
+        }[method]
+        assert messages() == f"{where}, method {method}, lr {lr:g}: {why} must be finite"
+        if method == "ce_aug":
+            monkeypatch.setattr(fednoise.federation, "evaluate", lambda net, test_set: 0.0)
+            assert messages() == (
+                "round 2, method ce_aug, lr 1e+12: clients [8, 7, 2] failed: logits must be finite"
             )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_step_past_the_float_range_names_every_client(self, monkeypatch, workers):
+        # Finite logits but a gradient that sends every client's SGD step
+        # past the float range: the parameters' own check fails the round,
+        # and each selected client, trained alone, fails with it.
+        train, shards, test = small_world()
+
+        def overflowing(logits, labels):
+            out = ce_loss(logits, labels)
+            return dataclasses.replace(out, adjoint_o1=out.adjoint_o1 * 1e300)
+
+        monkeypatch.setattr(fednoise.federation, "ce_loss", overflowing)
+        cfg = FedConfig(
+            num_clients=6, clients_per_round=3, rounds=2, local_epochs=1, batch_size=10,
+            method="fedavg_ce", warmup_rounds=0, hidden_layers=(5,), lr=1e10, workers=workers,
+        )
+        with pytest.raises(ValueError) as info:
+            run_federation(cfg, train, shards, test, seed=3)
+        selected = select_clients(6, 3, RngStream(3).child("select", 0)).tolist()
+        assert str(info.value) == (
+            f"round 0, method fedavg_ce, lr 1e+10: clients {selected} failed: "
+            "parameters must be finite"
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failed_round_names_the_clients_that_fail_alone(self, monkeypatch, workers):
+        # A trainer that refuses chosen clients: every chunk holding one
+        # fails, and the round names exactly the chosen clients, in
+        # selection order, with the first one's own error as the cause.
+        train, shards, test = small_world()
+        refused = {1, 4}
+
+        def spy(nets, dataset, chunk, cfg, streams):
+            bad = [shard.client_id for shard in chunk if shard.client_id in refused]
+            if bad:
+                raise ValueError(f"client {bad[0]} refused")
+            return local_train_ce(nets, dataset, chunk, cfg, streams)
+
+        monkeypatch.setattr(fednoise.federation, "local_train_ce", spy)
+        cfg = FedConfig(
+            num_clients=6, clients_per_round=6, rounds=1, local_epochs=1, batch_size=10,
+            method="fedavg_ce", warmup_rounds=0, hidden_layers=(5,), workers=workers,
+        )
+        net = init_params([6, 5, 4], RngStream(3).child("init", 0))
+        args = (cfg, train, shards, test, RngStream(3), LsrHyperParams(), SymCeParams(),
+                CoteachingConfig(), AugmentPolicy())
+        with ThreadPoolExecutor(workers) as pool:
             with pytest.raises(ValueError) as info:
-                run_federation(cfg, train, shards, test, seed=4)
-            where = re.match(r"round \d+, clients \[([\d, ]+)\], .*: clients \[([\d, ]+)\] diverged: ",
-                             str(info.value))
-            assert where, str(info.value)
-            named.append([int(c) for c in where[2].split(", ")])
-            if workers == 1:
-                chunk = [int(c) for c in where[1].split(", ")]
-                assert set(named[0]) <= set(chunk)
-        assert named[0] == named[1] == named[2]
-        assert named[0] == {"fedavg_ce": [9], "ce_aug": [2], "coteaching_lsr": [6, 8, 2]}[method]
-
-    @staticmethod
-    def overflow_stack_row(nets, row):
-        """_Diverged (rows, step) of a 3-client cohort whose first step sends
-        stack row ``row`` past the float range."""
-
-        def objective(net, x, y, epoch, bi, grad):
-            grad[...] = 0.0
-            grad[row] = 1e308
-            return np.zeros(3)
-
-        cfg = FedConfig(num_clients=3, clients_per_round=3, local_epochs=1, batch_size=4, lr=10.0)
-        streams = [RngStream(0).child("client", c, 0) for c in range(3)]
-        with pytest.raises(fednoise.federation._Diverged, match="parameters must be finite") as info:
-            fednoise.federation._local_sgd(
-                nets, np.zeros((3, 4, 3)), np.zeros((3, 4), dtype=int), cfg, streams, objective
-            )
-        return info.value.rows, info.value.step
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_a_step_that_overflows_the_parameters_names_its_rows(self):
-        # Finite logits but an SGD step past the float range: the rows
-        # whose stepped parameters would be non-finite are named.
-        net = init_params([3, 4, 2], RngStream(0))
-        assert self.overflow_stack_row((net,), 1) == ([1], 0)
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_an_overflow_in_the_second_network_names_its_client(self):
-        # Two networks train as one (2K, P) stack whose row r holds client
-        # r mod K: row K + 1 is client 1's copy of the second network.
-        nets = tuple(init_params([3, 4, 2], RngStream(0).child("init", i)) for i in range(2))
-        assert self.overflow_stack_row(nets, 3 + 1) == ([1], 0)
+                fednoise.federation._round(0, (net,), pool.map, *args)
+        selected = select_clients(6, 6, RngStream(3).child("select", 0)).tolist()
+        named = [c for c in selected if c in refused]
+        assert str(info.value) == (
+            f"round 0, method fedavg_ce, lr 0.15: clients {named} failed: "
+            f"client {named[0]} refused"
+        )
+        assert str(info.value.__cause__) == f"client {named[0]} refused"
 
     @pytest.mark.parametrize("method", METHODS)
     def test_global_networks_are_one_tuple(self, method):

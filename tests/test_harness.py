@@ -596,15 +596,17 @@ class TestCli:
     @pytest.mark.parametrize("cmd", ["run", "compare"])
     def test_a_diverged_run_exits_1_with_one_error_line(self, tmp_path, cmd):
         # Training that diverges raises ValueError; the console script
-        # reports it on one stderr line, not as a traceback. A config error,
-        # a ValueError too, still exits 2.
+        # reports it on one stderr line, not as a traceback, even with
+        # numpy's RuntimeWarnings turned into errors. A config error, a
+        # ValueError too, still exits 2.
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""),
-               "PYTHONWARNINGS": "ignore::RuntimeWarning"}
+               "PYTHONWARNINGS": "error::RuntimeWarning"}
         script = "import sys; from fednoise.harness import main; sys.exit(main(sys.argv[1:]))"
         args = {"run": [], "compare": ["--methods", "lsr", "--seeds", "0"]}[cmd]
-        for federation, code, start in (({"lr": 1e200}, 1, "error: round 0, clients ["),
+        diverged = "error: round 0, method lsr, lr 1e+200: clients ["
+        for federation, code, start in (({"lr": 1e200}, 1, diverged),
                                         ({"lr": -1.0}, 2, "config error: federation: lr ")):
             config = tmp_path / "config.json"
             config.write_text(json.dumps(tiny_config(
