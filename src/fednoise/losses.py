@@ -542,8 +542,6 @@ def small_loss_select(losses: np.ndarray, keep_ratio: float) -> np.ndarray:
     if arr.ndim < 1:
         raise ValueError(f"losses must be a (..., B) array, got shape {arr.shape}")
     n = arr.shape[-1]
-    if n == 0:
-        return np.zeros(arr.shape, dtype=np.int64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("losses must be finite")
     # The tiny slack keeps float dust in keep_ratio * n (for example

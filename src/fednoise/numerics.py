@@ -14,11 +14,11 @@ Random streams: an :class:`RngStream` names a numpy ``SeedSequence`` by its
 master seed and spawn-key path, and :meth:`RngStream.generator` builds
 ``Generator(PCG64(SeedSequence(seed, spawn_key=path)))`` through numpy.
 :func:`generators` gives the same generators for the child at one path of
-each of K streams, without building K ``SeedSequence`` objects: it carries
-on each stream's mixed entropy pool with the child's extra words and
-derives the K PCG64 states with a few uint32 array operations. This copies
-``SeedSequence``'s mixing and output hash, whose results NEP 19 fixes for
-all numpy versions, so both routes give the same bytes.
+each of K streams, roots included, without building K ``SeedSequence``
+objects: it carries on each stream's mixed entropy pool with the child's
+words and derives the K PCG64 states with a few uint32 array operations.
+This copies ``SeedSequence``'s mixing and output hash, whose results NEP
+19 fixes for all numpy versions, so both routes give the same bytes.
 """
 
 from __future__ import annotations
@@ -204,13 +204,12 @@ class RngStream:
     @functools.cached_property
     def _pool(self) -> tuple:
         """(numpy's mixed (4,) uint32 entropy pool for this stream, the
-        number of entropy words mixed into it). The count is None for a
-        root stream: its seed is not padded to the pool size as a child's
-        is, so its pool cannot be carried on. Not a field, so equality,
-        hash and repr ignore it."""
+        number of entropy words mixed into it). A root's seed is not padded
+        to the pool size with zero words as a child's is, but numpy gives
+        the pool words past it ``hashmix(0)``, as a zero word would, so a
+        root's pool carries on too. Not a field, so equality, hash and repr
+        ignore it."""
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=self.path)
-        if not self.path:
-            return seq.pool, None
         seed_words = max(len(_words(int(self.master_seed))), _POOL_WORDS)
         return seq.pool, seed_words + sum(len(_words(step)) for step in self.path)
 
@@ -224,20 +223,19 @@ def generators(streams: list, *steps: int | str) -> list:
     child here appends the same words, so their hashes are shared and a few
     (K, 4) array operations per word carry all K pools on. The PCG64 state
     is then ``generate_state(4, uint64)`` of each pool, taken for all K
-    rows at once. Streams whose pools hold different word counts, or root
-    streams, go through :meth:`RngStream.generator` one by one.
+    rows at once. A cohort whose pools hold different word counts is
+    derived one stream at a time, the same way.
     """
     if not streams:
         return []
     counts = {s._pool[1] for s in streams}
-    if steps and (len(counts) > 1 or None in counts):
-        return [s.child(*steps).generator() for s in streams]
+    if len(counts) > 1:
+        return [g for s in streams for g in generators([s], *steps)]
     pool = np.array([s._pool[0] for s in streams])
-    if steps:
-        for term in _mix_terms(counts.pop() - _POOL_WORDS, steps):
-            pool *= _MIX_L
-            pool -= term
-            pool ^= pool >> 16
+    for term in _mix_terms(counts.pop() - _POOL_WORDS, steps):
+        pool *= _MIX_L
+        pool -= term
+        pool ^= pool >> 16
     out = pool[:, None, :] ^ _STATE_XOR
     out *= _STATE_MULT
     out ^= out >> 16

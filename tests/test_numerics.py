@@ -253,7 +253,7 @@ class TestGenerators:
             base = [self._step(rnd) for _ in range(rnd.randint(0, 3))]
             k = rnd.randint(1, 6)
             # One- or two-word client ids: a cohort of one kind derives its
-            # streams together, a mixed one takes the fallback.
+            # streams together, a mixed one stream by stream.
             one, two = (0, 2**32), (2**32, 2**64)
             ranges = rnd.choice([[one], [two], [one, two]])
             ids = [rnd.randrange(*rnd.choice(ranges)) for _ in range(k)]
@@ -265,24 +265,37 @@ class TestGenerators:
         streams = [RngStream(3), RngStream(2**130), RngStream(3).child("client", 7)]
         _assert_same_generators(generators(streams), streams, ())
 
-    def test_mixed_word_counts_and_roots_fall_back(self, monkeypatch):
+    def test_mixed_word_counts_and_roots_never_call_generator(self, monkeypatch):
         calls = []
         original = RngStream.generator
         monkeypatch.setattr(
             RngStream, "generator", lambda self: calls.append(self) or original(self)
         )
-        same = [RngStream(1).child("client", c) for c in (0, 5, 2**32 - 1)]
-        _assert_same_generators(generators(same, "shuffle", 2), same, ("shuffle", 2))
-        assert not calls  # one word count: derived together
         cohorts = (
+            [RngStream(1).child("client", c) for c in (0, 5, 2**32 - 1)],
             [RngStream(1).child("client", 3), RngStream(1).child("client", 2**40)],
             [RngStream(2**128).child(1), RngStream(5).child(1)],
             [RngStream(1), RngStream(1).child(4)],
+            [RngStream(0), RngStream(2**200), RngStream(3).child("client", 7)],
         )
         for streams in cohorts:
-            calls.clear()
-            _assert_same_generators(generators(streams, "augment", 0), streams, ("augment", 0))
-            assert len(calls) == len(streams)
+            for steps in ((), ("augment", 0)):
+                got = generators(streams, *steps)
+                assert not calls
+                _assert_same_generators(got, streams, steps)
+
+    @pytest.mark.parametrize("words", range(1, 8))
+    def test_root_streams_of_every_seed_length(self, words):
+        # Seeds of 1-3 words are padded to the pool's four in a child but
+        # not in a root; seeds of 5-7 words mix in past the pool.
+        rnd = random.Random(words)
+        low = 2 ** (32 * (words - 1)) if words > 1 else 0
+        roots = [RngStream(rnd.randrange(low, 2 ** (32 * words))) for _ in range(5)]
+        mixed = roots[:2] + [RngStream(2 ** (32 * w) - 1) for w in range(1, 8)]
+        for streams in (roots, mixed):
+            for _ in range(20):
+                steps = [self._step(rnd) for _ in range(rnd.randint(0, 3))]
+                _assert_same_generators(generators(streams, *steps), streams, steps)
 
     def test_empty_cohort(self):
         assert generators([], "shuffle", 0) == []
