@@ -16,10 +16,10 @@ from fednoise.augment import (
     HorizontalFlip,
     Rotation,
     UnsupportedAugmentationError,
+    _cos_sin_degrees,
+    _rotate,
     apply_batch,
     feature_jitter,
-    horizontal_flip,
-    random_rotation,
 )
 from fednoise.numerics import RngStream
 
@@ -32,17 +32,14 @@ def radial_image(size=15):
     return np.exp(-0.5 * (r / 3.0) ** 2)
 
 
-class ForcedAngleGen:
-    """Stand-in generator returning a fixed uniform draw (selects the angle)."""
+def rotate(img, angle):
+    """_rotate on one (H, W) image."""
+    return _rotate(img[None, :, :, None], np.array([angle]))[0, :, :, 0]
 
-    def __init__(self, angle, lo, hi):
-        self.value = angle
-        self.lo = lo
-        self.hi = hi
 
-    def uniform(self, lo, hi):
-        assert (lo, hi) == (self.lo, self.hi)
-        return self.value
+def one_client(policy, rows, stream, steps=(), image_shape=None):
+    """apply_batch on a cohort of one client's (B, d) rows."""
+    return apply_batch(policy, rows[None], [stream], steps, image_shape)[0]
 
 
 class TestRotation:
@@ -50,50 +47,68 @@ class TestRotation:
         # a radially symmetric image is invariant under any rotation about
         # its center; 90/180/270 hit the grid exactly up to interpolation
         img = radial_image()
-        for angle in (90.0, 180.0, 270.0):
-            out = random_rotation(img, 360.0, ForcedAngleGen(angle, -360.0, 360.0))
-            np.testing.assert_allclose(out, img, atol=1e-6)
+        out = _rotate(np.stack([img[:, :, None]] * 3), np.array([90.0, 180.0, 270.0]))
+        for rotated in out:
+            np.testing.assert_allclose(rotated[:, :, 0], img, atol=1e-6)
 
     def test_forward_backward_round_trip(self):
         # smooth off-center bump: rotation-sensitive, yet band-limited enough
         # that two bilinear resamplings nearly invert each other
         yy, xx = np.mgrid[0:15, 0:15]
         img = np.exp(-0.5 * (((yy - 4.0) / 2.5) ** 2 + ((xx - 9.0) / 2.5) ** 2))
-        rot = random_rotation(img, 360.0, ForcedAngleGen(23.0, -360.0, 360.0))
+        rot = rotate(img, 23.0)
         assert np.abs(rot - img).max() > 0.1  # the forward rotation moved mass
-        back = random_rotation(rot, 360.0, ForcedAngleGen(-23.0, -360.0, 360.0))
+        back = rotate(rot, -23.0)
         # interior pixels survive the round trip; borders lose mass to the
         # zero fill, so compare away from the edge
         np.testing.assert_allclose(back[4:-4, 4:-4], img[4:-4, 4:-4], atol=0.15)
 
+    def test_each_image_turns_by_its_own_angle(self):
+        img = np.random.default_rng(0).random((9, 11, 2))
+        angles = np.array([23.0, -40.0, 0.0])
+        out = _rotate(np.stack([img] * 3), angles)
+        for rotated, angle in zip(out, angles):
+            for c in range(2):
+                np.testing.assert_array_equal(rotated[:, :, c], rotate(img[:, :, c], angle))
+
     def test_zero_degrees_is_identity(self):
         img = radial_image()
-        out = random_rotation(img, 0.0, RngStream(0).generator())
-        np.testing.assert_array_equal(out, img)
+        np.testing.assert_array_equal(rotate(img, 0.0), img)
+        out = one_client(
+            AugmentPolicy((Rotation(0.0),)), img.reshape(1, -1), RngStream(0),
+            image_shape=(15, 15, 1),
+        )
+        np.testing.assert_array_equal(out[0].reshape(15, 15), img)
 
     def test_shape_preserved_with_channels(self):
         gen = np.random.default_rng(1)
-        img = gen.random((8, 8, 3))
-        out = random_rotation(img, 30.0, gen)
-        assert out.shape == (8, 8, 3)
+        rows = gen.random((3, 8 * 8 * 3))
+        out = one_client(AugmentPolicy((Rotation(30.0),)), rows, RngStream(0),
+                         image_shape=(8, 8, 3))
+        assert out.shape == rows.shape
+        assert not np.array_equal(out, rows)
 
     def test_angle_within_bounds(self):
         # draws stay inside [-max, +max]: rotating by at most ~0 degrees
         # cannot move mass far; compare against the worst case at 5 degrees
         img = radial_image()
-        out = random_rotation(img, 5.0, RngStream(3).generator())
-        assert np.abs(out - img).max() < 0.1
+        out = one_client(AugmentPolicy((Rotation(5.0),)), np.stack([img.ravel()] * 4),
+                         RngStream(3), image_shape=(15, 15, 1))
+        assert np.abs(out - img.ravel()).max() < 0.1
 
     def test_deterministic_under_stream(self):
         gen = np.random.default_rng(2)
-        img = gen.random((10, 10))
-        a = random_rotation(img, 30.0, RngStream(4).generator())
-        b = random_rotation(img, 30.0, RngStream(4).generator())
+        rows = gen.random((3, 100))
+        policy = AugmentPolicy((Rotation(30.0),))
+        a = one_client(policy, rows, RngStream(4), image_shape=(10, 10, 1))
+        b = one_client(policy, rows, RngStream(4), image_shape=(10, 10, 1))
         np.testing.assert_array_equal(a, b)
 
-    def test_flat_vector_rejected(self):
-        with pytest.raises(UnsupportedAugmentationError):
-            random_rotation(np.zeros(10), 30.0, RngStream(0).generator())
+    def test_image_shape_must_match_features(self):
+        for op in (Rotation(30.0), HorizontalFlip(0.5)):
+            with pytest.raises(ValueError):
+                one_client(AugmentPolicy((op,)), np.zeros((2, 10)), RngStream(0),
+                           image_shape=(4, 4, 1))
 
     def test_negative_max_degrees_rejected(self):
         with pytest.raises(ValueError):
@@ -101,33 +116,35 @@ class TestRotation:
 
 
 class TestHorizontalFlip:
+    def flip(self, rows, image_shape, *probs):
+        policy = AugmentPolicy(tuple(HorizontalFlip(p) for p in probs))
+        return one_client(policy, rows, RngStream(0), image_shape=image_shape)
+
     def test_forced_flip_is_exact_mirror(self):
         gen = np.random.default_rng(3)
         img = gen.random((6, 7))
-        out = horizontal_flip(img, 1.0, RngStream(0).generator())
-        np.testing.assert_array_equal(out, img[:, ::-1])
+        out = self.flip(img.reshape(1, -1), (6, 7, 1), 1.0)
+        np.testing.assert_array_equal(out[0].reshape(6, 7), img[:, ::-1])
 
     def test_double_forced_flip_is_identity(self):
         gen = np.random.default_rng(4)
-        img = gen.random((6, 7, 3))
-        once = horizontal_flip(img, 1.0, RngStream(0).generator())
-        twice = horizontal_flip(once, 1.0, RngStream(0).generator())
-        np.testing.assert_array_equal(twice, img)
+        rows = gen.random((2, 6 * 7 * 3))
+        np.testing.assert_array_equal(self.flip(rows, (6, 7, 3), 1.0, 1.0), rows)
 
     def test_prob_zero_never_flips(self):
         gen = np.random.default_rng(5)
-        img = gen.random((4, 5))
-        out = horizontal_flip(img, 0.0, RngStream(1).generator())
-        np.testing.assert_array_equal(out, img)
+        rows = gen.random((5, 20))
+        np.testing.assert_array_equal(self.flip(rows, (4, 5, 1), 0.0), rows)
 
     def test_flip_rate_near_prob(self):
-        img = np.arange(6.0).reshape(2, 3)
-        flipped = 0
-        gen = np.random.default_rng(6)
-        for _ in range(400):
-            out = horizontal_flip(img, 0.3, gen)
-            flipped += int(not np.array_equal(out, img))
-        assert abs(flipped / 400 - 0.3) < 0.07
+        rows = np.tile(np.arange(6.0), (400, 1))
+        out = one_client(AugmentPolicy((HorizontalFlip(0.3),)), rows, RngStream(6),
+                         image_shape=(2, 3, 1))
+        flipped = np.any(out != rows, axis=1)
+        np.testing.assert_array_equal(
+            out[flipped], rows[flipped].reshape(-1, 2, 3)[:, :, ::-1].reshape(-1, 6)
+        )
+        assert abs(flipped.mean() - 0.3) < 0.07
 
     def test_prob_validated(self):
         with pytest.raises(ValueError):
@@ -156,22 +173,11 @@ class TestFeatureJitter:
             FeatureJitter(-0.1)
 
 
-def test_single_ops_take_a_generator_not_a_stream():
+def test_feature_jitter_takes_a_generator_not_a_stream():
     # apply_batch hands each op its sub-stream's Generator; an RngStream is
     # no second accepted form.
-    img = np.ones((4, 4))
-    for op in (
-        lambda rng: random_rotation(img, 10.0, rng),
-        lambda rng: horizontal_flip(img, 0.5, rng),
-        lambda rng: feature_jitter(img, 0.1, rng),
-    ):
-        with pytest.raises(AttributeError):
-            op(RngStream(0))
-
-
-def one_client(policy, rows, stream, steps=(), image_shape=None):
-    """apply_batch on a cohort of one client's (B, d) rows."""
-    return apply_batch(policy, rows[None], [stream], steps, image_shape)[0]
+    with pytest.raises(AttributeError):
+        feature_jitter(np.ones((4, 4)), 0.1, RngStream(0))
 
 
 class TestPolicy:
@@ -250,6 +256,9 @@ class TestApplyBatch:
         policy = AugmentPolicy((FeatureJitter(0.5),))
         out = one_client(policy, np.zeros((0, 4)), RngStream(0))
         assert out.shape == (0, 4)
+        policy = AugmentPolicy((Rotation(30.0), HorizontalFlip(0.5)))
+        out = one_client(policy, np.zeros((0, 4)), RngStream(0), image_shape=(2, 2, 1))
+        assert out.shape == (0, 4)
 
     def test_input_never_mutated(self):
         policy = AugmentPolicy((FeatureJitter(1.0),))
@@ -284,40 +293,116 @@ class TestApplyBatch:
         streams = [RngStream(12).child("client", c, 3) for c in (0, 7, 2, 9)]
         steps = ("augment", 1, 2)
         out = apply_batch(policy, batch, streams, steps, image_shape)
-        for k, stream in enumerate(streams):
-            want = batch[k].copy()
-            for i, op in enumerate(policy.ops):
-                rng = stream.child(*steps, i).generator()
-                if isinstance(op, FeatureJitter):
-                    want = feature_jitter(want, op.sigma, rng)
-                    continue
-                h, w, c = image_shape
-                for b in range(len(want)):
-                    img = want[b].reshape(h, w, c)
-                    img = img[:, :, 0] if c == 1 else img
-                    if isinstance(op, Rotation):
-                        img = random_rotation(img, op.max_degrees, rng)
-                    else:
-                        img = horizontal_flip(img, op.prob, rng)
-                    want[b] = img.reshape(-1)
-            assert out[k].tobytes() == want.tobytes()
+        want = per_row_reference(policy, batch, streams, steps, image_shape)
+        assert out.tobytes() == want.tobytes()
         assert not np.array_equal(out[0], out[1])
+
+
+def per_row_reference(policy, batch, streams, steps, image_shape):
+    """The policy one row at a time, each image rotated by scipy.ndimage.rotate.
+
+    Each row draws its own scalar angle or flip uniform, in row order, from
+    the op's generator, as apply_batch did before it worked on whole batches.
+    """
+    ndimage = pytest.importorskip("scipy.ndimage")
+    out = batch.copy()
+    for rows, stream in zip(out, streams):
+        for i, op in enumerate(policy.ops):
+            rng = stream.child(*steps, i).generator()
+            if isinstance(op, FeatureJitter):
+                rows[:] = feature_jitter(rows, op.sigma, rng)
+                continue
+            for row in rows:
+                img = row.reshape(image_shape)
+                img = img[:, :, 0] if image_shape[2] == 1 else img
+                if isinstance(op, Rotation) and op.max_degrees:
+                    angle = rng.uniform(-op.max_degrees, op.max_degrees)
+                    img = ndimage.rotate(
+                        img, angle, axes=(1, 0), reshape=False, order=1, mode="constant"
+                    )
+                elif isinstance(op, HorizontalFlip) and rng.random() < op.prob:
+                    img = img[:, ::-1]
+                row[:] = img.reshape(-1)
+    return out
+
+
+class TestScipyReference:
+    """The batch rotation and flip give scipy's per-image output bit for bit."""
+
+    @pytest.mark.parametrize("prob", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("max_degrees", [0.0, 30.0, 90.0, 720.0])
+    @pytest.mark.parametrize("image_shape", [(16, 16, 1), (15, 17, 1), (9, 32, 3), (1, 5, 1)])
+    def test_apply_batch_matches_per_row_scipy(self, image_shape, max_degrees, prob):
+        gen = np.random.default_rng(10)
+        batch = gen.standard_normal((3, 7, int(np.prod(image_shape))))
+        streams = [RngStream(13).child("client", c) for c in (4, 1, 8)]
+        steps = ("augment", 0, 3)
+        for policy in (
+            AugmentPolicy((Rotation(max_degrees), HorizontalFlip(prob))),
+            AugmentPolicy((HorizontalFlip(prob), Rotation(max_degrees))),
+        ):
+            out = apply_batch(policy, batch, streams, steps, image_shape)
+            want = per_row_reference(policy, batch, streams, steps, image_shape)
+            assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pixels", ["normal", "signed_zeros", "non_finite"])
+    @pytest.mark.parametrize("image_shape", [(15, 17, 1), (9, 32, 3), (2, 2, 1)])
+    def test_rotate_matches_scipy_on_grid_angles(self, image_shape, pixels):
+        # multiples of 15 degrees put coordinates exactly on pixels, on the
+        # last pixel and on the image edge, where the inside test and the
+        # zero-weight taps decide the result: a -0.0 or negative pixel times
+        # a zero weight is -0.0, which only a sum started at 0.0 turns into
+        # +0.0, and an inf or nan pixel shows which pixel a zero-weight
+        # tap reads
+        ndimage = pytest.importorskip("scipy.ndimage")
+        angles = np.concatenate([np.arange(-720.0, 721.0, 15.0), [0.0, -0.0, 1e-12, -1e-12]])
+        gen = np.random.default_rng(11)
+        images = gen.standard_normal((len(angles),) + image_shape)
+        if pixels == "signed_zeros":
+            images = -np.abs(images)
+            images[gen.random(images.shape) < 0.3] = -0.0
+        elif pixels == "non_finite":
+            images[gen.random(images.shape) < 0.02] = np.inf
+            images[gen.random(images.shape) < 0.02] = np.nan
+        with np.errstate(invalid="ignore"):
+            out = _rotate(images, angles)
+        for img, angle, got in zip(images, angles, out):
+            want = ndimage.rotate(img, angle, axes=(1, 0), reshape=False, order=1, mode="constant")
+            assert got.tobytes() == want.tobytes(), angle
+
+    def test_degree_trig_matches_cephes(self):
+        special = pytest.importorskip("scipy.special")
+        gen = np.random.default_rng(12)
+        angles = np.concatenate([
+            [0.0, -0.0, 1e-12, -1e-12],
+            np.arange(-720.0, 721.0, 15.0),
+            gen.uniform(-720.0, 720.0, 20000),
+            gen.uniform(-1.0, 1.0, 1000),
+            gen.uniform(-1e6, 1e6, 1000),
+        ])
+        cos, sin = _cos_sin_degrees(angles)
+        assert cos.tobytes() == special.cosdg(angles).tobytes()
+        assert sin.tobytes() == special.sindg(angles).tobytes()
 
 
 # Runs in a fresh interpreter: other tests (and scikit-learn) may already
 # have loaded scipy into the pytest process.
-_LAZY_SCIPY_SCRIPT = textwrap.dedent("""
+_NO_SCIPY_SCRIPT = textwrap.dedent("""
     import json, sys
+    import numpy as np
     import fednoise
 
     fednoise.run_experiment(config=json.loads(sys.argv[1]))
-    assert "scipy" not in sys.modules, "a tabular run loaded scipy"
-    fednoise.AugmentPolicy((fednoise.Rotation(),))
-    assert "scipy.ndimage" in sys.modules, "a rotating policy did not load scipy.ndimage"
+    policy = fednoise.AugmentPolicy((fednoise.Rotation(), fednoise.HorizontalFlip()))
+    streams = [fednoise.RngStream(0).child("client", c) for c in range(3)]
+    images = np.random.default_rng(0).random((3, 4, 8 * 8 * 3))
+    out = fednoise.apply_batch(policy, images, streams, ("augment", 0, 0), (8, 8, 3))
+    assert not np.array_equal(out, images)
+    assert "scipy" not in sys.modules, "a run loaded scipy"
 """)
 
 
-def test_scipy_loaded_only_when_a_policy_rotates(tmp_path):
+def test_no_run_loads_scipy(tmp_path):
     config = {
         "seed": 0,
         "out": str(tmp_path / "run"),
@@ -330,7 +415,7 @@ def test_scipy_loaded_only_when_a_policy_rotates(tmp_path):
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
-        [sys.executable, "-c", _LAZY_SCIPY_SCRIPT, json.dumps(config)],
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(config)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
