@@ -26,7 +26,6 @@ __all__ = [
     "HorizontalFlip",
     "FeatureJitter",
     "AugmentPolicy",
-    "feature_jitter",
     "apply_batch",
 ]
 
@@ -87,14 +86,6 @@ class AugmentPolicy:
 
     def needs_image(self) -> bool:
         return any(isinstance(op, _IMAGE_OPS) for op in self.ops)
-
-
-def feature_jitter(
-    x: np.ndarray, sigma: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Add N(0, sigma^2) noise elementwise; sigma = 0 is the identity."""
-    arr = np.asarray(x, dtype=np.float64)
-    return arr + rng.normal(0.0, sigma, size=arr.shape)
 
 
 # cephes' sindg/cosdg polynomials for sine and cosine on [-pi/4, pi/4].
@@ -249,7 +240,7 @@ def apply_batch(
     for i, op in enumerate(policy.ops):
         for rows, gen in zip(out, generators(streams, *steps, i)):
             if isinstance(op, FeatureJitter):
-                rows[:] = feature_jitter(rows, op.sigma, gen)
+                rows += gen.normal(0.0, op.sigma, size=rows.shape)
             else:
                 images = rows.reshape(len(rows), *image_shape)
                 if isinstance(op, HorizontalFlip):

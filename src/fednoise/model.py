@@ -1,8 +1,8 @@
 """Fully-connected classifier stored as one flat parameter vector.
 
-The flat layout is load-bearing: federated averaging, SGD, and checkpointing
-all operate on the single float64 vector, so parameter arithmetic is plain
-numpy and bit-reproducible. Layer structure lives in ``shapes`` as
+The flat layout is load-bearing: federated averaging and SGD both operate
+on the single float64 vector, so parameter arithmetic is plain numpy and
+bit-reproducible. Layer structure lives in ``shapes`` as
 ``(in_dim, out_dim)`` pairs; each layer owns ``in_dim * out_dim`` weights
 followed by ``out_dim`` biases. Hidden activations are ReLU, the final layer
 emits raw logits.
@@ -29,8 +29,6 @@ one-pass conveniences over it.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +43,7 @@ __all__ = [
     "forward_vjp",
     "backward",
     "sgd_step",
-    "save_params",
-    "load_params",
 ]
-
-_CHECKPOINT_FORMAT = "fednoise-mlp"
-_CHECKPOINT_VERSION = 1
 
 
 def param_count(layer_sizes: "list[int] | tuple[int, ...]") -> int:
@@ -220,54 +213,3 @@ def sgd_step(params: ModelParams, grads: np.ndarray, lr: float) -> ModelParams:
         raise ValueError(f"gradient shape {grads.shape} differs from parameters' {params.flat.shape}")
     step = lr * grads
     return ModelParams(_frozen(np.subtract(params.flat, step, out=step)), params.shapes)
-
-
-def save_params(params: ModelParams, path: "str | os.PathLike") -> None:
-    """Write a checkpoint: one JSON header line, then raw little-endian f64.
-
-    Header fields: format, version, layers (list of [in, out]), count.
-    """
-    if params.flat.ndim != 1:
-        raise ValueError("a checkpoint holds one network; save a cohort row by row")
-    header = {
-        "format": _CHECKPOINT_FORMAT,
-        "version": _CHECKPOINT_VERSION,
-        "layers": [[i, o] for i, o in params.shapes],
-        "count": int(params.flat.size),
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(params.flat.astype("<f8").tobytes())
-
-
-def load_params(path: "str | os.PathLike") -> ModelParams:
-    """Read a checkpoint written by save_params. Raises ValueError on a malformed
-    header and on a payload whose length disagrees with the header's count."""
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        blob = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"checkpoint header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ValueError(f"checkpoint header must be a JSON object, got {header!r}")
-    if header.get("format") != _CHECKPOINT_FORMAT:
-        raise ValueError(f"unrecognized checkpoint format {header.get('format')!r}")
-    if header.get("version") != _CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
-    try:
-        shapes = tuple((int(i), int(o)) for i, o in header["layers"])
-        count = int(header["count"])
-    except KeyError as exc:
-        raise ValueError(f"checkpoint header lacks the {exc.args[0]!r} field") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"checkpoint header has malformed layers or count: {exc}") from None
-    _check_layers(shapes)
-    flat = np.frombuffer(blob, dtype="<f8")
-    if flat.size != count:
-        raise ValueError(
-            f"checkpoint payload has {flat.size} floats, header says {count}"
-        )
-    return ModelParams(flat.astype(np.float64), shapes)

@@ -19,7 +19,6 @@ from fednoise.augment import (
     _cos_sin_degrees,
     _rotate,
     apply_batch,
-    feature_jitter,
 )
 from fednoise.numerics import RngStream
 
@@ -152,32 +151,43 @@ class TestHorizontalFlip:
 
 
 class TestFeatureJitter:
+    def jitter(self, sigma, rows, stream):
+        return one_client(AugmentPolicy((FeatureJitter(sigma),)), rows, stream)
+
     def test_sigma_zero_identity(self):
-        x = np.arange(5.0)
-        np.testing.assert_array_equal(feature_jitter(x, 0.0, RngStream(0).generator()), x)
+        x = np.arange(10.0).reshape(2, 5)
+        np.testing.assert_array_equal(self.jitter(0.0, x, RngStream(0)), x)
 
     def test_noise_statistics(self):
-        x = np.zeros(20000)
-        out = feature_jitter(x, 0.5, RngStream(1).generator())
+        out = self.jitter(0.5, np.zeros((200, 100)), RngStream(1))
         assert abs(out.mean()) < 0.02
         assert abs(out.std() - 0.5) < 0.02
 
     def test_same_stream_same_jitter(self):
-        x = np.ones(10)
-        a = feature_jitter(x, 0.3, RngStream(2).generator())
-        b = feature_jitter(x, 0.3, RngStream(2).generator())
+        x = np.ones((2, 5))
+        a = self.jitter(0.3, x, RngStream(2))
+        b = self.jitter(0.3, x, RngStream(2))
+        assert not np.array_equal(a, x)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("sigma", [0.6, 0.0, 1e-3])
+    @pytest.mark.parametrize("shape", [(5, 60, 32), (3, 7, 5), (2, 1, 3)])
+    def test_cohort_adds_one_normal_block_per_client(self, shape, sigma):
+        # Client k's rows plus one (B, d) normal block drawn from op 0's
+        # generator, added in place: the bytes of rows + noise.
+        batch = np.random.default_rng(4).normal(size=shape)
+        streams = [RngStream(8).child("client", k) for k in range(shape[0])]
+        steps = ("augment", 2)
+        out = apply_batch(AugmentPolicy((FeatureJitter(sigma),)), batch, streams, steps)
+        want = np.stack([
+            rows + s.child(*steps, 0).generator().normal(0.0, sigma, size=rows.shape)
+            for rows, s in zip(batch, streams)
+        ])
+        assert out.tobytes() == want.tobytes()
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             FeatureJitter(-0.1)
-
-
-def test_feature_jitter_takes_a_generator_not_a_stream():
-    # apply_batch hands each op its sub-stream's Generator; an RngStream is
-    # no second accepted form.
-    with pytest.raises(AttributeError):
-        feature_jitter(np.ones((4, 4)), 0.1, RngStream(0))
 
 
 class TestPolicy:
@@ -304,14 +314,14 @@ def per_row_reference(policy, batch, streams, steps, image_shape):
     Each row draws its own scalar angle or flip uniform, in row order, from
     the op's generator, as apply_batch did before it worked on whole batches.
     """
-    ndimage = pytest.importorskip("scipy.ndimage")
     out = batch.copy()
     for rows, stream in zip(out, streams):
         for i, op in enumerate(policy.ops):
             rng = stream.child(*steps, i).generator()
             if isinstance(op, FeatureJitter):
-                rows[:] = feature_jitter(rows, op.sigma, rng)
+                rows[:] = rows + rng.normal(0.0, op.sigma, size=rows.shape)
                 continue
+            ndimage = pytest.importorskip("scipy.ndimage")
             for row in rows:
                 img = row.reshape(image_shape)
                 img = img[:, :, 0] if image_shape[2] == 1 else img

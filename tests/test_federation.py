@@ -46,9 +46,7 @@ from fednoise.losses import (
     sharpened_ce_per_sample,
     small_loss_select,
 )
-from fednoise.model import (
-    ModelParams, backward, forward, init_params, load_params, save_params, sgd_step,
-)
+from fednoise.model import ModelParams, backward, forward, init_params, sgd_step
 from fednoise.numerics import RngStream
 
 
@@ -475,9 +473,9 @@ class TestRunFederationMechanics:
         [("lsr", "iid"), ("fedavg_ce", "iid"), ("ce_aug", "iid"), ("sym_ce_lsr", "iid"),
          ("coteaching_lsr", "noniid")],
     )
-    def test_round_depends_only_on_t_and_networks(self, tmp_path, method, partition):
-        # Six rounds, the global networks through checkpoint files, then
-        # rounds 6-11 through _round from those networks alone: metrics and
+    def test_round_depends_only_on_t_and_networks(self, method, partition):
+        # Six rounds, then rounds 6-11 through _round from networks rebuilt
+        # out of nothing but each network's bytes and shapes: metrics and
         # final networks must be an uninterrupted 12-round run's, bit for bit.
         train, shards, test = small_world(noise=0.3)
         if partition == "noniid":
@@ -493,10 +491,10 @@ class TestRunFederationMechanics:
         whole = run_federation(cfg, train, shards, test, seed=5, **kw)
         head = run_federation(dataclasses.replace(cfg, rounds=6), train, shards, test, seed=5, **kw)
 
-        paths = [tmp_path / f"net{i}.ckpt" for i in range(len(head.final_params))]
-        for net, path in zip(head.final_params, paths):
-            save_params(net, path)
-        nets = tuple(load_params(path) for path in paths)
+        nets = tuple(
+            ModelParams(np.frombuffer(net.flat.tobytes()), net.shapes)
+            for net in head.final_params
+        )
         metrics = list(head.metrics)
         for t in range(6, 12):
             nets, m = fednoise.federation._round(

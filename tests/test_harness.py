@@ -1,5 +1,6 @@
 """Config materialization, experiment runner outputs, and the CLI."""
 
+import ast
 import copy
 import dataclasses
 import json
@@ -420,6 +421,37 @@ def test_package_exports_each_module_all_once():
     for module in modules:
         for name in module.__all__:
             assert getattr(fednoise, name) is getattr(module, name), name
+
+
+# `main` is the console script's entry point: pyproject.toml's
+# [project.scripts] table names it, no module calls it.
+_ENTRY_POINTS = {"main"}
+
+
+def _used_names(path):
+    """Every Name id and Attribute attr in a file; an import names none."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+@pytest.mark.parametrize(
+    "module", ["augment", "data", "federation", "harness", "losses", "model", "numerics"]
+)
+def test_every_public_name_has_a_user(module):
+    # A name in a module's __all__ is used by the package itself or by the
+    # acceptance criteria; a helper that only unit tests call is not public.
+    import importlib
+
+    import fednoise
+
+    used = set().union(*map(_used_names, Path(fednoise.__file__).parent.glob("*.py")))
+    used |= _used_names(Path(__file__).with_name("test_acceptance.py")) | _ENTRY_POINTS
+    mod = importlib.import_module(f"fednoise.{module}")
+    unused = [name for name in mod.__all__ if name not in used]
+    assert not unused, f"fednoise.{module} names no run and no acceptance test uses: {unused}"
 
 
 # Runs in a fresh interpreter: pytest itself has loaded these modules.
