@@ -63,7 +63,6 @@ from .losses import (
     SymCeParams,
     ce_loss,
     ce_per_sample,
-    lsr_plus_loss,
     lsr_total_loss,
     sharpened_ce_loss,
     sharpened_ce_per_sample,
@@ -397,12 +396,13 @@ def local_train_lsr(
     streams: list,
     gamma_t: float,
 ) -> tuple:
-    """Self-regularized local training: dual forward, mixed sharpened CE,
-    plus the warm-up-weighted distillation term (and the entropy penalty
-    when ``cfg.method`` is "lsr_plus")."""
+    """Self-regularized local training for ``lsr`` and ``lsr_plus`` alike
+    (:func:`~fednoise.losses.lsr_total_loss` over the two views): mixed
+    sharpened CE, the warm-up-weighted distillation term and, at a non-zero
+    ``hp.entropy_weight``, the entropy penalty."""
     _check_nets("local_train_lsr", nets)
-    loss = lsr_plus_loss if cfg.method == "lsr_plus" else lsr_total_loss
-    objective = _two_view(partial(loss, gamma_t=gamma_t, hp=hp), dataset, hp, policy, streams)
+    loss_fn = partial(lsr_total_loss, gamma_t=gamma_t, hp=hp)
+    objective = _two_view(loss_fn, dataset, hp, policy, streams)
     return _local_sgd(nets, *_shard_arrays(dataset, shards), cfg, streams, objective)
 
 

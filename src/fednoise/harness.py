@@ -38,7 +38,8 @@ fednoise.augment). A key accepts null only where its default is null.
 Nulls resolve to derived values: noise.seed and dataset.seed fall back to
 the master seed, warmup_rounds to 20% of the rounds, gamma to a tuned
 per-noise-level table, distill_kind to "js" under IID partitioning and
-"l1" otherwise, entropy_weight to 0.6 for lsr_plus and 0 for every other
+"l1" otherwise, entropy_weight (the entropy penalty's weight wherever the
+LSR loss runs: lsr, lsr_plus) to 0.6 for lsr_plus and 0 for every other
 method, and coteaching.noise_rate to the injected noise ratio. "default"
 augmentation picks rotation for images and feature jitter for flat feature
 vectors. Numbers are echoed as given, so a config that writes 1 for a

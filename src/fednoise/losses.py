@@ -28,13 +28,14 @@ divergences: ``js`` (Jensen-Shannon), ``l1``, ``l2``, and ``cosine``. The
 cosine variant matches each side against a detached copy of the other
 (gradients do not flow through the stopped side) and halves the sum.
 
-The two-head losses (:func:`lsr_total_loss`, and so :func:`lsr_plus_loss`,
-and :func:`symce_lsr_loss`) run as one pass over the heads stacked as one
-``(2, ..., B, M)`` array: logits and labels are checked once, each row's
+The two-head losses (:func:`lsr_total_loss`, which :func:`lsr_plus_loss`
+calls, and :func:`symce_lsr_loss`) run as one pass over the heads stacked as
+one ``(2, ..., B, M)`` array: logits and labels are checked once, each row's
 max is taken once and serves both the plain and the tempered softmax, and
-each softmax, floor and softmax vjp runs once for both heads. The public
-terms :func:`lsr_cls_loss` and :func:`self_distill_loss` are built from the
-same pieces, and the pass equals their separate composition bit for bit.
+each softmax, floor and softmax vjp runs once for both heads; the
+classification term and the entropy penalty share the plain softmax. The
+public terms :func:`lsr_cls_loss` and :func:`self_distill_loss` are built
+from the same pieces, and the pass equals their composition bit for bit.
 """
 
 from __future__ import annotations
@@ -266,9 +267,9 @@ def _lsr_inputs(o1, o2, labels, lam):
     return o, y, _mix_weight(lam, o.shape[1:-2])
 
 
-def _lsr_cls(o, top, y, weight, hp: LsrHyperParams):
+def _lsr_cls(o, p, y, weight, hp: LsrHyperParams):
     """(scalar, (2, ..., B, M) adjoint) of :func:`lsr_cls_loss` on the
-    checked stacked heads ``o`` with row maxima ``top``."""
+    checked stacked heads ``o`` with plain softmax ``p``."""
     # T = 1 with lam = 1 is plain cross-entropy on o1. Take the direct code
     # path, per client of a cohort, so the degenerate configuration is
     # arithmetic-for-arithmetic identical to ce_loss, not merely close.
@@ -278,7 +279,6 @@ def _lsr_cls(o, top, y, weight, hp: LsrHyperParams):
         if np.all(weight == 1.0):
             return base.scalar, np.stack((base.adjoint_o1, base.adjoint_o2))
 
-    p = _softmax_at(o, top)
     rows, grad = _sharpened_nll(weight * p[0] + (1.0 - weight) * p[1], y, hp)
     scalar, grad_p = rows.mean(axis=-1), grad()
     adj = softmax_vjp(p, np.stack((weight * grad_p, (1.0 - weight) * grad_p)))
@@ -305,7 +305,7 @@ def lsr_cls_loss(
     inside the log. The gradient flows into both heads through the mixture.
     """
     o, y, weight = _lsr_inputs(o1, o2, labels, lam)
-    scalar, adj = _lsr_cls(o, _row_max(o), y, weight, hp)
+    scalar, adj = _lsr_cls(o, _softmax_at(o, _row_max(o)), y, weight, hp)
     return LossOutput(scalar, adj[0], adj[1])
 
 
@@ -402,51 +402,37 @@ def lsr_total_loss(
     gamma_t: float,
     hp: LsrHyperParams,
 ) -> LossOutput:
-    """Classification term plus gamma_t times the distillation term.
+    """Classification term plus gamma_t times the distillation term, plus
+    entropy_weight * mean_b( H(softmax(o1)) + H(softmax(o2)) ) / 2.
 
-    One pass over the two heads stacked as one array: the logits and labels
-    are checked once, each row's max serves both the plain and the
-    tempered softmax, and each softmax and its vjp runs once for both
-    heads. Equal, bit for bit, to ``lsr_cls_loss`` plus gamma_t times
-    ``self_distill_loss``.
+    H is Shannon entropy in nats. Minimizing the penalty pushes both
+    predictions toward lower entropy, firming up the model's confidence
+    when long training under heavy noise would otherwise erode it. At
+    entropy weight 0 the pass equals, bit for bit, ``lsr_cls_loss`` plus
+    gamma_t times ``self_distill_loss``.
     """
     o, y, weight = _lsr_inputs(o1, o2, labels, lam)
     top = _row_max(o)
-    return _add_distill(*_lsr_cls(o, top, y, weight, hp), o, top, gamma_t, hp)
-
-
-def lsr_plus_loss(
-    o1: np.ndarray,
-    o2: np.ndarray,
-    labels: np.ndarray,
-    lam: "float | np.ndarray",
-    gamma_t: float,
-    hp: LsrHyperParams,
-) -> LossOutput:
-    """Total loss plus an entropy penalty on both raw predictions.
-
-    Adds entropy_weight * mean_b( H(softmax(o1)) + H(softmax(o2)) ) / 2,
-    where H is Shannon entropy in nats. Minimizing the penalty pushes both
-    predictions toward lower entropy, firming up the model's confidence when
-    long training under heavy noise would otherwise erode it.
-    """
-    out = lsr_total_loss(o1, o2, labels, lam, gamma_t, hp)
+    p = _softmax_at(o, top)
+    out = _add_distill(*_lsr_cls(o, p, y, weight, hp), o, top, gamma_t, hp)
     if hp.entropy_weight == 0.0:
         return out
-    o = _stack_heads(o1, o2)  # checked by lsr_total_loss
-    batch = o.shape[-2]
     w = hp.entropy_weight
-
-    p = _softmax_at(o, _row_max(o))
     logp = np.log(np.maximum(p, 1e-300))
     entropy = -(p * logp).sum(axis=-1).mean(axis=-1)
     scalar = out.scalar + w * 0.5 * entropy[0] + w * 0.5 * entropy[1]
     # dH/dp_i = -(log p_i + 1); entries with p_i = 0 are zeroed by the
     # p factor inside softmax_vjp.
-    adj = softmax_vjp(p, w * 0.5 * (-(logp + 1.0)) / batch)
+    adj = softmax_vjp(p, w * 0.5 * (-(logp + 1.0)) / o.shape[-2])
     adj[0] += out.adjoint_o1
     adj[1] += out.adjoint_o2
     return LossOutput(scalar, adj[0], adj[1])
+
+
+def lsr_plus_loss(o1, o2, labels, lam, gamma_t: float, hp: LsrHyperParams) -> LossOutput:
+    """:func:`lsr_total_loss`, named for the method whose entropy weight
+    defaults to 0.6."""
+    return lsr_total_loss(o1, o2, labels, lam, gamma_t, hp)
 
 
 def symmetric_ce_loss(logits: np.ndarray, labels: np.ndarray, sp: SymCeParams) -> LossOutput:

@@ -1,11 +1,11 @@
 """Probability transforms, splittable random streams, and the one rule by
 which the package's immutable types hold arrays.
 
-Conventions used across the package: logit and probability vectors are plain
-numpy float64 arrays, either a single row ``(M,)``, a batch of rows
-``(B, M)``, or a cohort of batches ``(K, B, M)``; every transform here works
-along the last axis. A probability array has entries in [0, 1] that sum to 1
-per row.
+Logit and probability arrays are plain numpy float64 arrays. The
+transforms here take any ``(..., M)`` array and work along its last axis;
+the losses take ``(..., B, M)`` logits, a batch ``(B, M)`` or a cohort of
+batches ``(K, B, M)``, never a lone ``(M,)`` row. A probability array has
+entries in [0, 1] that sum to 1 per row.
 
 All logarithms are natural logarithms. :func:`sample_mix_weight` draws
 from a cohort's :class:`RngStream` list, never from a live generator.
@@ -96,13 +96,15 @@ _STATE_XOR, _STATE_MULT = np.array(
 ).T.reshape(2, 2, _POOL_WORDS)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache
 def _mix_terms(first: int, steps: tuple) -> np.ndarray:
     """(S, 4) uint32 rows ``MIX_R * hashmix(w)`` that the S entropy words of
     ``steps`` subtract in ``mix`` from the four pool words, the first of
     them being entropy word ``first`` past the pool's four.
 
-    A run asks for a few dozen (first, steps) pairs, over and over."""
+    An ``lsr`` cohort with one augment op asks for ``local_epochs * (2 *
+    batches + 1)`` pairs, the same ones every round; a bounded LRU cache
+    misses on all of them once that cycle outgrows it."""
     words = [w for step in steps for w in _words(_path_step(step))]
     terms = [
         [_hashmix(w, 16 + 4 * j + d) for d in range(_POOL_WORDS)]

@@ -47,7 +47,7 @@ from fednoise.losses import (
     small_loss_select,
 )
 from fednoise.model import ModelParams, backward, forward, init_params, sgd_step
-from fednoise.numerics import RngStream
+from fednoise.numerics import RngStream, _mix_terms
 
 
 def small_world(n=120, clients=6, seed=0, noise=0.0):
@@ -507,6 +507,33 @@ class TestRunFederationMechanics:
             assert got.shapes == want.shapes
             assert got.flat.tobytes() == want.flat.tobytes()
 
+    def test_a_second_round_reuses_every_step_path(self, monkeypatch):
+        # 20 local epochs of 10 batches ask numerics.generators for
+        # 20 * (2 * 10 + 1) = 420 step paths per lsr cohort (shuffle per
+        # epoch, augment and mix weight per batch), more than an LRU cache
+        # of 256 holds; round 2 asks for the same ones and must miss none.
+        ds = generate_synthetic(240, 4, 6, 0)
+        train, test = subset(ds, np.arange(200)), subset(ds, np.arange(200, 240))
+        cfg = FedConfig(
+            num_clients=2, clients_per_round=1, rounds=2, local_epochs=20,
+            batch_size=10, method="lsr", warmup_rounds=0, hidden_layers=(4,),
+        )
+        misses = []
+        real = fednoise.federation._round
+
+        def spy(*args):
+            out = real(*args)
+            misses.append(_mix_terms.cache_info().misses)
+            return out
+
+        monkeypatch.setattr(fednoise.federation, "_round", spy)
+        _mix_terms.cache_clear()
+        run_federation(
+            cfg, train, partition_iid(train, 2, seed=0), test, seed=0,
+            policy=AugmentPolicy((FeatureJitter(0.3),)),
+        )
+        assert misses == [420, 420]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("method, lr", [("fedavg_ce", 1e12), ("lsr", 1e300)])
@@ -805,6 +832,27 @@ class TestMethodEquivalences:
         identity = run(1.0, AugmentPolicy())
         assert run(1.0, AugmentPolicy((FeatureJitter(0.3),))) == identity
         assert run(0.0, AugmentPolicy()) == identity
+
+    def test_lsr_plus_is_lsr_at_the_same_entropy_weight(self):
+        # Both methods run lsr_total_loss; only harness's default entropy
+        # weight tells them apart, and an explicit weight acts under lsr.
+        train, shards, test = small_world(noise=0.4)
+        policy = AugmentPolicy((FeatureJitter(0.3),))
+
+        def run(method, entropy_weight):
+            cfg = FedConfig(
+                num_clients=6, clients_per_round=3, rounds=3, local_epochs=2,
+                batch_size=10, method=method, warmup_rounds=1, hidden_layers=(6,),
+            )
+            result = run_federation(
+                cfg, train, shards, test, seed=3, policy=policy,
+                hp=LsrHyperParams(entropy_weight=entropy_weight),
+            )
+            return result.metrics, [p.flat.tobytes() for p in result.final_params]
+
+        lsr = run("lsr", 0.6)
+        assert run("lsr_plus", 0.6) == lsr
+        assert run("lsr", 0.0) != lsr
 
     def test_coteaching_zero_rate_first_net_matches_plain_ce(self):
         # keep ratio 1 disables the selection, so network A sees exactly the

@@ -332,6 +332,17 @@ class TestRunExperiment:
         run_experiment(config=tiny_config(out=str(b)))
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
+    def test_lsr_plus_is_lsr_with_entropy_weight_0_6(self, tmp_path):
+        def run(out, method, lsr=None):
+            cfg = tiny_config(out=str(tmp_path / out), **({"lsr": lsr} if lsr else {}))
+            cfg["federation"]["method"] = method
+            run_experiment(config=cfg)
+            return (tmp_path / out / "metrics.csv").read_bytes()
+
+        plus = run("plus", "lsr_plus")
+        assert run("lsr", "lsr", {"entropy_weight": 0.6}) == plus
+        assert run("plain", "lsr") != plus
+
     def test_worker_count_does_not_change_output_bytes(self, tmp_path):
         a = tmp_path / "w1"
         b = tmp_path / "w3"

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fednoise import losses, numerics
 from fednoise.losses import (
     LossOutput,
     LsrHyperParams,
@@ -361,6 +362,28 @@ class TestLsrPlus:
         b = lsr_total_loss(o1, o2, y, 0.5, 0.3, hp)
         assert a.scalar == b.scalar
         np.testing.assert_array_equal(a.adjoint_o1, b.adjoint_o1)
+
+    def test_one_row_max_and_one_plain_softmax_per_call(self, monkeypatch):
+        # The classification term and the entropy penalty share one plain
+        # softmax, and the tempered one reuses its row maxima.
+        maxima, temps = [], []
+
+        def row_max(o):
+            maxima.append(o.shape)
+            return numerics._row_max(o)
+
+        def softmax_at(o, top, temp=1.0):
+            temps.append(temp)
+            return numerics._softmax_at(o, top, temp)
+
+        monkeypatch.setattr(losses, "_row_max", row_max)
+        monkeypatch.setattr(losses, "_softmax_at", softmax_at)
+        gen = np.random.default_rng(20)
+        o1, o2 = gen.normal(size=(2, 3, 6, 4))
+        y = gen.integers(0, 4, size=(3, 6))
+        lsr_plus_loss(o1, o2, y, 0.4, 0.5, LsrHyperParams(entropy_weight=0.6))
+        assert maxima == [(2, 3, 6, 4)]
+        assert temps == [1.0, LsrHyperParams().distill_temp]
 
     def test_adjoints_match_fd(self):
         gen = np.random.default_rng(19)
@@ -835,7 +858,7 @@ def _ref_loss(name, o1, o2, y, lam, gamma_t, hp):
         adj /= o1.shape[-2]
         return _ref_add_distill((scalar, weight * adj, (1.0 - weight) * adj), o1, o2, gamma_t, hp)
     out = _ref_add_distill(_ref_cls(o1, o2, y, lam, hp), o1, o2, gamma_t, hp)
-    if name == "lsr_total_loss" or hp.entropy_weight == 0.0:
+    if hp.entropy_weight == 0.0:
         return out
     w, scalar, adjs = hp.entropy_weight, out[0], []
     for o, base_adj in ((o1, out[1]), (o2, out[2])):
@@ -860,8 +883,8 @@ class TestOnePassMatchesComposition:
     @pytest.mark.parametrize("temp", [0.5, 1.0])
     @pytest.mark.parametrize("kind", ["js", "l1", "l2", "cosine", "none"])
     @pytest.mark.parametrize("name, entropy_weight", [
-        ("lsr_total_loss", 0.0), ("lsr_plus_loss", 0.0), ("lsr_plus_loss", 0.1),
-        ("symce_lsr_loss", 0.0),
+        ("lsr_total_loss", 0.0), ("lsr_total_loss", 0.1), ("lsr_plus_loss", 0.0),
+        ("lsr_plus_loss", 0.1), ("symce_lsr_loss", 0.0),
     ])
     def test_bitwise_equal(self, name, entropy_weight, kind, temp, weights, gamma_t):
         # Every distill kind, the T = 1 plain-CE path (all, none or some of
