@@ -162,11 +162,11 @@ class FedConfig:
 
 @dataclass(frozen=True)
 class CoteachingConfig:
-    """Mutual-selection schedule: keep 1 - min(rate * t / ramp, rate)."""
+    """Mutual-selection schedule: in round t each network keeps
+    1 - min(rate * t / ramp_rounds, rate) of every batch."""
 
     noise_rate: float = 0.2
     ramp_rounds: int = 10
-    schedule_unit: str = "round"
 
     def __post_init__(self) -> None:
         _check_int_fields(self)
@@ -174,10 +174,6 @@ class CoteachingConfig:
             raise ValueError(f"noise_rate must lie in [0, 1), got {self.noise_rate}")
         if self.ramp_rounds < 1:
             raise ValueError(f"ramp_rounds must be positive, got {self.ramp_rounds}")
-        if self.schedule_unit not in ("round", "epoch"):
-            raise ValueError(
-                f"schedule_unit must be 'round' or 'epoch', got {self.schedule_unit!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -222,11 +218,11 @@ def gamma_schedule(round_idx: int, warmup_rounds: int, gamma: float) -> float:
     return float(gamma * min(round_idx / warmup_rounds, 1.0))
 
 
-def coteach_keep_ratio(ct: CoteachingConfig, step: int) -> float:
-    """Fraction of each batch kept at schedule step t: 1 - min(rate*t/ramp, rate)."""
-    if step < 0:
-        raise ValueError(f"schedule step must be non-negative, got {step}")
-    return 1.0 - min(ct.noise_rate * step / ct.ramp_rounds, ct.noise_rate)
+def coteach_keep_ratio(ct: CoteachingConfig, round_idx: int) -> float:
+    """Fraction of each batch kept in round t: 1 - min(rate*t/ramp, rate)."""
+    if round_idx < 0:
+        raise ValueError(f"round index must be non-negative, got {round_idx}")
+    return 1.0 - min(ct.noise_rate * round_idx / ct.ramp_rounds, ct.noise_rate)
 
 
 def _check_shard(shard: ClientShard) -> None:
@@ -439,12 +435,14 @@ def local_train_coteaching(
 
     Per batch, both networks score every sample; network A's smallest-loss
     subset becomes B's training rows and vice versa, on the premise that
-    low-loss samples more likely carry correct labels. The kept share
-    ramps from 1 down to 1 - ``ct.noise_rate``. When ``cfg.method`` is
-    "coteaching_lsr", the score and the update loss use the prediction
-    sharpened by ``hp``. Each batch's loss is the mean of the two updates'.
-    Both networks train as one (2K, P) stack, A's rows first, so a batch
-    costs one scoring forward, one selection and one update.
+    low-loss samples more likely carry correct labels. The kept share is
+    ``coteach_keep_ratio(ct, round_idx)``, taken once for every batch of
+    the round, so it ramps by round from 1 down to 1 - ``ct.noise_rate``.
+    When ``cfg.method`` is "coteaching_lsr", the score and the update loss
+    use the prediction sharpened by ``hp``. Each batch's loss is the mean
+    of the two updates'. Both networks train as one (2K, P) stack, A's rows
+    first, so a batch costs one scoring forward, one selection and one
+    update.
     """
     _check_nets("local_train_coteaching", nets, 2)
     per_sample, loss_fn = ce_per_sample, ce_loss
@@ -452,11 +450,11 @@ def local_train_coteaching(
         per_sample = partial(sharpened_ce_per_sample, hp=hp)
         loss_fn = partial(sharpened_ce_loss, hp=hp)
     update = _single_view(loss_fn)
+    keep = coteach_keep_ratio(ct, round_idx)
 
     def objective(net, x, y, epoch, bi, grad):
         k, x, y = len(x), np.concatenate((x, x)), np.concatenate((y, y))
-        step = round_idx if ct.schedule_unit == "round" else round_idx * cfg.local_epochs + epoch
-        picks = small_loss_select(per_sample(forward(net, x), y), coteach_keep_ratio(ct, step))
+        picks = small_loss_select(per_sample(forward(net, x), y), keep)
         picks = np.concatenate((picks[k:], picks[:k]))  # A's picks train B and vice versa
         rows = np.arange(2 * k)[:, None]
         loss = update(net, x[rows, picks], y[rows, picks], epoch, bi, grad)

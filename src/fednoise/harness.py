@@ -22,8 +22,7 @@ Config layout (all sections optional, shown with defaults):
                "gamma": null, "entropy_weight": null, "distill_kind": null,
                "clamp_lo": 1e-06, "fix_lambda": null},
       "sym_ce": {"alpha": 0.1, "beta": 1.0, "log_zero": -4.0},
-      "coteaching": {"noise_rate": null, "ramp_rounds": 10,
-                      "schedule_unit": "round"},
+      "coteaching": {"noise_rate": null, "ramp_rounds": 10},
       "augment": "default"
     }
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _row_max, _softmax_at, softmax, softmax_vjp
+from .numerics import _row_max, _softmax_at, softmax_vjp
 
 __all__ = [
     "LsrHyperParams",
@@ -72,10 +72,11 @@ class LsrHyperParams:
                     peaks the distribution; T = 1 disables sharpening).
     distill_temp:   temperature dividing the logits inside the distillation
                     softmax (values < 1 peak the compared distributions).
-    gamma:          full weight of the distillation term after warm-up.
+    gamma:          full weight of the distillation term after warm-up; 0
+                    turns the term off (the paper's ablation).
     entropy_weight: weight of the entropy penalty (entropy minimization) on
                     both predictions, the "plus" objective; 0 disables it.
-    distill_kind:   js | l1 | l2 | cosine | none.
+    distill_kind:   js | l1 | l2 | cosine.
     clamp_lo:       floor applied to compared probabilities, and to the
                     sharpened target probability inside the log.
     fix_lambda:     when set, use this constant mixing weight instead of a
@@ -101,10 +102,9 @@ class LsrHyperParams:
             raise ValueError(
                 f"entropy_weight must be non-negative, got {self.entropy_weight}"
             )
-        kinds = (*_DISTILL_GRADS, "none")
-        if self.distill_kind not in kinds:
+        if self.distill_kind not in _DISTILL_GRADS:
             raise ValueError(
-                f"distill_kind must be one of {kinds}, got {self.distill_kind!r}"
+                f"distill_kind must be one of {tuple(_DISTILL_GRADS)}, got {self.distill_kind!r}"
             )
         if not (0.0 < self.clamp_lo < 1.0):
             raise ValueError(f"clamp_lo must lie in (0, 1), got {self.clamp_lo}")
@@ -372,8 +372,6 @@ def self_distill_loss(o1: np.ndarray, o2: np.ndarray, hp: LsrHyperParams) -> Los
     and l2, and zero for cosine as well since the compared vectors align.
     """
     o = _stack_heads(o1, o2)
-    if hp.distill_kind == "none":
-        raise ValueError("self_distill_loss called with distill_kind='none'")
     if o.shape[-2] == 0:
         raise ValueError("empty batch")
     _check_finite(o)
@@ -386,7 +384,7 @@ def _add_distill(scalar, adj, o, top, gamma_t: float, hp: LsrHyperParams) -> Los
     between the checked stacked heads ``o``, as a LossOutput."""
     if not (np.isfinite(gamma_t) and gamma_t >= 0):
         raise ValueError(f"gamma_t must be non-negative, got {gamma_t}")
-    if gamma_t != 0.0 and hp.distill_kind != "none":
+    if gamma_t != 0.0:
         reg, reg_adj = _distill(o, top, hp)
         scalar = scalar + gamma_t * reg
         reg_adj *= gamma_t
@@ -497,7 +495,7 @@ def sharpened_ce_loss(logits: np.ndarray, labels: np.ndarray, hp: LsrHyperParams
     o, y = _check_logits_labels(logits, labels)
     if hp.sharpen_temp == 1.0:
         return ce_loss(o, y)
-    p = softmax(o)
+    p = _softmax_at(o, _row_max(o))
     rows, grad = _sharpened_nll(p, y, hp)
     return LossOutput(rows.mean(axis=-1), softmax_vjp(p, grad()), np.zeros_like(o))
 
@@ -510,7 +508,7 @@ def sharpened_ce_per_sample(
     o, y = _check_logits_labels(logits, labels)
     if hp.sharpen_temp == 1.0:
         return ce_per_sample(o, y)
-    return _sharpened_nll(softmax(o), y, hp)[0]
+    return _sharpened_nll(_softmax_at(o, _row_max(o)), y, hp)[0]
 
 
 def small_loss_select(losses: np.ndarray, keep_ratio: float) -> np.ndarray:

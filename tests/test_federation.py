@@ -115,8 +115,9 @@ class TestCoteachingConfig:
             CoteachingConfig(noise_rate=1.0)
         with pytest.raises(ValueError):
             CoteachingConfig(ramp_rounds=0)
-        with pytest.raises(ValueError):
-            CoteachingConfig(schedule_unit="step")
+        # The kept share ramps by round; there is no other schedule unit.
+        assert [f.name for f in dataclasses.fields(CoteachingConfig)] == [
+            "noise_rate", "ramp_rounds"]
 
 
 # Every int field of the two configs refuses a bool or a non-integer by name,
@@ -291,8 +292,8 @@ class TestRunFederationMechanics:
         )
         hp = LsrHyperParams()
         policy = AugmentPolicy((FeatureJitter(0.3),))
-        # per-epoch schedule: keep 1 in epoch 0, then 0.8 (16 of 20 rows)
-        ct = CoteachingConfig(noise_rate=0.4, ramp_rounds=2, schedule_unit="epoch")
+        # round 0 of the ramp keeps every row
+        ct = CoteachingConfig(noise_rate=0.4, ramp_rounds=2)
         result = run_federation(cfg, train, shards, test, seed=11, hp=hp, ct=ct, policy=policy)
 
         stream = RngStream(11)
@@ -320,9 +321,9 @@ class TestRunFederationMechanics:
                 grads = [backward(p, x, out.adjoint_o1) + backward(p, x_aug, out.adjoint_o2)]
                 losses.append(out.scalar)
             else:
-                keep = coteach_keep_ratio(ct, epoch)
+                keep = coteach_keep_ratio(ct, 0)
                 picks = [small_loss_select(ce_per_sample(forward(p, x), y), keep) for p in nets]
-                assert picks[0].size == (20 if epoch == 0 else 16)
+                assert picks[0].size == 20
                 # each net trains on its peer's picks
                 outs = [ce_loss(forward(p, x[q]), y[q]) for p, q in zip(nets, picks[::-1])]
                 grads = [
@@ -892,21 +893,21 @@ class TestMethodEquivalences:
     @pytest.mark.parametrize("method", ["coteaching", "coteaching_lsr"])
     def test_coteaching_stack_equals_two_separate_cohorts(self, method):
         # The (2K, P) stack must train each network bit for bit as a (K, P)
-        # cohort of its own would, on its peer's picks. The per-epoch
-        # schedule keeps every row in epoch 0 and 7 of 10 in epoch 1.
+        # cohort of its own would, on its peer's picks. Round 1 of a
+        # one-round ramp keeps 7 of 10 rows in every batch.
         train, shards, _ = small_world(noise=0.3)
         cfg = FedConfig(
             num_clients=6, clients_per_round=3, rounds=1, local_epochs=2,
             batch_size=10, method=method, warmup_rounds=0, hidden_layers=(6,),
         )
-        ct = CoteachingConfig(noise_rate=0.3, ramp_rounds=1, schedule_unit="epoch")
+        ct = CoteachingConfig(noise_rate=0.3, ramp_rounds=1)
         hp = LsrHyperParams()
         stream = RngStream(2)
         nets = tuple(init_params([6, 6, 4], stream.child("init", i)) for i in range(2))
         ids = [1, 4, 2]
         streams = [stream.child("client", c, 0) for c in ids]
         got, got_loss = local_train_coteaching(
-            nets, train, [shards[c] for c in ids], cfg, ct, hp, streams, 0
+            nets, train, [shards[c] for c in ids], cfg, ct, hp, streams, 1
         )
 
         per_sample, loss_fn = ce_per_sample, ce_loss
@@ -924,10 +925,10 @@ class TestMethodEquivalences:
             for start in (0, 10):
                 rows = perm[:, start : start + 10]
                 x, y = feats[clients, rows], labels[clients, rows]
-                keep = coteach_keep_ratio(ct, epoch)
+                keep = coteach_keep_ratio(ct, 1)
                 picks = [small_loss_select(per_sample(forward(p, x), y), keep) for p in cohorts]
-                assert picks[0].shape == (k, 10 if epoch == 0 else 7)
-                assert epoch == 0 or not np.array_equal(picks[0], picks[1])
+                assert picks[0].shape == (k, 7)
+                assert not np.array_equal(picks[0], picks[1])
                 outs, grads = [], []
                 for p, q in zip(cohorts, picks[::-1]):  # each network trains on its peer's picks
                     out = loss_fn(forward(p, x[clients, q]), y[clients, q])

@@ -228,6 +228,21 @@ def test_wrong_typed_value_names_key(key, raw):
         materialize_config(raw)
 
 
+# lsr.gamma = 0 is the one switch for distillation, and the co-teaching ramp
+# counts rounds, so neither retired setting is accepted.
+RETIRED = [
+    ({"lsr": {"distill_kind": "none"}},
+     "lsr: distill_kind must be one of ('js', 'l1', 'l2', 'cosine'), got 'none'"),
+    ({"coteaching": {"schedule_unit": "round"}}, "unknown config key coteaching.'schedule_unit'"),
+]
+
+
+@pytest.mark.parametrize("raw,message", RETIRED, ids=["distill_kind", "schedule_unit"])
+def test_retired_settings_rejected(raw, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        materialize_config(raw)
+
+
 def test_dataclass_bounds_checked_before_the_run():
     with pytest.raises(ConfigError, match=r"augment\[0\]: jitter sigma"):
         materialize_config({"augment": [{"kind": "feature_jitter", "sigma": -1.0}]})
@@ -585,6 +600,15 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and "federation.lr" in err
+
+    @pytest.mark.parametrize("raw,message", RETIRED, ids=["distill_kind", "schedule_unit"])
+    def test_retired_setting_exits_2(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(tiny_config(out=str(tmp_path / "out"), **raw)))
+        code = main(["run", "--config", str(path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("label", ["nan", "inf", "1e30"])
     def test_unusable_csv_label_exits_2_naming_row(self, tmp_path, capsys, label):

@@ -1,5 +1,6 @@
 """Loss values and exact adjoints, checked against finite differences."""
 
+import re
 import warnings
 
 import numpy as np
@@ -277,9 +278,11 @@ class TestSelfDistill:
         np.testing.assert_allclose(out.scalar, ((q1 - q2) ** 2).sum(axis=1).mean(), atol=1e-12)
 
     def test_kind_none_rejected(self):
-        hp = LsrHyperParams(distill_kind="none")
-        with pytest.raises(ValueError):
-            self_distill_loss(np.zeros((1, 3)), np.zeros((1, 3)), hp)
+        # gamma = 0 is the one way to switch the term off.
+        with pytest.raises(ValueError, match=re.escape(
+            "distill_kind must be one of ('js', 'l1', 'l2', 'cosine'), got 'none'"
+        )):
+            LsrHyperParams(distill_kind="none")
 
 
 class TestLsrTotal:
@@ -307,16 +310,6 @@ class TestLsrTotal:
         cls = lsr_cls_loss(o1, o2, y, 0.5, hp)
         assert total.scalar == cls.scalar
         np.testing.assert_array_equal(total.adjoint_o1, cls.adjoint_o1)
-
-    def test_kind_none_drops_regularizer(self):
-        gen = np.random.default_rng(15)
-        hp = LsrHyperParams(distill_kind="none")
-        o1 = gen.normal(size=(3, 4))
-        o2 = gen.normal(size=(3, 4))
-        y = gen.integers(0, 4, size=3)
-        total = lsr_total_loss(o1, o2, y, 0.5, 0.9, hp)
-        cls = lsr_cls_loss(o1, o2, y, 0.5, hp)
-        assert total.scalar == cls.scalar
 
     def test_adjoints_match_fd(self):
         gen = np.random.default_rng(16)
@@ -695,7 +688,7 @@ def _stacked_cases():
         "lsr_total_loss[T=1]": lambda o1, o2, y, lam: lsr_total_loss(
             o1, o2, y, lam, 0.0, LsrHyperParams(sharpen_temp=1.0)),
     }
-    for kind in ("js", "l1", "l2", "cosine", "none"):
+    for kind in ("js", "l1", "l2", "cosine"):
         cases[f"lsr_total_loss[{kind}]"] = (
             lambda o1, o2, y, lam, hp=LsrHyperParams(distill_kind=kind):
             lsr_total_loss(o1, o2, y, lam, 0.3, hp))
@@ -832,7 +825,7 @@ def _ref_distill(o1, o2, hp):
 
 
 def _ref_add_distill(out, o1, o2, gamma_t, hp):
-    if gamma_t == 0.0 or hp.distill_kind == "none":
+    if gamma_t == 0.0:
         return out
     reg = _ref_distill(o1, o2, hp)
     return tuple(a + gamma_t * r for a, r in zip(out, reg))
@@ -881,7 +874,7 @@ class TestOnePassMatchesComposition:
     @pytest.mark.parametrize("gamma_t", [0.0, 0.2])
     @pytest.mark.parametrize("weights", ["zero", "one", "drawn", "mixed"])
     @pytest.mark.parametrize("temp", [0.5, 1.0])
-    @pytest.mark.parametrize("kind", ["js", "l1", "l2", "cosine", "none"])
+    @pytest.mark.parametrize("kind", ["js", "l1", "l2", "cosine"])
     @pytest.mark.parametrize("name, entropy_weight", [
         ("lsr_total_loss", 0.0), ("lsr_total_loss", 0.1), ("lsr_plus_loss", 0.0),
         ("lsr_plus_loss", 0.1), ("symce_lsr_loss", 0.0),
