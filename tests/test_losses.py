@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fednoise import losses, numerics
+from fednoise.federation import gamma_schedule
 from fednoise.losses import (
     LossOutput,
     LsrHyperParams,
@@ -310,6 +311,21 @@ class TestLsrTotal:
         cls = lsr_cls_loss(o1, o2, y, 0.5, hp)
         assert total.scalar == cls.scalar
         np.testing.assert_array_equal(total.adjoint_o1, cls.adjoint_o1)
+
+    def test_kind_none_drops_regularizer(self):
+        # The ablation is gamma = 0: past the warm-up its weight is still 0,
+        # so no divergence adds to the loss.
+        gen = np.random.default_rng(15)
+        o1 = gen.normal(size=(3, 4))
+        o2 = gen.normal(size=(3, 4))
+        y = gen.integers(0, 4, size=3)
+        for kind in ("js", "l1", "l2", "cosine"):
+            hp = LsrHyperParams(gamma=0.0, distill_kind=kind)
+            total = lsr_total_loss(o1, o2, y, 0.5, gamma_schedule(30, 20, hp.gamma), hp)
+            cls = lsr_cls_loss(o1, o2, y, 0.5, hp)
+            assert total.scalar == cls.scalar
+            np.testing.assert_array_equal(total.adjoint_o1, cls.adjoint_o1)
+            np.testing.assert_array_equal(total.adjoint_o2, cls.adjoint_o2)
 
     def test_adjoints_match_fd(self):
         gen = np.random.default_rng(16)
@@ -670,6 +686,20 @@ class TestLossOutputType:
         assert out.adjoint_o2.shape == (2, 3)
 
 
+def _distill_setting(kind, gamma_t, **hp_kw):
+    """(hyperparameters, distillation weight) for a test's divergence kind.
+
+    "none" is the paper's ablation, gamma = 0: the warm-up schedule then
+    weighs the term 0 at the warm-up's start (gamma_t = 0) and after it.
+    """
+    if kind != "none":
+        return LsrHyperParams(distill_kind=kind, **hp_kw), gamma_t
+    hp = LsrHyperParams(gamma=0.0, **hp_kw)
+    weight = gamma_schedule(1 if gamma_t else 0, 1, hp.gamma)
+    assert weight == 0.0
+    return hp, weight
+
+
 def _stacked_cases():
     """name -> loss(o1, o2, y, lam) over one batch or a (K, B, M) cohort."""
     sp = SymCeParams(alpha=0.3, beta=0.8)
@@ -688,10 +718,11 @@ def _stacked_cases():
         "lsr_total_loss[T=1]": lambda o1, o2, y, lam: lsr_total_loss(
             o1, o2, y, lam, 0.0, LsrHyperParams(sharpen_temp=1.0)),
     }
-    for kind in ("js", "l1", "l2", "cosine"):
+    for kind in ("js", "l1", "l2", "cosine", "none"):
+        hp, gamma_t = _distill_setting(kind, 0.3)
         cases[f"lsr_total_loss[{kind}]"] = (
-            lambda o1, o2, y, lam, hp=LsrHyperParams(distill_kind=kind):
-            lsr_total_loss(o1, o2, y, lam, 0.3, hp))
+            lambda o1, o2, y, lam, hp=hp, gamma_t=gamma_t:
+            lsr_total_loss(o1, o2, y, lam, gamma_t, hp))
     return cases
 
 
@@ -874,14 +905,15 @@ class TestOnePassMatchesComposition:
     @pytest.mark.parametrize("gamma_t", [0.0, 0.2])
     @pytest.mark.parametrize("weights", ["zero", "one", "drawn", "mixed"])
     @pytest.mark.parametrize("temp", [0.5, 1.0])
-    @pytest.mark.parametrize("kind", ["js", "l1", "l2", "cosine"])
+    @pytest.mark.parametrize("kind", ["js", "l1", "l2", "cosine", "none"])
     @pytest.mark.parametrize("name, entropy_weight", [
         ("lsr_total_loss", 0.0), ("lsr_total_loss", 0.1), ("lsr_plus_loss", 0.0),
         ("lsr_plus_loss", 0.1), ("symce_lsr_loss", 0.0),
     ])
     def test_bitwise_equal(self, name, entropy_weight, kind, temp, weights, gamma_t):
-        # Every distill kind, the T = 1 plain-CE path (all, none or some of
-        # a cohort's clients at lam = 1), and the warm-up's gamma_t = 0.
+        # Every distill kind, the gamma = 0 ablation, the T = 1 plain-CE path
+        # (all, none or some of a cohort's clients at lam = 1), and the
+        # warm-up's gamma_t = 0.
         gen = np.random.default_rng(22)
         k, b, m = 3, 7, 5
         o1 = gen.normal(scale=3.0, size=(k, b, m))
@@ -889,7 +921,8 @@ class TestOnePassMatchesComposition:
         y = gen.integers(0, m, size=(k, b))
         lam = {"zero": np.zeros(k), "one": np.ones(k), "drawn": gen.uniform(size=k),
                "mixed": np.array([1.0, *gen.uniform(size=k - 1)])}[weights]
-        hp = LsrHyperParams(sharpen_temp=temp, distill_kind=kind, entropy_weight=entropy_weight)
+        hp, gamma_t = _distill_setting(kind, gamma_t, sharpen_temp=temp,
+                                       entropy_weight=entropy_weight)
         want = _ref_loss(name, o1, o2, y, lam, gamma_t, hp)
         for lead in (slice(None), 0):  # a cohort, and one batch with a scalar weight
             lam_in = lam[lead] if lead == 0 else lam
