@@ -7,10 +7,10 @@ observed labels; features and true labels are never modified, so the clean
 ground truth stays available for measurement.
 
 Partitioners return :class:`ClientShard` index sets into the training
-dataset. Shard indices are disjoint and all shards have one size: the iid
-partitioner raises :class:`PartitionError` when the samples do not divide
-evenly across the clients, and the non-iid one drops the surplus with a
-warning.
+dataset. Shard indices are disjoint and every row is used (by the non-iid
+partitioner, every row of a class some client holds), so shard sizes may
+differ: the iid partitioner's by at most one row, the non-iid one's as
+its classes' row counts do.
 """
 
 from __future__ import annotations
@@ -414,21 +414,15 @@ def transition_counts(ds: LabeledDataset) -> np.ndarray:
 
 
 def partition_iid(ds: LabeledDataset, num_clients: int, seed: int) -> list[ClientShard]:
-    """Seeded global shuffle followed by contiguous equal slices.
+    """Seeded global shuffle cut into num_clients contiguous slices.
 
-    Requires the sample count to divide evenly by num_clients.
+    Every row is used; slice sizes differ by at most one row, the larger
+    slices first. num_clients must lie in [1, n], so that no shard is empty.
     """
-    if num_clients < 1:
-        raise PartitionError(f"num_clients must be positive, got {num_clients}")
-    if ds.n % num_clients != 0:
-        raise PartitionError(
-            f"cannot split {ds.n} samples evenly across {num_clients} clients"
-        )
-    per = ds.n // num_clients
+    if not (1 <= num_clients <= ds.n):
+        raise PartitionError(f"num_clients must lie in [1, {ds.n}], got {num_clients}")
     perm = RngStream(seed).child("partition-iid").generator().permutation(ds.n)
-    return [
-        ClientShard(i, perm[i * per : (i + 1) * per]) for i in range(num_clients)
-    ]
+    return [ClientShard(i, part) for i, part in enumerate(np.array_split(perm, num_clients))]
 
 
 def partition_noniid(
@@ -440,11 +434,12 @@ def partition_noniid(
     """Give each client samples from a fixed set of distinct true classes.
 
     Class sets are chosen by a seeded greedy draw that keeps the number of
-    clients holding each class balanced; each client then takes slices of
-    its classes equal up to one row, so all shards have the same size.
-    Samples that the arithmetic cannot place are dropped with a warning.
-    Raises PartitionError with a per-class diagnostic when some class would
-    need more samples than it has.
+    clients holding each class balanced. Each class's rows, in a seeded
+    order, are then cut among its holders in client order into slices that
+    differ by at most one row, and a client's shard joins its slices in
+    class order. Every row of a held class is used, so shard sizes may
+    differ. Raises PartitionError naming the class when a class has fewer
+    rows than holders.
     """
     m = ds.num_classes
     if num_clients < 1:
@@ -453,23 +448,13 @@ def partition_noniid(
         raise PartitionError(
             f"classes_per_client must lie in [1, {m}], got {classes_per_client}"
         )
-    shard_size = ds.n // num_clients
-    if shard_size < classes_per_client:
-        raise PartitionError(
-            f"shard size {shard_size} cannot cover {classes_per_client} classes"
-        )
-    if ds.n % num_clients:
-        warnings.warn(
-            f"dropping {ds.n % num_clients} surplus samples to keep shards equal",
-            stacklevel=2,
-        )
     gen = RngStream(seed).child("partition-noniid").generator()
 
     # Deal class slots to clients, always drawing from the classes with the
     # most slots left (seeded tie-break); this keeps the deal feasible and
     # the per-class client counts within one of each other.
     slots_left = _even_split(num_clients * classes_per_client, m, gen)
-    client_classes: list[np.ndarray] = []
+    holders: list[list[int]] = [[] for _ in range(m)]
     for cid in range(num_clients):
         open_classes = np.flatnonzero(slots_left > 0)
         if open_classes.size < classes_per_client:
@@ -479,55 +464,19 @@ def partition_noniid(
             )
         keys = gen.random(open_classes.size)
         order = open_classes[np.lexsort((keys, -slots_left[open_classes]))]
-        picked = np.sort(order[:classes_per_client])
+        picked = order[:classes_per_client]
         slots_left[picked] -= 1
-        client_classes.append(picked)
+        for cls in picked:
+            holders[cls].append(cid)
 
-    # Per-class take per client: base rows of every class it holds, and one
-    # extra row from rem of them, placed on augmenting paths.
-    base, rem = divmod(shard_size, classes_per_client)
-    takes = np.zeros((num_clients, m), dtype=np.int64)
-    for cid, classes in enumerate(client_classes):
-        takes[cid, classes] = base
-
-    demand = takes.sum(axis=0)
-    supply = np.bincount(ds.true_labels, minlength=m)
-    short = np.flatnonzero(demand > supply)
-    if short.size:
-        detail = ", ".join(
-            f"class {c}: need {demand[c]}, have {supply[c]}" for c in short
-        )
-        raise PartitionError(f"infeasible class assignment ({detail})")
-
-    def take_extra(cid: int, seen: set) -> bool:
-        """Give client cid an extra row, moving other holders' extra rows on if need be."""
-        for cls in client_classes[cid]:
-            if takes[cid, cls] > base or cls in seen:
-                continue
-            seen.add(cls)
-            holders = np.flatnonzero(takes[:, cls] > base)
-            if holders.size == supply[cls] - demand[cls]:  # no row left
-                mover = next((h for h in holders if take_extra(h, seen)), None)
-                if mover is None:
-                    continue
-                takes[mover, cls] -= 1
-            takes[cid, cls] += 1
-            return True
-        return False
-
-    for cid in range(num_clients):
-        if not all(take_extra(cid, set()) for _ in range(rem)):
-            raise PartitionError(f"infeasible class assignment: no rows left for client {cid}")
-
-    pools = {
-        cls: iter(gen.permutation(np.flatnonzero(ds.true_labels == cls)))
-        for cls in range(m)
-    }
-    shards = []
-    for cid in range(num_clients):
-        picked_rows = []
-        for cls in client_classes[cid]:
-            pool = pools[cls]
-            picked_rows.extend(next(pool) for _ in range(takes[cid, cls]))
-        shards.append(ClientShard(cid, _frozen(np.array(picked_rows, dtype=np.int64))))
-    return shards
+    rows: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
+    for cls in range(m):
+        perm = gen.permutation(np.flatnonzero(ds.true_labels == cls))
+        if perm.size < len(holders[cls]):
+            raise PartitionError(
+                f"class {cls} has {perm.size} rows for {len(holders[cls])} clients"
+            )
+        if holders[cls]:
+            for cid, part in zip(holders[cls], np.array_split(perm, len(holders[cls]))):
+                rows[cid].append(part)
+    return [ClientShard(cid, _frozen(np.concatenate(r))) for cid, r in enumerate(rows)]

@@ -27,8 +27,8 @@ a (K,) array of each client's mean batch loss). A trainer that serves two
 methods takes its variant from ``cfg.method``.
 
 Clients in a cohort must walk the same batch sizes, so each round groups
-the selected clients by shard size; both partitioners make equal
-shards, which gives one cohort per round. ``workers`` cuts each cohort
+the selected clients by shard size: equal shards give one cohort per
+round, and uneven shards one cohort per size. ``workers`` cuts each cohort
 into up to that many contiguous chunks, which run on a thread pool of
 that size made once per run; with one worker they run inline. Their
 stacks are joined in selection order into one (K, P) ``ModelParams`` per

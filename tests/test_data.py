@@ -286,10 +286,19 @@ class TestPartitionIid:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.indices, y.indices)
 
-    def test_uneven_split_rejected(self):
+    def test_uneven_split_uses_every_row(self):
         ds = generate_synthetic(100, 10, 8, 0)
-        with pytest.raises(PartitionError):
-            partition_iid(ds, 7, seed=0)
+        shards = partition_iid(ds, 7, seed=0)
+        assert [s.n_k for s in shards] == [15, 15] + [14] * 5
+        union = np.concatenate([s.indices for s in shards])
+        np.testing.assert_array_equal(np.sort(union), np.arange(100))
+
+    def test_client_count_outside_one_to_n_rejected(self):
+        ds = generate_synthetic(20, 4, 8, 0)
+        assert len(partition_iid(ds, 20, seed=0)) == 20
+        for clients in (0, 21):
+            with pytest.raises(PartitionError, match=r"\[1, 20\]"):
+                partition_iid(ds, clients, seed=0)
 
     def test_client_ids_sequential(self):
         ds = generate_synthetic(100, 10, 8, 0)
@@ -330,12 +339,11 @@ class TestPartitionNoniid:
 
     def test_balanced_requests_with_a_remainder(self):
         # The grid's requests split evenly across clients and class slots,
-        # but classes_per_client does not divide the shard size. Each is
-        # accepted with equal shards whose class slices are equal up to one
-        # row, except one: its seeded class deal gives a client the two
-        # 55-row classes 3 and 5 for a 111-row shard, which no placement of
-        # the remainder rows can serve.
-        requests = refused = 0
+        # but classes_per_client does not divide the shard size. Every one
+        # is accepted: each client holds q classes, no row of a held class
+        # is dropped, and each class is cut among its holders into slices
+        # within one row of each other.
+        requests = 0
         for n, m in itertools.product((60, 97, 120, 200, 333), range(2, 8)):
             ds = generate_synthetic(n, m, 4, seed=3)
             for clients, q in itertools.product(range(2, 11), range(1, m + 1)):
@@ -343,20 +351,38 @@ class TestPartitionNoniid:
                 if n % clients or clients * q % m or shard % q == 0 or shard < q:
                     continue
                 requests += 1
-                try:
-                    shards = partition_noniid(ds, clients, q, seed=7)
-                except PartitionError:
-                    assert (n, m, clients, q) == (333, 6, 3, 2)
-                    refused += 1
-                    continue
+                shards = partition_noniid(ds, clients, q, seed=7)
                 union = np.concatenate([s.indices for s in shards])
                 assert np.unique(union).size == union.size
-                for s in shards:
-                    counts = np.bincount(ds.true_labels[s.indices], minlength=m)
-                    held = counts[counts > 0]
-                    assert s.n_k == shard and held.size == q
-                    assert held.max() - held.min() <= 1
-        assert (requests, refused) == (84, 1)
+                held = np.unique(ds.true_labels[union])
+                assert union.size == np.isin(ds.true_labels, held).sum()
+                slices = np.array([
+                    np.bincount(ds.true_labels[s.indices], minlength=m) for s in shards
+                ])
+                assert ((slices > 0).sum(axis=1) == q).all()
+                for cls in held:
+                    cut = slices[slices[:, cls] > 0, cls]
+                    assert cut.max() - cut.min() <= 1
+        assert requests == 84
+
+    def test_mnist_class_counts_use_every_row(self):
+        # MNIST's training class counts: seven classes hold fewer than the
+        # 6000 rows that 100 equal shards of two equal class slices need.
+        counts = [5923, 6742, 5958, 6131, 5842, 5421, 5918, 6265, 5851, 5949]
+        labels = np.repeat(np.arange(10), counts)
+        ds = LabeledDataset(np.zeros((labels.size, 1)), labels, labels, 10)
+        shards = partition_noniid(ds, 100, 2, seed=0)
+        union = np.concatenate([s.indices for s in shards])
+        np.testing.assert_array_equal(np.sort(union), np.arange(60000))
+        assert {np.unique(labels[s.indices]).size for s in shards} == {2}
+        sizes = [s.n_k for s in shards]
+        assert (min(sizes), max(sizes)) == (563, 651)
+
+    def test_class_with_fewer_rows_than_holders_is_named(self):
+        labels = np.array([0] * 10 + [1] * 3)
+        ds = LabeledDataset(np.zeros((13, 2)), labels, labels, 2)
+        with pytest.raises(PartitionError, match="class 1 has 3 rows for 4 clients"):
+            partition_noniid(ds, 4, 2, seed=0)
 
     def test_argument_validation(self):
         ds = generate_synthetic(100, 10, 8, 0)
@@ -384,6 +410,9 @@ class TestPinnedDraws:
     """
 
     DS = generate_synthetic(200, 5, 4, seed=3)
+    # The benchmark's gated workloads partition the first 10000 rows of
+    # this dataset across 100 clients with seed 0.
+    GATED = subset(generate_synthetic(12000, 10, 32, 0), np.arange(10000))
 
     def test_symmetric_noise(self):
         noisy = inject_symmetric_noise(self.DS, NoiseSpec("symmetric", 0.35, seed=5))
@@ -400,6 +429,14 @@ class TestPinnedDraws:
     def test_noniid_partition(self):
         shards = partition_noniid(self.DS, 10, 2, seed=7)
         assert draws_digest([s.indices for s in shards]) == "b7747e7925e4a54c"
+
+    def test_gated_noniid_partition(self):
+        shards = partition_noniid(self.GATED, 100, 2, seed=0)
+        assert draws_digest([s.indices for s in shards]) == "c0de0d7b086ba6ca"
+
+    def test_gated_iid_partition(self):
+        shards = partition_iid(self.GATED, 100, seed=0)
+        assert draws_digest([s.indices for s in shards]) == "509bd83293bb9345"
 
 
 class TestClientShard:

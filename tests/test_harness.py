@@ -17,6 +17,7 @@ import pytest
 
 from fednoise import harness
 from fednoise.augment import AugmentPolicy, FeatureJitter, HorizontalFlip, Rotation
+from fednoise.data import generate_synthetic, partition_noniid, subset
 from fednoise.federation import RoundMetrics
 from fednoise.harness import (
     GAMMA_TABLE,
@@ -303,10 +304,11 @@ class TestRunFromConfig:
         assert echo["augment"] == [{"kind": "feature_jitter", "sigma": 0.6}]
 
     def test_partition_mismatch_surfaces_as_config_error(self):
-        cfg = tiny_config()
-        cfg["federation"]["num_clients"] = 7  # 120 samples do not split 7 ways
-        cfg["federation"]["clients_per_round"] = 2
-        with pytest.raises(ConfigError):
+        # 62 clients hold 124 class slots, 31 per class, but each of the
+        # four classes has 30 of the 120 rows.
+        cfg = tiny_config(partition={"kind": "noniid"})
+        cfg["federation"]["num_clients"] = 62
+        with pytest.raises(ConfigError, match="class 0 has 30 rows for 31 clients"):
             run_from_config(materialize_config(cfg))
 
 
@@ -367,6 +369,22 @@ class TestRunExperiment:
         cfg_b["federation"]["workers"] = 3
         run_experiment(config=cfg_b)
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+
+    def test_uneven_noniid_shards_write_the_same_bytes_at_any_worker_count(self, tmp_path):
+        # 120 rows over 7 non-iid clients give shards of 16 to 18 rows, and
+        # round 3 selects one client of each size: three cohorts.
+        train = subset(generate_synthetic(160, 4, 6, 0), np.arange(120))
+        sizes = [s.n_k for s in partition_noniid(train, 7, 2, 0)]
+        outputs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            cfg = tiny_config(out=str(out), partition={"kind": "noniid"})
+            cfg["federation"].update(num_clients=7, clients_per_round=3, rounds=4, workers=workers)
+            run_experiment(config=cfg)
+            outputs.append((out / "metrics.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        selected = outputs[0].decode().splitlines()[-1].split(",")[-1].split(";")
+        assert sorted(sizes[int(c)] for c in selected) == [16, 17, 18]
 
     def test_outputs_follow_the_umask(self, tmp_path):
         old = os.umask(0o022)
