@@ -133,10 +133,8 @@ class FedConfig:
             )
         if self.rounds < 0:
             raise ValueError(f"rounds must be non-negative, got {self.rounds}")
-        # local_epochs = 0 is allowed as a degenerate dry-run value; trainers
-        # return the global parameters untouched.
-        if self.local_epochs < 0:
-            raise ValueError(f"local_epochs must be non-negative, got {self.local_epochs}")
+        if self.local_epochs < 1:
+            raise ValueError(f"local_epochs must be positive, got {self.local_epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if not (np.isfinite(self.lr) and self.lr >= 0):
@@ -279,8 +277,6 @@ def _local_sgd(globals_: tuple, feats, labels, cfg: FedConfig, streams: list, ob
         net = sgd_step(net, grad, cfg.lr)
     parts = np.split(net.flat, len(globals_))
     nets = (net,) if len(parts) == 1 else tuple(ModelParams(p, shapes) for p in parts)
-    if not losses:
-        return nets, np.full(k, np.nan)
     # Each client's steps lie contiguous, so its mean sums them as a 1-D
     # mean over that client's losses would.
     return nets, np.stack(losses, axis=-1).mean(axis=-1)

@@ -20,7 +20,7 @@ Config layout (all sections optional, shown with defaults):
                       "hidden_layers": [128, 64], "workers": 1},
       "lsr": {"sharpen_temp": 0.5, "distill_temp": 0.3333333333333333,
                "gamma": null, "entropy_weight": null, "distill_kind": null,
-               "clamp_lo": 1e-06, "fix_lambda": null},
+               "fix_lambda": null},
       "sym_ce": {"alpha": 0.1, "beta": 1.0, "log_zero": -4.0},
       "coteaching": {"noise_rate": null, "ramp_rounds": 10},
       "augment": "default"

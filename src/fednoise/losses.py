@@ -16,13 +16,13 @@ The scalar has shape ``(...)``; a single batch gives a numpy float64.
 
 The regularized classification loss works on probabilities rather than
 logits: the two softmax outputs are convexly mixed, the mixture is sharpened
-by an exponent 1/T, and the sharpened mixture is scored with cross-entropy
-against the (possibly noisy) label. Confidently wrong predictions therefore
-pay more than under plain cross-entropy, which is the mechanism that slows
-label memorization.
+by an exponent 1/T with T in (0, 1], and the sharpened mixture is scored
+with cross-entropy against the (possibly noisy) label. Confidently wrong
+predictions therefore pay more than under plain cross-entropy, which is the
+mechanism that slows label memorization.
 
 The self-distillation term compares temperature-scaled softmax outputs of
-the clean and augmented passes. Both outputs are floored at ``clamp_lo``
+the clean and augmented passes. Both outputs are floored at ``_CLAMP_LO``
 (no renormalization) before the divergence so logs stay finite. Supported
 divergences: ``js`` (Jensen-Shannon), ``l1``, ``l2``, and ``cosine``. The
 cosine variant matches each side against a detached copy of the other
@@ -64,12 +64,19 @@ __all__ = [
     "small_loss_select",
 ]
 
+# Floor on compared probabilities, and on the sharpened target probability
+# inside the log, so logs stay finite; the gradient is zero where it binds.
+_CLAMP_LO = 1e-6
+
+
 @dataclass(frozen=True)
 class LsrHyperParams:
     """Knobs for the self-regularized objective.
 
-    sharpen_temp:   exponent temperature T for the sharpened mixture (T < 1
-                    peaks the distribution; T = 1 disables sharpening).
+    sharpen_temp:   exponent temperature T in (0, 1] for the sharpened
+                    mixture (T < 1 peaks the distribution; T = 1 disables
+                    sharpening). Above 1 it would flatten the mixture, and
+                    p ** (1/T - 1) in its adjoint would divide by zero.
     distill_temp:   temperature dividing the logits inside the distillation
                     softmax (values < 1 peak the compared distributions).
     gamma:          full weight of the distillation term after warm-up; 0
@@ -77,8 +84,6 @@ class LsrHyperParams:
     entropy_weight: weight of the entropy penalty (entropy minimization) on
                     both predictions, the "plus" objective; 0 disables it.
     distill_kind:   js | l1 | l2 | cosine.
-    clamp_lo:       floor applied to compared probabilities, and to the
-                    sharpened target probability inside the log.
     fix_lambda:     when set, use this constant mixing weight instead of a
                     Beta(1, 1) draw (ablation switch).
     """
@@ -88,12 +93,11 @@ class LsrHyperParams:
     gamma: float = 0.2
     entropy_weight: float = 0.0
     distill_kind: str = "js"
-    clamp_lo: float = 1e-6
     fix_lambda: float | None = None
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.sharpen_temp) and self.sharpen_temp > 0):
-            raise ValueError(f"sharpen_temp must be positive, got {self.sharpen_temp}")
+        if not (0.0 < self.sharpen_temp <= 1.0):
+            raise ValueError(f"sharpen_temp must lie in (0, 1], got {self.sharpen_temp}")
         if not (np.isfinite(self.distill_temp) and self.distill_temp > 0):
             raise ValueError(f"distill_temp must be positive, got {self.distill_temp}")
         if not (np.isfinite(self.gamma) and self.gamma >= 0):
@@ -106,8 +110,6 @@ class LsrHyperParams:
             raise ValueError(
                 f"distill_kind must be one of {tuple(_DISTILL_GRADS)}, got {self.distill_kind!r}"
             )
-        if not (0.0 < self.clamp_lo < 1.0):
-            raise ValueError(f"clamp_lo must lie in (0, 1), got {self.clamp_lo}")
         if self.fix_lambda is not None and not (0.0 <= self.fix_lambda <= 1.0):
             raise ValueError(f"fix_lambda must lie in [0, 1], got {self.fix_lambda}")
 
@@ -230,7 +232,7 @@ def _ce(o: np.ndarray, y: np.ndarray) -> LossOutput:
 
 
 def _sharpened_nll(p: np.ndarray, y: np.ndarray, hp: LsrHyperParams):
-    """Per-row -log sharpen(p, T)[y], floored at clamp_lo inside the log, and
+    """Per-row -log sharpen(p, T)[y], floored at _CLAMP_LO inside the log, and
     a function giving the gradient of their batch mean with respect to the
     (..., B, M) probabilities p."""
     at_y = _label_index(y)
@@ -250,14 +252,14 @@ def _sharpened_nll(p: np.ndarray, y: np.ndarray, hp: LsrHyperParams):
         # constraint. Rows where the clamp is active contribute zero
         # gradient, so 1 / p_y is taken only where it is not: p_y may be 0
         # there.
-        live = sharp_y > hp.clamp_lo
+        live = sharp_y > _CLAMP_LO
         grad_p = u * p ** (u - 1.0) / norm[..., None]
         grad_p[at_y] -= np.divide(u, p[at_y], out=np.zeros_like(sharp_y), where=live)
         grad_p[~live] = 0.0
         grad_p /= p.shape[-2]
         return grad_p
 
-    return -np.log(np.maximum(sharp_y, hp.clamp_lo)), grad
+    return -np.log(np.maximum(sharp_y, _CLAMP_LO)), grad
 
 
 def _lsr_inputs(o1, o2, labels, lam):
@@ -301,7 +303,7 @@ def lsr_cls_loss(
     """Cross-entropy of the sharpened mixed prediction against the labels.
 
     Pipeline per sample: p = lam * softmax(o1) + (1 - lam) * softmax(o2),
-    then loss = -log( p[y]^(1/T) / sum_j p[j]^(1/T) ), floored at clamp_lo
+    then loss = -log( p[y]^(1/T) / sum_j p[j]^(1/T) ), floored at _CLAMP_LO
     inside the log. The gradient flows into both heads through the mixture.
     """
     o, y, weight = _lsr_inputs(o1, o2, labels, lam)
@@ -358,15 +360,15 @@ def _distill(o, top, hp: LsrHyperParams):
     """(scalar, (2, ..., B, M) adjoint) of :func:`self_distill_loss` on the
     checked stacked heads ``o`` with row maxima ``top``."""
     q = _softmax_at(o, top, hp.distill_temp)
-    scalar, g = _DISTILL_GRADS[hp.distill_kind](np.maximum(q, hp.clamp_lo), o.shape[-2])
-    g *= q > hp.clamp_lo
+    scalar, g = _DISTILL_GRADS[hp.distill_kind](np.maximum(q, _CLAMP_LO), o.shape[-2])
+    g *= q > _CLAMP_LO
     return scalar, softmax_vjp(q, g, hp.distill_temp)
 
 
 def self_distill_loss(o1: np.ndarray, o2: np.ndarray, hp: LsrHyperParams) -> LossOutput:
     """Divergence between the two tempered softmax outputs.
 
-    Both outputs are floored at clamp_lo (never renormalized) before the
+    Both outputs are floored at _CLAMP_LO (never renormalized) before the
     divergence; the floor also kills the gradient where it is active. The
     scalar is the batch mean; identical heads give exactly zero for js, l1
     and l2, and zero for cosine as well since the compared vectors align.
@@ -503,7 +505,7 @@ def sharpened_ce_loss(logits: np.ndarray, labels: np.ndarray, hp: LsrHyperParams
 def sharpened_ce_per_sample(
     logits: np.ndarray, labels: np.ndarray, hp: LsrHyperParams
 ) -> np.ndarray:
-    """Per-sample -log sharpen(softmax(o), T)[y], floored at clamp_lo: the rows
+    """Per-sample -log sharpen(softmax(o), T)[y], floored at _CLAMP_LO: the rows
     whose mean :func:`sharpened_ce_loss` takes. T = 1 is :func:`ce_per_sample`."""
     o, y = _check_logits_labels(logits, labels)
     if hp.sharpen_temp == 1.0:

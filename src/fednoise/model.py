@@ -19,12 +19,12 @@ as plain read-only float64 arrays of the parameters' shape, (P,) or (K, P).
 :func:`forward_vjp` runs one forward pass and returns the logits with a
 ``vjp`` closure that maps an adjoint at the logits to that gradient, reusing
 that pass's activations; any loss that can state dL/d(logits) composes with it.
-``vjp(adjoint, out=buf)`` writes the gradient into the caller's writeable
-buffer instead and returns it, so a training loop can hold one gradient
-buffer for a cohort's whole local training. Objectives that
-run the network on two views (clean and augmented input) call it once per
-view and add the two gradients. :func:`forward` and :func:`backward` are
-one-pass conveniences over it.
+``vjp(adjoint, out)`` writes the gradient into the caller's writeable buffer
+and returns it, so a training loop can hold one gradient buffer for a
+cohort's whole local training. Objectives that run the network on two views
+(clean and augmented input) call it once per view and add the two gradients.
+:func:`forward` and :func:`backward` are one-pass conveniences over it;
+``backward`` allocates the buffer itself and returns it read-only.
 """
 
 from __future__ import annotations
@@ -37,23 +37,12 @@ from .numerics import RngStream, _frozen, _immutable
 
 __all__ = [
     "ModelParams",
-    "param_count",
     "init_params",
     "forward",
     "forward_vjp",
     "backward",
     "sgd_step",
 ]
-
-
-def param_count(layer_sizes: "list[int] | tuple[int, ...]") -> int:
-    """Total parameter count for an MLP with the given layer widths."""
-    sizes = list(layer_sizes)
-    if len(sizes) < 3:
-        raise ValueError("need at least input, one hidden, and output widths")
-    if any(int(s) < 1 for s in sizes):
-        raise ValueError(f"layer widths must be positive, got {sizes}")
-    return sum((i + 1) * o for i, o in zip(sizes[:-1], sizes[1:]))
 
 
 def _check_layers(shapes: tuple[tuple[int, int], ...]) -> None:
@@ -111,15 +100,20 @@ def _layer_views(flat: np.ndarray, shapes: tuple[tuple[int, int], ...]):
 
 
 def init_params(layer_sizes: "list[int] | tuple[int, ...]", stream: RngStream) -> ModelParams:
-    """Glorot-uniform weights, zero biases, deterministic under the stream."""
-    flat = np.zeros(param_count(layer_sizes), dtype=np.float64)
-    sizes = [int(s) for s in layer_sizes]
-    shapes = tuple(zip(sizes[:-1], sizes[1:]))
+    """Glorot-uniform weights, zero biases, deterministic under the stream,
+    for positive widths: the input, at least one hidden and the output."""
+    sizes = list(layer_sizes)
+    if len(sizes) < 3:
+        raise ValueError("need at least input, one hidden, and output widths")
+    if any(int(s) < 1 for s in sizes):
+        raise ValueError(f"layer widths must be positive, got {sizes}")
+    shapes = tuple(zip(map(int, sizes[:-1]), map(int, sizes[1:])))
     gen = stream.child("model-init").generator()
-    for w, _ in _layer_views(flat, shapes):  # biases stay zero
-        limit = np.sqrt(6.0 / sum(w.shape))
-        w[...] = gen.uniform(-limit, limit, size=w.shape)
-    return ModelParams(flat, shapes)
+    parts = []
+    for in_dim, out_dim in shapes:
+        limit = np.sqrt(6.0 / (in_dim + out_dim))
+        parts += [gen.uniform(-limit, limit, size=in_dim * out_dim), np.zeros(out_dim)]
+    return ModelParams(np.concatenate(parts), shapes)
 
 
 def _check_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -139,13 +133,12 @@ def forward_vjp(params: ModelParams, x: np.ndarray):
     """One forward pass: (logits, vjp) for a batch (B, d), giving (B, M)
     logits, or for a (K, P) cohort on (K, B, d) inputs, giving (K, B, M).
 
-    ``vjp(adjoint, out=None)`` maps dLoss/dLogits of this pass to the
-    exact parameter gradient, (P,) or (K, P), reusing the pass's
-    activations. It writes each layer's weight and bias gradients straight
-    into their views of one float64 array: ``out``, a writeable
-    C-contiguous float64 array of the parameters' shape, which it returns,
-    or else a fresh array, which it returns read-only. Zero adjoints yield
-    a zero gradient; the map is linear in the adjoint.
+    ``vjp(adjoint, out)`` maps dLoss/dLogits of this pass to the exact
+    parameter gradient, (P,) or (K, P), reusing the pass's activations. It
+    writes each layer's weight and bias gradients straight into their views
+    of ``out``, a writeable C-contiguous float64 array of the parameters'
+    shape, and returns ``out``. Zero adjoints yield a zero gradient; the map
+    is linear in the adjoint.
     """
     arr = _check_input(params, x)
     layers = list(_layer_views(params.flat, params.shapes))
@@ -156,15 +149,13 @@ def forward_vjp(params: ModelParams, x: np.ndarray):
         acts.append(z if li == len(layers) - 1 else np.maximum(z, 0.0, out=z))
     logits = acts[-1]
 
-    def vjp(adjoint: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+    def vjp(adjoint: np.ndarray, out: np.ndarray) -> np.ndarray:
         dz = np.asarray(adjoint, dtype=np.float64)
         if dz.shape != logits.shape:
             raise ValueError(
                 f"adjoint shape {dz.shape} does not match logits shape {logits.shape}"
             )
-        if out is None:
-            grad = np.empty(params.flat.shape)
-        elif not (
+        if not (
             isinstance(out, np.ndarray) and out.dtype == np.float64
             and out.shape == params.flat.shape
             and out.flags.writeable and out.flags.c_contiguous
@@ -173,9 +164,7 @@ def forward_vjp(params: ModelParams, x: np.ndarray):
                 f"out must be a writeable C-contiguous float64 array of shape "
                 f"{params.flat.shape}"
             )
-        else:
-            grad = out
-        views = list(_layer_views(grad, params.shapes))
+        views = list(_layer_views(out, params.shapes))
         for li in range(len(layers) - 1, -1, -1):
             gw, gb = views[li]
             np.matmul(np.swapaxes(acts[li], -1, -2), dz, out=gw)
@@ -184,7 +173,7 @@ def forward_vjp(params: ModelParams, x: np.ndarray):
                 # acts[li] = relu(z), so acts[li] > 0 exactly where z > 0.
                 dz = dz @ np.swapaxes(layers[li][0], -1, -2)
                 dz *= acts[li] > 0.0
-        return _frozen(grad) if out is None else grad
+        return out
 
     return logits, vjp
 
@@ -199,9 +188,10 @@ def backward(params: ModelParams, x: np.ndarray, adjoint: np.ndarray) -> np.ndar
     """Exact parameter gradient given dLoss/dLogits for this batch.
 
     Runs its own forward pass; callers that also need the logits should
-    use :func:`forward_vjp` and pay for one pass.
+    use :func:`forward_vjp` and pay for one pass. Returns a fresh read-only
+    array.
     """
-    return forward_vjp(params, x)[1](adjoint)
+    return _frozen(forward_vjp(params, x)[1](adjoint, np.empty(params.flat.shape)))
 
 
 def sgd_step(params: ModelParams, grads: np.ndarray, lr: float) -> ModelParams:

@@ -365,16 +365,10 @@ class TestRunFederationMechanics:
         expect = init_params([6, 5, 4], RngStream(9).child("init", 0))
         np.testing.assert_array_equal(result.final_params[0].flat, expect.flat)
 
-    def test_zero_epochs_keeps_global_params(self):
-        train, shards, test = small_world()
-        cfg = FedConfig(
-            num_clients=6, clients_per_round=3, rounds=2, local_epochs=0,
-            batch_size=10, method="fedavg_ce", warmup_rounds=0, hidden_layers=(5,),
-        )
-        result = run_federation(cfg, train, shards, test, seed=2)
-        expect = init_params([6, 5, 4], RngStream(2).child("init", 0))
-        np.testing.assert_array_equal(result.final_params[0].flat, expect.flat)
-        assert np.isnan(result.metrics[0].mean_train_loss)
+    def test_zero_epochs_rejected(self):
+        # rounds = 0 is the one dry run; a round trains at least one epoch.
+        with pytest.raises(ValueError, match="local_epochs must be positive, got 0"):
+            FedConfig(local_epochs=0)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_worker_count_does_not_change_results(self, method):
@@ -692,7 +686,6 @@ class TestRunFederationMechanics:
         with pytest.raises(ValueError):
             local_train_coteaching((net,), *args, co, ct, hp, streams, 0)
 
-    @pytest.mark.parametrize("local_epochs", [0, 1])
     @pytest.mark.parametrize(
         "trainer, need",
         [
@@ -704,13 +697,12 @@ class TestRunFederationMechanics:
             ("local_train_coteaching", 2),
         ],
     )
-    def test_trainer_names_the_network_count_it_needs(self, trainer, need, local_epochs):
-        # Every trainer checks the count before any work, so even a run of
-        # no epochs refuses it, and the error names the trainer, the count
-        # it trains and the count it got.
+    def test_trainer_names_the_network_count_it_needs(self, trainer, need):
+        # Every trainer checks the count, and the error names the trainer,
+        # the count it trains and the count it got.
         train, shards, _ = small_world()
         cfg = FedConfig(
-            num_clients=6, clients_per_round=1, rounds=1, local_epochs=local_epochs,
+            num_clients=6, clients_per_round=1, rounds=1, local_epochs=1,
             batch_size=10, method="fedavg_ce", warmup_rounds=0, hidden_layers=(5,),
         )
         streams = [RngStream(0).child("client", 0, 0)]

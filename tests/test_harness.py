@@ -217,7 +217,7 @@ WRONG_TYPED = [
     ("noise.seed", {"noise": {"seed": 1.5}}),
     ("sym_ce.alpha", {"sym_ce": {"alpha": "x"}}),
     ("lsr.sharpen_temp", {"lsr": {"sharpen_temp": "x"}}),
-    ("lsr.clamp_lo", {"lsr": {"clamp_lo": None}}),
+    ("lsr.distill_temp", {"lsr": {"distill_temp": None}}),
     ("coteaching.ramp_rounds", {"coteaching": {"ramp_rounds": "x"}}),
     ("augment[0].sigma", {"augment": [{"kind": "feature_jitter", "sigma": "x"}]}),
 ]
@@ -229,16 +229,21 @@ def test_wrong_typed_value_names_key(key, raw):
         materialize_config(raw)
 
 
-# lsr.gamma = 0 is the one switch for distillation, and the co-teaching ramp
-# counts rounds, so neither retired setting is accepted.
+# lsr.gamma = 0 is the one switch for distillation, the co-teaching ramp
+# counts rounds, the probability floor is a constant, rounds = 0 is the one
+# dry run and sharpening never flattens, so no retired setting is accepted.
 RETIRED = [
     ({"lsr": {"distill_kind": "none"}},
      "lsr: distill_kind must be one of ('js', 'l1', 'l2', 'cosine'), got 'none'"),
     ({"coteaching": {"schedule_unit": "round"}}, "unknown config key coteaching.'schedule_unit'"),
+    ({"lsr": {"clamp_lo": 1e-06}}, "unknown config key lsr.'clamp_lo'"),
+    ({"federation": {"local_epochs": 0}}, "federation: local_epochs must be positive, got 0"),
+    ({"lsr": {"sharpen_temp": 1.5}}, "lsr: sharpen_temp must lie in (0, 1], got 1.5"),
 ]
+RETIRED_IDS = ["distill_kind", "schedule_unit", "clamp_lo", "local_epochs", "sharpen_temp"]
 
 
-@pytest.mark.parametrize("raw,message", RETIRED, ids=["distill_kind", "schedule_unit"])
+@pytest.mark.parametrize("raw,message", RETIRED, ids=RETIRED_IDS)
 def test_retired_settings_rejected(raw, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         materialize_config(raw)
@@ -619,7 +624,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error") and "federation.lr" in err
 
-    @pytest.mark.parametrize("raw,message", RETIRED, ids=["distill_kind", "schedule_unit"])
+    @pytest.mark.parametrize("raw,message", RETIRED, ids=RETIRED_IDS)
     def test_retired_setting_exits_2(self, tmp_path, capsys, raw, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(tiny_config(out=str(tmp_path / "out"), **raw)))

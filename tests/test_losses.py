@@ -147,12 +147,12 @@ class TestLsrClsLoss:
             assert sharp > plain
 
     def test_clamped_rows_contribute_zero_gradient(self):
-        hp = LsrHyperParams(clamp_lo=1e-3)
+        hp = LsrHyperParams()
         # label class has essentially no mass: sharpened target underflows
         o = np.array([[20.0, 0.0, -20.0]])
         y = np.array([2])
         out = lsr_cls_loss(o, o, y, 0.5, hp)
-        np.testing.assert_allclose(out.scalar, -np.log(1e-3), atol=1e-9)
+        np.testing.assert_allclose(out.scalar, -np.log(losses._CLAMP_LO), atol=1e-9)
         np.testing.assert_array_equal(out.adjoint_o1, np.zeros_like(o))
         np.testing.assert_array_equal(out.adjoint_o2, np.zeros_like(o))
 
@@ -260,10 +260,10 @@ class TestSelfDistill:
             o1 = gen.normal(size=(3, 4))
             o2 = gen.normal(size=(3, 4))
             out = self_distill_loss(o1, o2, hp)
-            c2 = np.maximum(tempered_softmax(o2, hp.distill_temp), hp.clamp_lo)
-            c1 = np.maximum(tempered_softmax(o1, hp.distill_temp), hp.clamp_lo)
-            fd1 = fd_grad(lambda q: half_scalar(q, c2, hp.distill_temp, hp.clamp_lo), o1)
-            fd2 = fd_grad(lambda q: half_scalar(q, c1, hp.distill_temp, hp.clamp_lo), o2)
+            c2 = np.maximum(tempered_softmax(o2, hp.distill_temp), losses._CLAMP_LO)
+            c1 = np.maximum(tempered_softmax(o1, hp.distill_temp), losses._CLAMP_LO)
+            fd1 = fd_grad(lambda q: half_scalar(q, c2, hp.distill_temp, losses._CLAMP_LO), o1)
+            fd2 = fd_grad(lambda q: half_scalar(q, c1, hp.distill_temp, losses._CLAMP_LO), o2)
             np.testing.assert_allclose(out.adjoint_o1, fd1, atol=1e-6)
             np.testing.assert_allclose(out.adjoint_o2, fd2, atol=1e-6)
 
@@ -542,7 +542,7 @@ class TestSharpenedCe:
         got = sharpened_ce_per_sample(o, y, LsrHyperParams(sharpen_temp=1.0))
         assert got.tobytes() == ce_per_sample(o, y).tobytes()
 
-    @pytest.mark.parametrize("temp", [0.3, 0.5, 2.0])
+    @pytest.mark.parametrize("temp", [0.3, 0.5])
     def test_rows_are_the_loss_rows_bitwise(self, temp):
         # The per-sample rows and the loss's scalar come from one formula.
         gen = np.random.default_rng(28)
@@ -655,6 +655,9 @@ class TestHyperParamValidation:
     def test_lsr_fields(self):
         with pytest.raises(ValueError):
             LsrHyperParams(sharpen_temp=0.0)
+        # T > 1 would flatten the mixture instead of sharpening it.
+        with pytest.raises(ValueError, match=re.escape("sharpen_temp must lie in (0, 1], got 1.5")):
+            LsrHyperParams(sharpen_temp=1.5)
         with pytest.raises(ValueError):
             LsrHyperParams(distill_temp=-1.0)
         with pytest.raises(ValueError):
@@ -664,8 +667,6 @@ class TestHyperParamValidation:
         with pytest.raises(ValueError):
             LsrHyperParams(distill_kind="kl")
         with pytest.raises(ValueError):
-            LsrHyperParams(clamp_lo=0.0)
-        with pytest.raises(ValueError):
             LsrHyperParams(fix_lambda=1.5)
 
     def test_defaults_are_the_documented_ones(self):
@@ -673,8 +674,19 @@ class TestHyperParamValidation:
         assert hp.sharpen_temp == 0.5
         assert hp.distill_temp == pytest.approx(1.0 / 3.0)
         assert hp.distill_kind == "js"
-        assert hp.clamp_lo == 1e-6
+        assert losses._CLAMP_LO == 1e-6
         assert hp.fix_lambda is None
+
+
+    @pytest.mark.parametrize("temp", [0.5, 1.0])
+    def test_underflowed_probability_keeps_the_adjoint_finite(self, temp):
+        # softmax([0, 800, 1]) puts exactly 0 on two classes; p ** (1/T - 1)
+        # is finite there for every accepted T, and no warning is raised.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sharpened_ce_loss(np.array([[0.0, 800.0, 1.0]]), np.array([1]),
+                                    LsrHyperParams(sharpen_temp=temp))
+        assert np.all(np.isfinite(out.adjoint_o1))
 
 
 class TestLossOutputType:
@@ -808,10 +820,10 @@ def _ref_cls(o1, o2, y, lam, hp):
     powered = p**u
     norm = powered.sum(axis=-1)
     sharp_y = powered[at_y] / norm
-    scalar = (-np.log(np.maximum(sharp_y, hp.clamp_lo))).mean(axis=-1)
+    scalar = (-np.log(np.maximum(sharp_y, losses._CLAMP_LO))).mean(axis=-1)
     grad_p = u * p ** (u - 1.0) / norm[..., None]
     grad_p[at_y] -= u / p[at_y]
-    grad_p[sharp_y <= hp.clamp_lo] = 0.0
+    grad_p[sharp_y <= losses._CLAMP_LO] = 0.0
     grad_p /= p.shape[-2]
     adj1 = _ref_softmax_vjp(p1, weight * grad_p)
     adj2 = _ref_softmax_vjp(p2, (1.0 - weight) * grad_p)
@@ -827,7 +839,7 @@ def _ref_distill(o1, o2, hp):
     batch = o1.shape[-2]
     q1 = _ref_softmax(o1 / hp.distill_temp)
     q2 = _ref_softmax(o2 / hp.distill_temp)
-    c1, c2 = np.maximum(q1, hp.clamp_lo), np.maximum(q2, hp.clamp_lo)
+    c1, c2 = np.maximum(q1, losses._CLAMP_LO), np.maximum(q2, losses._CLAMP_LO)
     if hp.distill_kind == "js":
         mid = 0.5 * (c1 + c2)
         kl1 = (c1 * np.log(c1 / mid)).sum(axis=-1)
@@ -850,8 +862,8 @@ def _ref_distill(o1, o2, hp):
         scalar = (1.0 - cos)[..., 0].mean(axis=-1)
         g1 = 0.5 * (cos * c1 / n1**2 - c2 / (n1 * n2)) / batch
         g2 = 0.5 * (cos * c2 / n2**2 - c1 / (n1 * n2)) / batch
-    adj1 = _ref_softmax_vjp(q1, g1 * (q1 > hp.clamp_lo), hp.distill_temp)
-    adj2 = _ref_softmax_vjp(q2, g2 * (q2 > hp.clamp_lo), hp.distill_temp)
+    adj1 = _ref_softmax_vjp(q1, g1 * (q1 > losses._CLAMP_LO), hp.distill_temp)
+    adj2 = _ref_softmax_vjp(q2, g2 * (q2 > losses._CLAMP_LO), hp.distill_temp)
     return scalar, adj1, adj2
 
 

@@ -9,7 +9,6 @@ from fednoise.model import (
     forward,
     forward_vjp,
     init_params,
-    param_count,
     sgd_step,
 )
 from fednoise.losses import ce_loss
@@ -20,25 +19,24 @@ def tiny_net(seed=0, sizes=(5, 7, 4, 3)):
     return init_params(list(sizes), RngStream(seed))
 
 
-class TestParamCount:
-    def test_reference_architecture(self):
-        # 784*128+128 + 128*64+64 + 64*10+10
-        assert param_count([784, 128, 64, 10]) == 109386
-
-    def test_matches_init_size(self):
-        sizes = [12, 8, 5]
-        assert init_params(sizes, RngStream(0)).flat.size == param_count(sizes)
+class TestInit:
+    @pytest.mark.parametrize("sizes, count", [
+        ([784, 128, 64, 10], 109386),  # 784*128+128 + 128*64+64 + 64*10+10
+        ([12, 8, 5], 149),  # 12*8+8 + 8*5+5
+    ])
+    def test_parameter_count(self, sizes, count):
+        p = init_params(sizes, RngStream(0))
+        assert p.flat.shape == (count,)
+        assert p.shapes == tuple(zip(sizes[:-1], sizes[1:]))
 
     def test_too_few_layers_rejected(self):
-        with pytest.raises(ValueError):
-            param_count([10, 3])
+        with pytest.raises(ValueError, match="need at least input, one hidden, and output"):
+            init_params([10, 3], RngStream(0))
 
     def test_nonpositive_width_rejected(self):
-        with pytest.raises(ValueError):
-            param_count([10, 0, 3])
+        with pytest.raises(ValueError, match=r"layer widths must be positive, got \[10, 0, 3\]"):
+            init_params([10, 0, 3], RngStream(0))
 
-
-class TestInit:
     def test_deterministic_per_seed(self):
         a = init_params([6, 4, 3], RngStream(42))
         b = init_params([6, 4, 3], RngStream(42))
@@ -196,7 +194,7 @@ class TestBackward:
             backward(p, np.ones((2, 5)), np.zeros((3, 3)))
 
     def test_gradient_is_a_read_only_float64_array_of_parameter_shape(self):
-        # vjp and backward give a plain ndarray shaped like the parameters,
+        # backward gives a fresh plain ndarray shaped like the parameters,
         # for one (P,) network on (B, d) rows and a (K, P) cohort on
         # (K, B, d) rows alike, and no caller can write into it.
         gen = np.random.default_rng(4)
@@ -205,15 +203,16 @@ class TestBackward:
         for params, lead in ((net, ()), (cohort, (2,))):
             x = gen.normal(size=(*lead, 3, 5))
             adjoint = gen.normal(size=(*lead, 3, 3))
-            for g in (forward_vjp(params, x)[1](adjoint), backward(params, x, adjoint)):
-                assert type(g) is np.ndarray
-                assert g.dtype == np.float64 and g.shape == params.flat.shape
-                assert not g.flags.writeable
+            g = backward(params, x, adjoint)
+            assert type(g) is np.ndarray
+            assert g.dtype == np.float64 and g.shape == params.flat.shape
+            assert not g.flags.writeable
+            assert g is not backward(params, x, adjoint)
 
     def test_vjp_writes_into_a_given_buffer(self):
-        # vjp(adjoint, out=buf) fills the caller's buffer with the bits
-        # vjp(adjoint) gives and returns that buffer, writeable as it was;
-        # the form without out still returns a fresh read-only array.
+        # vjp(adjoint, buf) fills the caller's buffer with the bits backward
+        # gives and returns that buffer, writeable as it was; every entry
+        # is written, whatever the buffer held.
         gen = np.random.default_rng(5)
         net = tiny_net()
         cohort = ModelParams(np.stack([tiny_net(0).flat, tiny_net(1).flat]), net.shapes)
@@ -222,12 +221,9 @@ class TestBackward:
             adjoint = gen.normal(size=(*lead, 3, 3))
             _, vjp = forward_vjp(params, x)
             buf = np.full(params.flat.shape, np.nan)
-            got = vjp(adjoint, out=buf)
-            fresh = vjp(adjoint)
+            got = vjp(adjoint, buf)
             assert got is buf and buf.flags.writeable
-            assert np.array_equal(buf, fresh)
-            assert not fresh.flags.writeable
-            assert fresh is not vjp(adjoint)
+            assert np.array_equal(buf, backward(params, x, adjoint))
 
     def test_vjp_rejects_an_unfit_buffer(self):
         net = tiny_net()
@@ -303,14 +299,14 @@ class TestCohort:
         x = gen.normal(size=(4, batch, 5))
         adjoint = gen.normal(size=(4, batch, 3))
         logits, vjp = forward_vjp(cohort, x)
-        grads = vjp(adjoint)
+        grads = vjp(adjoint, np.empty(cohort.flat.shape))
         stepped = sgd_step(cohort, grads, 0.1)
         assert logits.shape == (4, batch, 3)
         assert grads.shape == stepped.flat.shape == cohort.flat.shape
         for k, net in enumerate(nets):
             alone, alone_vjp = forward_vjp(net, x[k])
             np.testing.assert_array_equal(logits[k], alone)
-            g = alone_vjp(adjoint[k])
+            g = alone_vjp(adjoint[k], np.empty(net.flat.shape))
             np.testing.assert_array_equal(grads[k], g)
             np.testing.assert_array_equal(stepped.flat[k], sgd_step(net, g, 0.1).flat)
 
@@ -322,7 +318,7 @@ class TestCohort:
             forward(cohort, np.ones((3, 2, 5)))  # three clients for two nets
         _, vjp = forward_vjp(cohort, np.ones((2, 3, 5)))
         with pytest.raises(ValueError):
-            vjp(np.ones((3, 3)))
+            vjp(np.ones((3, 3)), np.empty(cohort.flat.shape))
         with pytest.raises(ValueError):
             sgd_step(cohort, np.zeros(cohort.flat.shape[1]), 0.1)
 
